@@ -7,7 +7,7 @@ avoid every forbidden factor form a finite basis; everything else in this
 package is computed from that basis.
 """
 
-from gpstable import parse_algebra, relate
+from gpstable import parse_algebra
 from gpstable.fixtures import lambda_star_document
 
 # The running example: two cycles (lengths 3 and 2) joined by a bridge
@@ -30,11 +30,12 @@ print(r1, "zero?", alg.is_zero(r1))
 # Divisibility comes with explicit witnesses that recompose exactly.
 p = q.path(["a1", "a2"])
 whole = q.path(["a1", "a2", "a3", "a1", "a2"])
-rel = relate(p, whole)
+occ = next(iter(p.occurrences_in(whole)))
+left, right = whole.window(0, occ), whole.window(occ + p.length, whole.length)
 print(f"{p} inside {whole}:")
-print("  left divisor?", rel.is_left_divisor)
-print("  complements:", rel.left_complement, "|", rel.right_complement)
-assert rel.left_complement * p * rel.right_complement == whole
+print("  left divisor?", p.left_divides(whole))
+print("  complements:", left, "|", right)
+assert left * p * right == whole
 
 # Non-admissible inputs are rejected with a witness cycle.
 from gpstable import NonAdmissibleError

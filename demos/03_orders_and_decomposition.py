@@ -8,7 +8,7 @@ the elementary paths, its sinks the co-elementary ones, and every perfect
 path factors uniquely through the co-elementary alphabet.
 """
 
-from gpstable import analyze, bracket, coelementary_factorization, cycle_predicates, order_compare
+from gpstable import analyze, coelementary_factorization, cycle_predicates, order_compare
 from gpstable.fixtures import lambda_star, nakayama
 
 an = analyze(lambda_star())
@@ -41,10 +41,10 @@ for dec in an.decompositions:
     print("  chain:", ", ".join(map(str, dec.chain)))
 
 dec = an.decomposition_for(a12)
-print("\n[1,4] realizes", bracket(alg, dec, 1, 4).path)
-print("[7,7] realizes", bracket(alg, dec, 7, 7).path, "(indices wrap modulo |c|)")
-b = bracket(alg, dec, 1, dec.m + 1)
-print(f"[1,{dec.m + 1}] is zero?", b.is_zero, "-", b.path, "is a relation")
+print("\n[1,4] realizes", dec.realize(1, 4))
+print("[7,7] realizes", dec.realize(7, 7), "(indices wrap modulo |c|)")
+b = dec.realize(1, dec.m + 1)
+print(f"[1,{dec.m + 1}] is zero?", alg.is_zero(b), "-", b, "is a relation")
 
 # Cycle predicates: a self-injective Nakayama algebra is the model case
 # where every arrow of the cycle is perfect and relations slide along it.

@@ -9,13 +9,10 @@ from .algebra import (
     MonomialAlgebra,
     NonAdmissibleError,
     Path,
-    PathRelation,
     Quiver,
     enumerate_nonzero_paths,
     parse_algebra,
     parse_path_string,
-    path_is_zero,
-    relate,
 )
 from .analysis import Analysis, analyze
 from .arquiver import (
@@ -26,11 +23,9 @@ from .arquiver import (
     ungraded_ar_quiver,
 )
 from .orders import (
-    BracketPath,
     CycleDecomposition,
     CyclePredicates,
     HasseQuiver,
-    bracket,
     classify_elementary,
     coelementary_factorization,
     cycle_predicates,
@@ -40,7 +35,6 @@ from .orders import (
 )
 from .perfect import (
     Overlap,
-    PerfectPathRecord,
     PerfectPathSet,
     UnderlyingCycleClass,
     detect_overlap,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -152,43 +152,6 @@ class Path:
         return f"Path({self})"
 
 
-@dataclass(frozen=True)
-class PathRelation:
-    """How one path sits inside another (flags plus witnessing complements).
-
-    The witnesses describe the leftmost occurrence: ``ambient =
-    left_complement * part * right_complement``.
-    """
-
-    is_subpath: bool
-    is_left_divisor: bool
-    is_right_divisor: bool
-    is_proper: bool
-    left_complement: Path | None = None
-    right_complement: Path | None = None
-
-
-def relate(p: Path, q: Path) -> PathRelation:
-    """Describe how ``p`` occurs inside ``q``."""
-    occ = next(iter(p.occurrences_in(q)), None)
-    if occ is None:
-        return PathRelation(False, False, False, False)
-    if p.is_trivial:
-        left = q.window(0, occ)
-        right = q.window(occ, q.length)
-    else:
-        left = q.window(0, occ)
-        right = q.window(occ + p.length, q.length)
-    return PathRelation(
-        is_subpath=True,
-        is_left_divisor=p.left_divides(q),
-        is_right_divisor=p.right_divides(q),
-        is_proper=p != q,
-        left_complement=left,
-        right_complement=right,
-    )
-
-
 class Arrow(NamedTuple):
     id: str
     source: str
@@ -271,8 +234,14 @@ def parse_path_string(quiver: Quiver, text: str) -> Path:
     return quiver.path(tuple(part for part in text.split(".")))
 
 
-def _rotation_arrows(arrows: tuple[str, ...], s: int) -> tuple[str, ...]:
-    return arrows[s:] + arrows[:s]
+def relation_index(
+    relations: Iterable[Path],
+) -> dict[int, frozenset[tuple[str, ...]]]:
+    """Relation arrow sequences grouped by length, for window lookups."""
+    by_len: dict[int, set[tuple[str, ...]]] = {}
+    for r in relations:
+        by_len.setdefault(r.length, set()).add(r.arrows)
+    return {ln: frozenset(rels) for ln, rels in by_len.items()}
 
 
 def admissibility_witness(
@@ -285,9 +254,7 @@ def admissibility_witness(
     relation length; an infinite language is equivalent to a reachable cycle
     in this graph.
     """
-    rel_by_len: dict[int, set[tuple[str, ...]]] = {}
-    for r in relations:
-        rel_by_len.setdefault(r.length, set()).add(r.arrows)
+    rel_by_len = relation_index(relations)
     width = max(rel_by_len, default=1) - 1
 
     def step(state, arrow: Arrow):
@@ -362,9 +329,7 @@ def enumerate_nonzero_paths(
             f"cycle {witness} indefinitely",
             witness,
         )
-    rel_by_len: dict[int, set[tuple[str, ...]]] = {}
-    for r in relations:
-        rel_by_len.setdefault(r.length, set()).add(r.arrows)
+    rel_by_len = relation_index(relations)
 
     def alive(arrows: tuple[str, ...]) -> bool:
         for ln, rels in rel_by_len.items():
@@ -426,16 +391,13 @@ class MonomialAlgebra:
         self.relations: tuple[Path, ...] = tuple(
             sorted(minimal, key=Path.sort_key)
         )
-        self._relation_set = frozenset(self.relations)
-        self._rel_by_len: dict[int, set[tuple[str, ...]]] = {}
-        for r in self.relations:
-            self._rel_by_len.setdefault(r.length, set()).add(r.arrows)
+        self.relation_index = relation_index(self.relations)
 
         degrees = {a.id: 1 for a in quiver.arrows}
         for aid, d in (arrow_degrees or {}).items():
             if aid not in degrees:
                 raise InputError(f"arrow_degrees mentions unknown arrow {aid!r}")
-            if not isinstance(d, int) or d < 1:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 1:
                 raise InputError(
                     f"arrow degree for {aid!r} must be a positive integer; "
                     f"degree-0 arrows would leave the positively-graded "
@@ -448,10 +410,6 @@ class MonomialAlgebra:
             quiver, self.relations
         )
         self.warnings: tuple[str, ...] = tuple(notes)
-
-    @classmethod
-    def from_document(cls, doc: str | Mapping) -> "MonomialAlgebra":
-        return parse_algebra(doc)
 
     @cached_property
     def basis_sorted(self) -> tuple[Path, ...]:
@@ -476,7 +434,7 @@ class MonomialAlgebra:
         if p.length < 2:
             return False
         arrows = p.arrows
-        for ln, rels in self._rel_by_len.items():
+        for ln, rels in self.relation_index.items():
             if ln > len(arrows):
                 continue
             for s in range(len(arrows) - ln + 1):
@@ -491,7 +449,7 @@ class MonomialAlgebra:
         """
         lp = len(p.arrows)
         arrows = p.arrows + q.arrows
-        for ln, rels in self._rel_by_len.items():
+        for ln, rels in self.relation_index.items():
             lo = max(0, lp - ln + 1)
             hi = min(lp - 1, len(arrows) - ln)
             for s in range(lo, hi + 1):
@@ -576,14 +534,3 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     if degrees is not None and not isinstance(degrees, Mapping):
         raise InputError("'arrow_degrees' must be an object")
     return MonomialAlgebra(quiver, relations, degrees)
-
-
-def path_is_zero(alg: MonomialAlgebra, p: Path) -> bool:
-    """Module-level alias for :meth:`MonomialAlgebra.is_zero`."""
-    return alg.is_zero(p)
-
-
-def concat_all(paths: Sequence[Path]) -> Path:
-    if not paths:
-        raise InputError("cannot concatenate an empty path sequence")
-    return reduce(lambda a, b: a * b, paths)

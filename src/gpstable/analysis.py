@@ -16,11 +16,9 @@ from .orders import (
     hasse_quiver,
 )
 from .perfect import (
-    PerfectPathRecord,
     PerfectPathSet,
     UnderlyingCycleClass,
     enumerate_perfect_paths,
-    perfect_path_records,
     underlying_cycle_classes,
 )
 
@@ -35,10 +33,6 @@ class Analysis:
 
     def __init__(self, algebra: MonomialAlgebra):
         self.algebra = algebra
-
-    @classmethod
-    def from_document(cls, doc) -> "Analysis":
-        return cls(parse_algebra(doc))
 
     @cached_property
     def perfect(self) -> PerfectPathSet:
@@ -55,10 +49,6 @@ class Analysis:
             for p in cls.members:
                 out[p] = cls.cycle
         return out
-
-    @cached_property
-    def records(self) -> tuple[PerfectPathRecord, ...]:
-        return perfect_path_records(self.perfect, self.class_of)
 
     @cached_property
     def hasse_prec(self) -> HasseQuiver:

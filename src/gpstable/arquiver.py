@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import InputError, Path
 from .analysis import Analysis
@@ -99,19 +100,23 @@ def ungraded_ar_quiver(an: Analysis, dec: CycleDecomposition) -> TranslationQuiv
     )
 
 
-def full_ungraded_ar_quiver(an: Analysis) -> TranslationQuiver:
-    """Disjoint union of the per-class ungraded AR quivers."""
+def disjoint_union(quivers: Iterable[TranslationQuiver]) -> TranslationQuiver:
+    """One translation quiver holding the given (per-class) pieces."""
     vertices: list[TQVertex] = []
     arrows = []
     tau = []
     notes = []
-    for dec in an.decompositions:
-        tq = ungraded_ar_quiver(an, dec)
+    for tq in quivers:
         vertices.extend(tq.vertices)
         arrows.extend(tq.arrow_pairs())
         tau.extend(tq.tau_pairs())
         notes.append(tq.identification)
     return _build(vertices, arrows, tau, identification="; ".join(notes) or None)
+
+
+def full_ungraded_ar_quiver(an: Analysis) -> TranslationQuiver:
+    """Disjoint union of the per-class ungraded AR quivers."""
+    return disjoint_union(ungraded_ar_quiver(an, dec) for dec in an.decompositions)
 
 
 def graded_ar_window(

@@ -1,7 +1,8 @@
 """Command-line surface: analyze, hasse, classify, hom, ar-quiver, verify.
 
 All output is byte-deterministic for a fixed input and flag set.  Exit
-codes: 0 success, 1 input error, 2 verification failure.
+codes: 0 success, 1 input error, 2 verification failure, 3 internal error
+(a structural guarantee failed, which indicates a bug).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-from .algebra import InputError, parse_algebra, parse_path_string
+from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_path_string
 from .analysis import Analysis
-from .arquiver import emit, full_ungraded_ar_quiver, graded_ar_window
+from .arquiver import disjoint_union, emit, full_ungraded_ar_quiver, graded_ar_window
 from .oracle import verify_suite
 from .stable import (
     DEFAULT_GRADING,
@@ -196,16 +197,14 @@ def _cmd_ar_quiver(args) -> int:
     an = _load(args.file)
     fmt = "json" if args.json else args.format
     if args.graded:
-        if not an.decompositions:
-            _write(emit(full_ungraded_ar_quiver(an), fmt), args.output)
-            return 0
-        pieces = []
+        windows = []
         for dec in an.decompositions:
-            w = args.window if args.window is not None else dec.arrow_length
-            pieces.append(emit(graded_ar_window(an, dec, -w, w), fmt))
-        _write("".join(pieces), args.output)
-        return 0
-    _write(emit(full_ungraded_ar_quiver(an), fmt), args.output)
+            w = dec.arrow_length if args.window is None else args.window
+            windows.append(graded_ar_window(an, dec, -w, w))
+        quiver = disjoint_union(windows)
+    else:
+        quiver = full_ungraded_ar_quiver(an)
+    _write(emit(quiver, fmt), args.output)
     return 0
 
 
@@ -311,6 +310,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -249,9 +249,10 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         "an enumerated successor pair fails the literal definition",
     )
 
+    relation_paths = set(alg.relations)
     check(
         "perfect-product-is-relation",
-        all((p * q) in set(alg.relations) for p, q in pairs),
+        all((p * q) in relation_paths for p, q in pairs),
         "a perfect pair's product is not a minimal relation",
     )
     check(
@@ -276,13 +277,14 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
             "in/out degree exceeds 1",
         )
     prec_arrows = set(an.hasse_prec.arrows)
+    coelementary = set(an.coelementary)
     arrow_ok = True
     for p in pset.paths:
         for q in pset.paths:
             if p == q or not p.left_divides(q):
                 continue
             r = q.window(p.length, q.length)
-            if ((q, p) in prec_arrows) != (r in set(an.coelementary)):
+            if ((q, p) in prec_arrows) != (r in coelementary):
                 arrow_ok = False
     check(
         "hasse-arrow-complement-coelementary",

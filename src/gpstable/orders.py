@@ -144,6 +144,20 @@ def classify_elementary(
     return elementary, coelementary
 
 
+def _factor_greedily(p: Path, coel: Sequence[Path]) -> tuple[Path, ...] | None:
+    """Peel the unique co-elementary left divisor off ``p`` until nothing
+    is left; ``None`` when some step finds no divisor or several."""
+    factors: list[Path] = []
+    rest = p
+    while not rest.is_trivial:
+        hits = [r for r in coel if r.left_divides(rest)]
+        if len(hits) != 1:
+            return None
+        factors.append(hits[0])
+        rest = rest.window(hits[0].length, rest.length)
+    return tuple(factors)
+
+
 def coelementary_factorization(
     p: Path, coelementary: Iterable[Path]
 ) -> tuple[Path, ...]:
@@ -152,20 +166,24 @@ def coelementary_factorization(
     At every step there is exactly one co-elementary left divisor of the
     remaining suffix; anything else falsifies the implementation.
     """
-    coel = tuple(coelementary)
-    factors: list[Path] = []
-    rest = p
-    while not rest.is_trivial:
-        hits = [r for r in coel if r.left_divides(rest)]
-        if len(hits) != 1:
-            raise InternalConsistencyError(
-                f"expected exactly one co-elementary left divisor of {rest}, "
-                f"found {len(hits)}"
-            )
-        r = hits[0]
-        factors.append(r)
-        rest = rest.window(r.length, rest.length)
-    return tuple(factors)
+    factors = _factor_greedily(p, tuple(coelementary))
+    if factors is None:
+        raise InternalConsistencyError(
+            f"{p} has no unique factorization into co-elementary paths"
+        )
+    return factors
+
+
+def _realize(factors: Sequence[Path], i: int, j: int) -> Path:
+    """The path r_i r_{i+1} ... r_j over cyclically indexed ``factors``,
+    trivial at s(r_i) when i > j."""
+    n = len(factors)
+    out = factors[(i - 1) % n]
+    if i > j:
+        return Path((), (out.source,))
+    for t in range(i, j):
+        out = out * factors[t % n]
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,12 +221,7 @@ class CycleDecomposition:
 
     def realize(self, i: int, j: int) -> Path:
         """The path r_i r_{i+1} ... r_j, trivial at s(r_i) when i > j."""
-        if i > j:
-            return Path((), (self.factor(i).source,))
-        out = self.factor(i)
-        for t in range(i + 1, j + 1):
-            out = out * self.factor(t)
-        return out
+        return _realize(self.factors, i, j)
 
     def length_between(self, i: int, j: int) -> int:
         """Arrow length of the factor window [i, j] (0 when i > j)."""
@@ -224,40 +237,6 @@ class CycleDecomposition:
 
     def bracket_of(self, p: Path) -> tuple[int, int]:
         return self.bracket_index[p]
-
-
-@dataclass(frozen=True)
-class BracketPath:
-    """A realized factor window of one cycle, with an explicit zero marker."""
-
-    cycle: Path
-    i: int
-    j: int
-    path: Path
-    is_zero: bool
-
-
-def bracket(alg: MonomialAlgebra, dec: CycleDecomposition, i: int, j: int) -> BracketPath:
-    realized = dec.realize(i, j)
-    return BracketPath(
-        cycle=dec.cycle_class.cycle,
-        i=i,
-        j=j,
-        path=realized,
-        is_zero=alg.is_zero(realized),
-    )
-
-
-def _greedy_or_none(p: Path, coel: Sequence[Path]) -> tuple[Path, ...] | None:
-    factors: list[Path] = []
-    rest = p
-    while not rest.is_trivial:
-        hits = [r for r in coel if r.left_divides(rest)]
-        if len(hits) != 1:
-            return None
-        factors.append(hits[0])
-        rest = rest.window(hits[0].length, rest.length)
-    return tuple(factors)
 
 
 def decompose_cycle(
@@ -276,7 +255,7 @@ def decompose_cycle(
     candidates = []
     for s in range(cls.cycle.length):
         rot = cls.cycle.rotation(s)
-        fac = _greedy_or_none(rot, coel)
+        fac = _factor_greedily(rot, coel)
         if fac is not None:
             candidates.append((rot, fac))
     if not candidates:
@@ -290,20 +269,6 @@ def decompose_cycle(
         raise InternalConsistencyError(
             f"repeated co-elementary factor in {anchored}"
         )
-
-    dec = CycleDecomposition(
-        cycle_class=cls,
-        anchored_cycle=anchored,
-        factors=factors,
-        size=n,
-        arrow_length=anchored.length,
-        m=0,
-        chain=(),
-        elementary=(),
-        coelementary=tuple(sorted(factors, key=Path.sort_key)),
-        phi={},
-        bracket_index={},
-    )
 
     r1 = factors[0]
     chain = tuple(
@@ -320,7 +285,7 @@ def decompose_cycle(
     bracket_index: dict[Path, tuple[int, int]] = {}
     for i in range(1, n + 1):
         for span in range(1, m + 1):
-            realized = dec.realize(i, i + span - 1)
+            realized = _realize(factors, i, i + span - 1)
             if realized not in members_set:
                 raise InternalConsistencyError(
                     f"bracket window [{i},{i + span - 1}] = {realized} is "
@@ -336,7 +301,7 @@ def decompose_cycle(
             f"class {cls.cycle}: {len(cls.members)} members but "
             f"{len(bracket_index)} bracket windows"
         )
-    if chain != tuple(dec.realize(1, k) for k in range(1, m + 1)):
+    if chain != tuple(_realize(factors, 1, k) for k in range(1, m + 1)):
         raise InternalConsistencyError(
             f"chain above {r1} does not match the bracket chain"
         )
@@ -346,10 +311,11 @@ def decompose_cycle(
         for p in cls.members
         if bracket_index[p][1] == m
     )
+    factor_set = set(factors)
     phi = {}
     for x in elementary:
         r = successor[x]
-        if r not in set(factors):
+        if r not in factor_set:
             raise InternalConsistencyError(
                 f"successor {r} of elementary {x} is not a factor of "
                 f"{anchored}"
@@ -362,7 +328,7 @@ def decompose_cycle(
 
     relation_paths = set(alg.relations)
     for i in range(1, n + 1):
-        window = dec.realize(i, i + m)
+        window = _realize(factors, i, i + m)
         if window not in relation_paths:
             raise InternalConsistencyError(
                 f"window [{i},{i + m}] = {window} is not a minimal relation"
@@ -407,16 +373,13 @@ def cycle_predicates(
             f"arrow-perfectness disagrees with |c| = l(c) on {cycle}"
         )
 
-    relation_arrow_sets: dict[int, set[tuple[str, ...]]] = {}
-    for r in alg.relations:
-        relation_arrow_sets.setdefault(r.length, set()).add(r.arrows)
     found: int | None = None
-    for r in sorted(relation_arrow_sets):
+    for r in sorted(alg.relation_index):
         if r < 2:
             continue
         buf = cycle.arrows * (r // cycle.length + 2)
         wins = (buf[t : t + r] for t in range(cycle.length))
-        if all(w in relation_arrow_sets[r] for w in wins):
+        if all(w in alg.relation_index[r] for w in wins):
             found = r
             break
     if all_arrows and found is not None and found != dec.m + 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .algebra import InputError, MonomialAlgebra, Path
+from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
 
 
 def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
@@ -64,18 +64,6 @@ def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
     if p.target != q.source or not alg.concat_zero(p, q):
         return False
     return right_annihilators(alg, p) == (q,) and left_annihilators(alg, q) == (p,)
-
-
-@dataclass(frozen=True)
-class PerfectPathRecord:
-    """One perfect path together with its local successor data."""
-
-    path: Path
-    successor: Path
-    predecessor: Path
-    sequence_index: int
-    position: int
-    cycle_class: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     sequences = tuple(tuple(c) for c in cycles)
     paths = tuple(sorted((p for seq in sequences for p in seq), key=Path.sort_key))
     if len(set(paths)) != len(paths):
-        raise RuntimeError("successor cycles are not disjoint")
+        raise InternalConsistencyError("successor cycles are not disjoint")
     successor = {p: sigma[p] for p in paths}
     predecessor = {q: p for p, q in successor.items()}
     return PerfectPathSet(
@@ -169,25 +157,6 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
         predecessor=predecessor,
         cm_free=not paths,
     )
-
-
-def perfect_path_records(
-    pset: PerfectPathSet, class_of: dict[Path, Path] | None = None
-) -> tuple[PerfectPathRecord, ...]:
-    records = []
-    for idx, seq in enumerate(pset.sequences):
-        for pos, p in enumerate(seq):
-            records.append(
-                PerfectPathRecord(
-                    path=p,
-                    successor=pset.successor[p],
-                    predecessor=pset.predecessor[p],
-                    sequence_index=idx,
-                    position=pos,
-                    cycle_class=(class_of or {}).get(p),
-                )
-            )
-    return tuple(sorted(records, key=lambda r: r.path.sort_key()))
 
 
 def primitive_root(cycle: Path) -> Path:
@@ -223,10 +192,6 @@ class UnderlyingCycleClass:
     cycle: Path
     members: tuple[Path, ...]
     sequence_indices: tuple[int, ...]
-
-    @property
-    def arrow_length(self) -> int:
-        return self.cycle.length
 
 
 def underlying_cycle_classes(

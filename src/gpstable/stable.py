@@ -234,8 +234,11 @@ def tau_periodicity_check(
     return True
 
 
-def class_degree(an: Analysis, dec: CycleDecomposition) -> int:
-    """Total arrow degree of the underlying cycle (the weighted multiplicity)."""
+def class_multiplicity(an: Analysis, dec: CycleDecomposition, grading: str) -> int:
+    """Period of the degree shift on one class: the arrow length of the
+    cycle, or its total arrow degree under the weighted grading."""
+    if grading != WEIGHTED_GRADING:
+        return dec.arrow_length
     deg = an.algebra.degree(dec.anchored_cycle)
     if deg <= 0:
         raise InputError(
@@ -252,12 +255,7 @@ def tilting_object(
     weighted)."""
     summands = []
     for dec in an.decompositions:
-        copies = (
-            class_degree(an, dec)
-            if grading == WEIGHTED_GRADING
-            else dec.arrow_length
-        )
-        for s in range(copies):
+        for s in range(class_multiplicity(an, dec, grading)):
             for p in dec.chain:
                 summands.append(StableObject(p, s))
     return tuple(summands)
@@ -306,11 +304,7 @@ def end_algebra(
             EndBlock(
                 cycle=dec.cycle_class.cycle,
                 size=dec.m,
-                multiplicity=(
-                    class_degree(an, dec)
-                    if grading == WEIGHTED_GRADING
-                    else dec.arrow_length
-                ),
+                multiplicity=class_multiplicity(an, dec, grading),
                 pattern=tuple(pattern),
             )
         )
@@ -373,16 +367,11 @@ def classify(an: Analysis, grading: str = DEFAULT_GRADING) -> ClassificationRepo
     graded = []
     ungraded = []
     for dec in an.decompositions:
-        mult = (
-            class_degree(an, dec)
-            if grading == WEIGHTED_GRADING
-            else dec.arrow_length
-        )
         graded.append(
             GradedFactor(
                 cycle=dec.cycle_class.cycle,
                 typeA_size=dec.m,
-                multiplicity=mult,
+                multiplicity=class_multiplicity(an, dec, grading),
             )
         )
         ungraded.append(

@@ -14,7 +14,6 @@ from gpstable.algebra import (
     enumerate_nonzero_paths,
     parse_algebra,
     parse_path_string,
-    relate,
 )
 
 
@@ -91,6 +90,25 @@ class TestParsing:
             parse_algebra(doc)
         assert str(exc.value.witness) == "x"
 
+    def test_boolean_arrow_degree_rejected(self):
+        # bool is a subclass of int; true must not pass as degree 1
+        doc = fixtures.a2_document()
+        doc["arrow_degrees"] = {"a": True}
+        with pytest.raises(InputError, match="positive integer"):
+            parse_algebra(doc)
+        doc["arrow_degrees"] = {"a": 2}
+        assert parse_algebra(doc).arrow_degrees == {"a": 2}
+
+    def test_relation_index_groups_by_length(self):
+        alg = fixtures.lambda_star()
+        assert alg.relation_index == {
+            7: {("a3", "a1", "a2", "a3", "a1", "a2", "a3")},
+            8: {
+                ("a1", "a2", "a3", "a1", "a2", "a3", "a1", "a2"),
+                ("a4", "a5", "a4", "a5", "a4", "a5", "a4", "a5"),
+            },
+        }
+
     def test_json_text_roundtrip(self):
         alg = parse_algebra(json.dumps(fixtures.nakayama_document(2, 2)))
         assert alg.dim == 2 * 3
@@ -151,29 +169,31 @@ class TestPathOps:
         q = fixtures.lambda_star().quiver
         p = q.path(["a1", "a2"])
         whole = q.path(["a1", "a2", "a3"])
-        rel = relate(p, whole)
-        assert rel.is_left_divisor and rel.is_proper and not rel.is_right_divisor
-        assert str(rel.right_complement) == "a3"
-        assert rel.left_complement * p * rel.right_complement == whole
+        assert p.left_divides(whole) and p != whole and not p.right_divides(whole)
+        occ = next(iter(p.occurrences_in(whole)))
+        left = whole.window(0, occ)
+        right = whole.window(occ + p.length, whole.length)
+        assert str(right) == "a3"
+        assert left * p * right == whole
 
     def test_relate_right_divisor(self):
         q = fixtures.lambda_star().quiver
-        rel = relate(q.path(["a3"]), q.path(["a1", "a2", "a3"]))
-        assert rel.is_right_divisor and not rel.is_left_divisor
+        part, whole = q.path(["a3"]), q.path(["a1", "a2", "a3"])
+        assert part.right_divides(whole) and not part.left_divides(whole)
 
     def test_relate_disjoint(self):
         q = fixtures.lambda_star().quiver
-        rel = relate(q.path(["a2"]), q.path(["a4", "a5"]))
-        assert rel == relate(q.path(["a2"]), q.path(["a4", "a5"]))
-        assert not rel.is_subpath
+        part, whole = q.path(["a2"]), q.path(["a4", "a5"])
+        assert list(part.occurrences_in(whole)) == list(part.occurrences_in(whole))
+        assert not part.subpath_of(whole)
 
     def test_trivial_path_relations(self):
         q = fixtures.lambda_star().quiver
         e2 = q.trivial("2")
         p = q.path(["a1", "a2"])
-        rel = relate(e2, p)
-        assert rel.is_subpath and not rel.is_right_divisor
-        assert rel.left_complement * e2 * rel.right_complement == p
+        assert e2.subpath_of(p) and not e2.right_divides(p)
+        occ = next(iter(e2.occurrences_in(p)))
+        assert p.window(0, occ) * e2 * p.window(occ, p.length) == p
 
     def test_compose_mismatch_raises(self):
         q = fixtures.lambda_star().quiver

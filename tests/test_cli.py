@@ -139,8 +139,13 @@ class TestArQuiver:
             capsys, "ar-quiver", STAR, "--graded", "--window=2", "--format=json"
         )
         assert code == 0
-        # one JSON document per class
-        assert out.count('"kind": "ar_quiver"') == 2
+        # one document for both classes: 11 perfect paths x shifts -2..2
+        assert len(json.loads(out)["vertices"]) == 55
+
+    def test_graded_window_zero(self, capsys):
+        code, out, _ = run(capsys, "ar-quiver", STAR, "--graded", "--window=0", "--json")
+        assert code == 0
+        assert {v["shift"] for v in json.loads(out)["vertices"]} == {0}
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "quiver.dot"
@@ -190,6 +195,27 @@ class TestErrors:
         f.write_text('{"vertices": []}')
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 1 and "error:" in err
+
+    def test_boolean_degree_exits_1(self, capsys, tmp_path):
+        import gpstable.fixtures as fx
+
+        doc = fx.a2_document()
+        doc["arrow_degrees"] = {"a": True}
+        f = tmp_path / "bool_degree.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "analyze", str(f))
+        assert code == 1 and "positive integer" in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        import gpstable.perfect as perfect
+
+        # two overlapping successor cycles break a structural guarantee
+        monkeypatch.setattr(
+            perfect, "_cycles_of_partial_injection", lambda sigma: [[p] for p in sigma] * 2
+        )
+        code, out, err = run(capsys, "analyze", STAR)
+        assert code == 3 and out == ""
+        assert err == "internal error: successor cycles are not disjoint\n"
 
     def test_non_admissible(self, capsys, tmp_path):
         f = tmp_path / "free_loop.json"
