@@ -244,17 +244,28 @@ def relation_index(
     return {ln: frozenset(rels) for ln, rels in by_len.items()}
 
 
+class RelationSplits(NamedTuple):
+    """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation.
+
+    ``by_prefix`` maps the arrows of ``r[:cut]`` and ``by_suffix`` those of
+    ``r[cut:]`` to the ``(r, cut)`` pairs they come from.
+    """
+
+    by_prefix: dict[tuple[str, ...], tuple[tuple[Path, int], ...]]
+    by_suffix: dict[tuple[str, ...], tuple[tuple[Path, int], ...]]
+
+
 def admissibility_witness(
-    quiver: Quiver, relations: Sequence[Path]
+    quiver: Quiver, rel_by_len: Mapping[int, frozenset[tuple[str, ...]]]
 ) -> Path | None:
     """Return a live cycle if the non-zero path language is infinite.
 
-    Runs over the factor-avoidance transition graph whose states are
+    ``rel_by_len`` is the :func:`relation_index` of the relations.  Runs
+    over the factor-avoidance transition graph whose states are
     ``(vertex, suffix window of the last d-1 arrows)`` with ``d`` the largest
     relation length; an infinite language is equivalent to a reachable cycle
     in this graph.
     """
-    rel_by_len = relation_index(relations)
     width = max(rel_by_len, default=1) - 1
 
     def step(state, arrow: Arrow):
@@ -315,21 +326,21 @@ def admissibility_witness(
 
 
 def enumerate_nonzero_paths(
-    quiver: Quiver, relations: Sequence[Path]
+    quiver: Quiver, rel_by_len: Mapping[int, frozenset[tuple[str, ...]]]
 ) -> frozenset[Path]:
     """All non-zero paths, trivial paths included.
 
-    Raises :class:`NonAdmissibleError` (with a live cycle as witness) when
-    the set would be infinite.
+    ``rel_by_len`` is the :func:`relation_index` of the relations.  Raises
+    :class:`NonAdmissibleError` (with a live cycle as witness) when the set
+    would be infinite.
     """
-    witness = admissibility_witness(quiver, relations)
+    witness = admissibility_witness(quiver, rel_by_len)
     if witness is not None:
         raise NonAdmissibleError(
             f"non-admissible relation set: non-zero paths wind around the "
             f"cycle {witness} indefinitely",
             witness,
         )
-    rel_by_len = relation_index(relations)
 
     def alive(arrows: tuple[str, ...]) -> bool:
         for ln, rels in rel_by_len.items():
@@ -407,9 +418,24 @@ class MonomialAlgebra:
         self.arrow_degrees: dict[str, int] = degrees
 
         self.basis: frozenset[Path] = enumerate_nonzero_paths(
-            quiver, self.relations
+            quiver, self.relation_index
         )
         self.warnings: tuple[str, ...] = tuple(notes)
+
+    @cached_property
+    def relation_splits(self) -> RelationSplits:
+        """The proper cuts of the minimal relations, by prefix and by suffix;
+        the only place relation cuts are enumerated."""
+        by_prefix: dict[tuple[str, ...], list[tuple[Path, int]]] = {}
+        by_suffix: dict[tuple[str, ...], list[tuple[Path, int]]] = {}
+        for r in self.relations:
+            for cut in range(1, r.length):
+                by_prefix.setdefault(r.arrows[:cut], []).append((r, cut))
+                by_suffix.setdefault(r.arrows[cut:], []).append((r, cut))
+        return RelationSplits(
+            {k: tuple(v) for k, v in by_prefix.items()},
+            {k: tuple(v) for k, v in by_suffix.items()},
+        )
 
     @cached_property
     def basis_sorted(self) -> tuple[Path, ...]:

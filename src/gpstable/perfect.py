@@ -7,6 +7,17 @@ successor assignment ``p -> q`` a partial injection; perfect paths are its
 periodic points and the minimal perfect path sequences are its cycles.
 Each cycle of the successor map winds around a primitive cycle of the
 quiver, giving the underlying-cycle classes.
+
+Everything here is read off the minimal relations F alone.  For a non-zero
+``p`` the product ``pq`` vanishes exactly when some relation crosses the
+junction, i.e. ``r = r[:cut] * r[cut:]`` with ``r[:cut]`` a non-empty
+suffix of ``p`` and ``r[cut:]`` a non-empty prefix of ``q``; so R(p) is the
+set of prefix-minimal ``r[cut:]`` over those cuts, and L(q) the mirror image.
+Every perfect pair multiplies to a minimal relation, ``pq ∈ F`` (X.-W. Chen,
+D. Shen, G. Zhou, *The Gorenstein-projective modules over a monomial
+algebra*, arXiv:1501.02978), so the successor map only needs the proper
+prefixes of relations as candidates.  The cost is O(|F|·L) index lookups,
+independent of the dimension of the algebra.
 """
 
 from __future__ import annotations
@@ -17,42 +28,53 @@ from functools import reduce
 from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
 
 
-def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
-    """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted."""
+def _require_nonzero_nontrivial(alg: MonomialAlgebra, p: Path) -> None:
     if p.is_trivial:
         raise InputError(f"annihilators are defined for non-trivial paths, got {p}")
     if alg.is_zero(p):
         raise InputError(f"annihilators are defined for non-zero paths, got {p}")
+
+
+def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
+    """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted.
+
+    These are the prefix-minimal ``r[cut:]`` over the relation cuts whose
+    ``r[:cut]`` is a non-empty suffix of ``p``.
+    """
+    _require_nonzero_nontrivial(alg, p)
+    by_prefix = alg.relation_splits.by_prefix
     killers = {
-        q
-        for q in alg.nontrivial_basis
-        if q.source == p.target and alg.concat_zero(p, q)
+        r.window(cut, r.length)
+        for k in range(1, p.length + 1)
+        for r, cut in by_prefix.get(p.arrows[-k:], ())
     }
-    minimal = [
-        q
-        for q in killers
-        if not any(q.prefix(k) in killers for k in range(1, q.length))
-    ]
-    return tuple(sorted(minimal, key=Path.sort_key))
+    # Shortest first: a killer is minimal unless a minimal one divides it.
+    minimal: list[Path] = []
+    for q in sorted(killers, key=Path.sort_key):
+        if not any(m.left_divides(q) for m in minimal):
+            minimal.append(q)
+    return tuple(minimal)
 
 
 def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
-    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted."""
-    if p.is_trivial:
-        raise InputError(f"annihilators are defined for non-trivial paths, got {p}")
-    if alg.is_zero(p):
-        raise InputError(f"annihilators are defined for non-zero paths, got {p}")
+    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted.
+
+    The mirror image of :func:`right_annihilators`: the suffix-minimal
+    ``r[:cut]`` over the relation cuts whose ``r[cut:]`` is a non-empty
+    prefix of ``p``.
+    """
+    _require_nonzero_nontrivial(alg, p)
+    by_suffix = alg.relation_splits.by_suffix
     killers = {
-        q
-        for q in alg.nontrivial_basis
-        if q.target == p.source and alg.concat_zero(q, p)
+        r.prefix(cut)
+        for k in range(1, p.length + 1)
+        for r, cut in by_suffix.get(p.arrows[:k], ())
     }
-    minimal = [
-        q
-        for q in killers
-        if not any(q.suffix(k) in killers for k in range(1, q.length))
-    ]
-    return tuple(sorted(minimal, key=Path.sort_key))
+    minimal: list[Path] = []
+    for q in sorted(killers, key=Path.sort_key):
+        if not any(m.right_divides(q) for m in minimal):
+            minimal.append(q)
+    return tuple(minimal)
 
 
 def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
@@ -81,9 +103,16 @@ class PerfectPathSet:
 
 
 def _successor_map(alg: MonomialAlgebra) -> dict[Path, Path]:
+    """p -> q for every perfect pair; p ranges over the proper prefixes of
+    relations, since ``pq`` is a relation whenever the pair is perfect."""
+    # one path per distinct prefix, read off its first split
+    candidates = sorted(
+        (r.prefix(cut) for (r, cut), *_ in alg.relation_splits.by_prefix.values()),
+        key=Path.sort_key,
+    )
     sigma: dict[Path, Path] = {}
     left_cache: dict[Path, tuple[Path, ...]] = {}
-    for p in alg.nontrivial_basis:
+    for p in candidates:
         right = right_annihilators(alg, p)
         if len(right) != 1:
             continue

@@ -10,7 +10,6 @@ import random
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.arquiver import ungraded_ar_quiver
 from gpstable.oracle import random_algebra, verify_algebra

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from gpstable import fixtures
 from gpstable.algebra import (
     InputError,
-    MonomialAlgebra,
     NonAdmissibleError,
     Path,
-    Quiver,
     enumerate_nonzero_paths,
     parse_algebra,
     parse_path_string,
@@ -241,5 +239,5 @@ def test_random_algebra_basis_consistency(seed):
     alg = random_algebra(random.Random(seed))
     assert alg.basis == frozenset(brute_basis(alg, cap=60))
     quiver = alg.quiver
-    again = enumerate_nonzero_paths(quiver, alg.relations)
+    again = enumerate_nonzero_paths(quiver, alg.relation_index)
     assert again == alg.basis

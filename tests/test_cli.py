@@ -1,8 +1,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from gpstable.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -183,6 +181,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", STAR)
         assert code == 2
         assert "FAIL" in out and "1 failure(s)" in out
+
+
+    def test_stage_error_is_a_fail_row(self, capsys, monkeypatch):
+        import gpstable.analysis as analysis
+        from gpstable.algebra import InternalConsistencyError
+
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("injected")
+
+        # Every algebra with a cycle class now fails to decompose; the
+        # suite must record that and still run the random tables.
+        monkeypatch.setattr(analysis, "decompose_cycle", broken)
+        code, out, err = run(
+            capsys, "verify", STAR, "--random=3", "--seed=7", "--json"
+        )
+        assert code == 2 and err == ""
+        data = json.loads(out)
+        assert [t["algebra"] for t in data] == ["input"] + [
+            f"random-{k}(seed=7)" for k in range(3)
+        ]
+        assert data[0]["checks"][-1] == {
+            "name": "build-decompositions",
+            "ok": False,
+            "detail": "InternalConsistencyError: injected",
+        }
+        assert all(c["ok"] for c in data[0]["checks"][:-1])
+        assert all(len(t["checks"]) >= 3 for t in data[1:])
 
 
 class TestErrors:

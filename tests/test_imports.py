@@ -1,0 +1,95 @@
+"""No module under ``src/gpstable`` or ``tests`` imports a name it never uses.
+
+A plain ``ast`` scan: every name an import binds must be read somewhere in
+the same module, appear in a string annotation, or be listed in
+``__all__``.  Package ``__init__.py`` files are skipped, since importing
+there is how the public names are re-exported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted(
+    p
+    for d in (ROOT / "src" / "gpstable", ROOT / "tests")
+    for p in d.rglob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def _bound_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg,
+            ):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used |= _used_names(ast.parse(const.value, mode="eval"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [(line, name) for line, name in _bound_names(tree) if name not in used]
+
+
+def test_scan_sees_modules():
+    assert any(p.name == "algebra.py" for p in SCANNED)
+    assert any(p.name == "test_imports.py" for p in SCANNED)
+
+
+def test_scanner_flags_and_honours():
+    source = (
+        "import os\n"
+        "from typing import Sequence, Mapping\n"
+        "from x import exported\n"
+        "__all__ = ['exported']\n"
+        "def f(m: 'Mapping[str, int]'):\n"
+        "    return m\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (2, "Sequence")]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SCANNED
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,4 +1,5 @@
 import operator
+import random
 from functools import reduce
 
 import pytest
@@ -19,6 +20,8 @@ from gpstable.orders import (
     hasse_quiver,
     order_compare,
 )
+from gpstable.perfect import enumerate_perfect_paths
+from reference_scan import equivalence_algebras, reduction_hasse_arrows
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,40 @@ class TestHasse:
         for q, p in star_an.hasse_prec.arrows:
             assert p.left_divides(q)
             assert q.window(p.length, q.length) in coel
+
+
+class TestLinearHasseEquivalence:
+    """Longest-proper-prefix/suffix covers agree with the transitive
+    reduction of the order."""
+
+    def test_perfect_paths_match_reduction(self):
+        for alg in equivalence_algebras():
+            paths = enumerate_perfect_paths(alg).paths
+            for order in (PREC, LEQ):
+                assert hasse_quiver(paths, order).arrows == reduction_hasse_arrows(
+                    paths, order
+                ), (alg.relations, order)
+
+    def test_arbitrary_path_sets_match_reduction(self):
+        # Random sets of non-zero paths, trivial ones included: wherever the
+        # reduction is a union of chains the arrows agree, and wherever it
+        # is not hasse_quiver refuses.
+        rng = random.Random(3)
+        refused = 0
+        for alg in equivalence_algebras():
+            pool = alg.basis_sorted
+            paths = rng.sample(pool, min(len(pool), 10))
+            for order in (PREC, LEQ):
+                ref = reduction_hasse_arrows(paths, order)
+                heads = [a for a, _ in ref]
+                tails = [b for _, b in ref]
+                if len(set(heads)) < len(heads) or len(set(tails)) < len(tails):
+                    refused += 1
+                    with pytest.raises(InternalConsistencyError):
+                        hasse_quiver(paths, order)
+                else:
+                    assert hasse_quiver(paths, order).arrows == ref
+        assert refused >= 100
 
 
 class TestFiltrationView:

@@ -5,6 +5,7 @@ from gpstable.algebra import InputError, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_verify_perfect
 from gpstable.perfect import (
+    _successor_map,
     detect_overlap,
     enumerate_perfect_paths,
     is_perfect_pair,
@@ -13,6 +14,12 @@ from gpstable.perfect import (
     primitive_root,
     right_annihilators,
     underlying_cycle_classes,
+)
+from reference_scan import (
+    equivalence_algebras,
+    scan_left_annihilators,
+    scan_right_annihilators,
+    scan_successor_map,
 )
 
 
@@ -54,6 +61,32 @@ class TestAnnihilators:
             left_annihilators(
                 star, star.quiver.path(["a1", "a2", "a3"] * 2 + ["a1", "a2"])
             )
+
+
+class TestRelationDrivenEquivalence:
+    """The relation-split annihilators and successor map agree with scans
+    over the whole basis, on every non-zero path of every algebra of the
+    shared family.  The oracle battery only checks that enumerated pairs
+    are perfect; this also shows that none is missed."""
+
+    def test_annihilators_match_scan(self):
+        for alg in equivalence_algebras():
+            for p in alg.nontrivial_basis:
+                assert right_annihilators(alg, p) == scan_right_annihilators(
+                    alg, p
+                ), (alg.relations, p)
+                assert left_annihilators(alg, p) == scan_left_annihilators(
+                    alg, p
+                ), (alg.relations, p)
+
+    def test_successor_map_matches_scan(self):
+        for alg in equivalence_algebras():
+            assert _successor_map(alg) == scan_successor_map(alg), alg.relations
+
+    def test_family_reaches_perfect_pairs(self):
+        maps = [_successor_map(alg) for alg in equivalence_algebras()]
+        assert sum(1 for sigma in maps if sigma) >= 150
+        assert sum(len(sigma) for sigma in maps) >= 600
 
 
 class TestPerfectPairs:
