@@ -325,6 +325,16 @@ def admissibility_witness(
     return None
 
 
+def _require_admissible(quiver: Quiver, rel_by_len: Mapping) -> None:
+    witness = admissibility_witness(quiver, rel_by_len)
+    if witness is not None:
+        raise NonAdmissibleError(
+            f"non-admissible relation set: non-zero paths wind around the "
+            f"cycle {witness} indefinitely",
+            witness,
+        )
+
+
 def enumerate_nonzero_paths(
     quiver: Quiver, rel_by_len: Mapping[int, frozenset[tuple[str, ...]]]
 ) -> frozenset[Path]:
@@ -334,13 +344,7 @@ def enumerate_nonzero_paths(
     :class:`NonAdmissibleError` (with a live cycle as witness) when the set
     would be infinite.
     """
-    witness = admissibility_witness(quiver, rel_by_len)
-    if witness is not None:
-        raise NonAdmissibleError(
-            f"non-admissible relation set: non-zero paths wind around the "
-            f"cycle {witness} indefinitely",
-            witness,
-        )
+    _require_admissible(quiver, rel_by_len)
 
     def alive(arrows: tuple[str, ...]) -> bool:
         for ln, rels in rel_by_len.items():
@@ -362,7 +366,7 @@ def enumerate_nonzero_paths(
 
 
 class MonomialAlgebra:
-    """A monomial bound quiver algebra with its enumerated non-zero basis.
+    """A monomial bound quiver algebra; its non-zero basis is built lazily.
 
     Relations are normalized to the minimal generating set: any relation
     containing another one as a subpath is dropped with a warning record.
@@ -417,9 +421,7 @@ class MonomialAlgebra:
             degrees[aid] = d
         self.arrow_degrees: dict[str, int] = degrees
 
-        self.basis: frozenset[Path] = enumerate_nonzero_paths(
-            quiver, self.relation_index
-        )
+        _require_admissible(quiver, self.relation_index)
         self.warnings: tuple[str, ...] = tuple(notes)
 
     @cached_property
@@ -436,6 +438,11 @@ class MonomialAlgebra:
             {k: tuple(v) for k, v in by_prefix.items()},
             {k: tuple(v) for k, v in by_suffix.items()},
         )
+
+    @cached_property
+    def basis(self) -> frozenset[Path]:
+        """The non-zero paths, enumerated on first use (the closed forms never do)."""
+        return enumerate_nonzero_paths(self.quiver, self.relation_index)
 
     @cached_property
     def basis_sorted(self) -> tuple[Path, ...]:
@@ -497,8 +504,7 @@ class MonomialAlgebra:
     def __repr__(self):
         return (
             f"MonomialAlgebra({len(self.quiver.vertices)} vertices, "
-            f"{len(self.quiver.arrows)} arrows, {len(self.relations)} "
-            f"relations, dim {self.dim})"
+            f"{len(self.quiver.arrows)} arrows, {len(self.relations)} relations)"
         )
 
 

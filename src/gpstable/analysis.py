@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping
 
 from .algebra import InputError, MonomialAlgebra, Path, parse_algebra
 from .orders import (
@@ -43,14 +42,6 @@ class Analysis:
         return underlying_cycle_classes(self.algebra, self.perfect)
 
     @cached_property
-    def class_of(self) -> dict[Path, Path]:
-        out = {}
-        for cls in self.classes:
-            for p in cls.members:
-                out[p] = cls.cycle
-        return out
-
-    @cached_property
     def hasse_prec(self) -> HasseQuiver:
         return hasse_quiver(self.perfect.paths, PREC)
 
@@ -87,26 +78,31 @@ class Analysis:
         )
 
     @cached_property
-    def _decomposition_by_cycle(self) -> Mapping[Path, CycleDecomposition]:
-        return {dec.cycle_class.cycle: dec for dec in self.decompositions}
+    def coordinates(self) -> dict[Path, tuple[CycleDecomposition, int, int]]:
+        """perfect path -> (decomposition, i, span): it realizes r_i..r_{i+span-1}."""
+        return {
+            p: (dec, i, span)
+            for dec in self.decompositions
+            for p, (i, span) in dec.bracket_index.items()
+        }
+
+    @cached_property
+    def _by_identity(self) -> dict[int, tuple[CycleDecomposition, int, int]]:
+        # ``coordinates`` keeps its keys alive, so a hit here is the key itself
+        return {id(p): c for p, c in self.coordinates.items()}
+
+    def locate(self, p: Path) -> tuple[CycleDecomposition, int, int]:
+        """The coordinates of a perfect path, found without rehashing it when it
+        is one of the objects ``perfect.paths`` and the closed forms hand out
+        (an equal path built elsewhere is found by value); else an input error."""
+        found = self._by_identity.get(id(p)) or self.coordinates.get(p)
+        if found is None:
+            raise InputError(f"{p} is not a perfect path of this algebra")
+        return found
 
     def decomposition_for(self, p: Path) -> CycleDecomposition:
         """The decomposition of the class a perfect path belongs to."""
-        cycle = self.class_of.get(p)
-        if cycle is None:
-            raise InputError(f"{p} is not a perfect path of this algebra")
-        return self._decomposition_by_cycle[cycle]
-
-    def bracket_of(self, p: Path) -> tuple[CycleDecomposition, int, int]:
-        """(decomposition, i, span) with ``p`` realizing factors r_i..r_{i+span-1}."""
-        dec = self.decomposition_for(p)
-        i, span = dec.bracket_of(p)
-        return dec, i, span
-
-    def require_perfect(self, p: Path) -> Path:
-        if p not in self.perfect.successor:
-            raise InputError(f"{p} is not a perfect path of this algebra")
-        return p
+        return self.locate(p)[0]
 
 
 def analyze(source) -> Analysis:

@@ -79,9 +79,7 @@ def _build(vertices, arrows, tau, identification=None) -> TranslationQuiver:
 
 def ungraded_ar_quiver(an: Analysis, dec: CycleDecomposition) -> TranslationQuiver:
     """The stable AR quiver of one cycle class: shape ZA_m modulo tau^|c|."""
-    vertices = [
-        TQVertex(p, None, dec.bracket_of(p)) for p in dec.members
-    ]
+    vertices = [TQVertex(p, None, an.locate(p)[1:]) for p in dec.members]
     arrows = set()
     tau_pairs = set()
     for p in dec.members:
@@ -145,7 +143,7 @@ def graded_ar_window(
                 (r.path, r.shift) not in in_window for r in refs
             )
             vertices[(p, s)] = TQVertex(
-                p, s, dec.bracket_of(p), incomplete=incomplete
+                p, s, an.locate(p)[1:], incomplete=incomplete
             )
     for (p, s), vertex in vertices.items():
         tri = ar_triangle(an, StableObject(p, s))

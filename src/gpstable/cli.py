@@ -157,8 +157,10 @@ def _cmd_classify(args) -> int:
 def _cmd_hom(args) -> int:
     an = _load(args.file)
     quiver = an.algebra.quiver
-    src = an.require_perfect(parse_path_string(quiver, args.src))
-    dst = an.require_perfect(parse_path_string(quiver, args.dst))
+    src = parse_path_string(quiver, args.src)
+    an.locate(src)  # an input error unless perfect
+    dst = parse_path_string(quiver, args.dst)
+    an.locate(dst)
     if args.graded:
         shift = args.shift or 0
         h = graded_stable_hom(an, StableObject(src, 0), StableObject(dst, shift))
@@ -194,6 +196,8 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_ar_quiver(args) -> int:
+    if args.window is not None and not args.graded:
+        raise InputError("--window requires --graded")
     an = _load(args.file)
     fmt = "json" if args.json else args.format
     if args.graded:
@@ -209,6 +213,8 @@ def _cmd_ar_quiver(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.random < 0:
+        raise InputError(f"--random must be non-negative, got {args.random}")
     an = _load(args.file)
     tables = verify_suite(an.algebra, random_count=args.random, seed=args.seed)
     failed = 0

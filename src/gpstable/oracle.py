@@ -309,8 +309,7 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
     factor_ok = True
     for p in pset.paths:
         facs = bf_factorizations(p, an.coelementary)
-        dec = an.decomposition_for(p)
-        i, span = dec.bracket_of(p)
+        dec, i, span = an.locate(p)
         greedy = tuple(dec.factor(t) for t in range(i, i + span))
         if len(facs) != 1 or facs[0] != greedy:
             factor_ok = False
@@ -336,7 +335,7 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
             ov = detect_overlap(alg, p, q)
             if ov is None:
                 continue
-            if an.class_of[p] != an.class_of[q]:
+            if an.locate(p)[0] is not an.locate(q)[0]:
                 overlap_class_ok = False
             for u in alg.basis:
                 if (
@@ -452,8 +451,7 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         tri = ar_triangle(an, StableObject(p, 0))
         dims = alg.module_dim(tri.tau_object.path) + alg.module_dim(p)
         mids = sum(alg.module_dim(m.path) for m in tri.middles)
-        dec = an.decomposition_for(p)
-        _, span = dec.bracket_of(p)
+        dec, _, span = an.locate(p)
         if 1 < span < dec.m and dims != mids:
             ar_ok = False
         if alg.is_zero(tri.connecting_witness):

@@ -12,6 +12,7 @@ all stable-category formulas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -70,20 +71,16 @@ class HasseQuiver:
         tails = {a for a, _ in self.arrows}
         return tuple(v for v in self.vertices if v not in tails)
 
-    def component_of(self, p: Path) -> tuple[Path, ...]:
-        for chain in self.components:
-            if p in chain:
-                return chain
-        raise InputError(f"{p} is not a vertex of this Hasse quiver")
-
     def chain_above(self, p: Path) -> tuple[Path, ...]:
         """The vertices above ``p`` (inclusive), read from the top down.
 
         In the prefix order this is the ascending filtration of the cyclic
         module of ``p`` by submodules with elementary factors.
         """
-        chain = self.component_of(p)
-        return chain[: chain.index(p) + 1]
+        for chain in self.components:
+            if p in chain:
+                return chain[: chain.index(p) + 1]
+        raise InputError(f"{p} is not a vertex of this Hasse quiver")
 
 
 def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
@@ -202,7 +199,8 @@ class CycleDecomposition:
     cycle equal to their concatenation; ``size`` is n, ``m`` the number of
     perfect paths with r_1 as left divisor.  ``bracket_index`` maps every
     perfect path of the class to its coordinates ``(i, span)`` meaning
-    factors r_i .. r_{i+span-1}.
+    factors r_i .. r_{i+span-1}, and ``windows[i-1][span-1]`` is that path
+    (the class member object itself) for 1 <= i <= n, 1 <= span <= m.
     """
 
     cycle_class: UnderlyingCycleClass
@@ -216,6 +214,9 @@ class CycleDecomposition:
     coelementary: tuple[Path, ...]
     phi: dict[Path, Path] = field(compare=False)
     bracket_index: dict[Path, tuple[int, int]] = field(compare=False)
+    windows: tuple[tuple[Path, ...], ...] = field(compare=False)
+    # partial sums of the factor lengths: prefix_lengths[t] = l(r_1 ... r_t)
+    prefix_lengths: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def members(self) -> tuple[Path, ...]:
@@ -228,23 +229,20 @@ class CycleDecomposition:
         return self.factor(i).length
 
     def realize(self, i: int, j: int) -> Path:
-        """The path r_i r_{i+1} ... r_j, trivial at s(r_i) when i > j."""
+        """The path r_i r_{i+1} ... r_j, trivial at s(r_i) when i > j;
+        a perfect window is the class member itself."""
+        if 0 <= j - i < self.m:
+            return self.windows[(i - 1) % self.size][j - i]
         return _realize(self.factors, i, j)
+
+    def offset(self, i: int) -> int:
+        """Signed arrow length from the start of r_1 to the start of r_i."""
+        full, rem = divmod(i - 1, self.size)
+        return full * self.arrow_length + self.prefix_lengths[rem]
 
     def length_between(self, i: int, j: int) -> int:
         """Arrow length of the factor window [i, j] (0 when i > j)."""
-        count = j - i + 1
-        if count <= 0:
-            return 0
-        full, rem = divmod(count, self.size)
-        total = full * self.arrow_length
-        start = (i - 1) % self.size
-        for t in range(rem):
-            total += self.factors[(start + t) % self.size].length
-        return total
-
-    def bracket_of(self, p: Path) -> tuple[int, int]:
-        return self.bracket_index[p]
+        return self.offset(j + 1) - self.offset(i) if i <= j else 0
 
 
 def decompose_cycle(
@@ -289,12 +287,14 @@ def decompose_cycle(
     if m == 0:
         raise InternalConsistencyError(f"no perfect path extends {r1}")
 
-    members_set = set(cls.members)
+    members = {p: p for p in cls.members}
     bracket_index: dict[Path, tuple[int, int]] = {}
+    windows = []
     for i in range(1, n + 1):
+        row = []
         for span in range(1, m + 1):
             realized = _realize(factors, i, i + span - 1)
-            if realized not in members_set:
+            if realized not in members:
                 raise InternalConsistencyError(
                     f"bracket window [{i},{i + span - 1}] = {realized} is "
                     f"not a perfect path of class {cls.cycle}"
@@ -303,7 +303,9 @@ def decompose_cycle(
                 raise InternalConsistencyError(
                     f"ambiguous bracket coordinates for {realized}"
                 )
-            bracket_index[realized] = (i, span)
+            row.append(members[realized])
+            bracket_index[row[-1]] = (i, span)
+        windows.append(tuple(row))
     if len(bracket_index) != len(cls.members):
         raise InternalConsistencyError(
             f"class {cls.cycle}: {len(cls.members)} members but "
@@ -354,6 +356,8 @@ def decompose_cycle(
         coelementary=tuple(sorted(factors, key=Path.sort_key)),
         phi=phi,
         bracket_index=bracket_index,
+        windows=tuple(windows),
+        prefix_lengths=tuple(itertools.accumulate([0] + [r.length for r in factors])),
     )
 
 

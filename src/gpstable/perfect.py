@@ -98,9 +98,6 @@ class PerfectPathSet:
     predecessor: dict[Path, Path]
     cm_free: bool
 
-    def __contains__(self, p: Path) -> bool:
-        return p in self.successor
-
 
 def _successor_map(alg: MonomialAlgebra) -> dict[Path, Path]:
     """p -> q for every perfect pair; p ranges over the proper prefixes of
@@ -173,11 +170,13 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     """
     sigma = _successor_map(alg)
     cycles = _cycles_of_partial_injection(sigma)
-    sequences = tuple(tuple(c) for c in cycles)
-    paths = tuple(sorted((p for seq in sequences for p in seq), key=Path.sort_key))
-    if len(set(paths)) != len(paths):
+    paths = tuple(sorted((p for c in cycles for p in c), key=Path.sort_key))
+    # one object per perfect path, shared by every structure built from them
+    canon = {p: p for p in paths}
+    if len(canon) != len(paths):
         raise InternalConsistencyError("successor cycles are not disjoint")
-    successor = {p: sigma[p] for p in paths}
+    sequences = tuple(tuple(canon[p] for p in c) for c in cycles)
+    successor = {p: canon[sigma[p]] for p in paths}
     predecessor = {q: p for p, q in successor.items()}
     return PerfectPathSet(
         paths=paths,

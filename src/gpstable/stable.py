@@ -34,11 +34,6 @@ class StableObject:
     def zero() -> "StableObject":
         return StableObject(None, 0)
 
-    def shifted(self, k: int) -> "StableObject":
-        if self.is_zero:
-            return self
-        return StableObject(self.path, self.shift + k)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -61,6 +56,21 @@ class HomDescription:
     by_shift: tuple[tuple[int, Path], ...] | None = None
 
 
+_NO_HOM = HomDescription(0)
+_NO_UNGRADED_HOM = HomDescription(0, by_shift=())
+
+
+def _hom_ends(dec: CycleDecomposition, i: int, span_p: int, i2: int, span_q: int):
+    """Ends ``ja`` of the translates ``[ia, ja]`` of the window ``[i, i+span_p-1]``
+    by |c| with ``i2 <= ia <= j2 <= ja < i2 + m``, by increasing ``ia``; each
+    spans the graded piece at shift ``l(r_i2 ... r_{ia-1})``, witness ``[i2, ja]``."""
+    j2 = i2 + span_q - 1
+    for ia in range(i2 + (i - i2) % dec.size, j2 + 1, dec.size):
+        ja = ia + span_p - 1
+        if j2 <= ja < i2 + dec.m:
+            yield ja
+
+
 def graded_stable_hom(
     an: Analysis, src: StableObject, dst: StableObject
 ) -> HomDescription:
@@ -72,65 +82,52 @@ def graded_stable_hom(
     """
     if src.is_zero or dst.is_zero:
         raise InputError("graded_stable_hom is defined on non-zero objects")
-    p = an.require_perfect(src.path)
-    q = an.require_perfect(dst.path)
-    k = dst.shift - src.shift
-    if an.class_of[p] != an.class_of[q]:
-        return HomDescription(0)
-    dec, i, span_p = an.bracket_of(p)
-    j = i + span_p - 1
-    i2, span_q = dec.bracket_of(q)
-    j2 = i2 + span_q - 1
-    n = dec.size
-    alpha_lo = -((i - i2) // n) - 1
-    alpha_hi = (j2 - i) // n + 1
-    for alpha in range(alpha_lo, alpha_hi + 1):
-        ia = i + alpha * n
-        ja = j + alpha * n
-        if not (i2 <= ia <= j2 <= ja < i2 + dec.m):
-            continue
-        if k != dec.length_between(i2, ia - 1):
-            continue
-        return HomDescription(1, witness=dec.realize(i2, ja))
-    return HomDescription(0)
+    dec, i, span_p = an.locate(src.path)
+    dec_q, i2, span_q = an.locate(dst.path)
+    if dec is not dec_q:
+        return _NO_HOM
+    for ja in _hom_ends(dec, i, span_p, i2, span_q):
+        if dec.length_between(i2, ja - span_p) == dst.shift - src.shift:
+            return HomDescription(1, witness=dec.realize(i2, ja))
+    return _NO_HOM
 
 
 def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
     """Stable Hom between ``pL`` and ``qL``: the sum of the graded pieces.
 
     Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
-    ``0 <= k < l(q)`` can contribute.
+    ``0 <= k < l(q)`` can contribute, one per translate of ``p``'s window.
     """
-    an.require_perfect(p)
-    an.require_perfect(q)
-    if an.class_of[p] != an.class_of[q]:
-        return HomDescription(0, by_shift=())
-    pieces = []
-    for k in range(q.length):
-        h = graded_stable_hom(an, StableObject(p, 0), StableObject(q, k))
-        if h.dimension:
-            pieces.append((k, h.witness))
-    return HomDescription(len(pieces), by_shift=tuple(pieces))
+    dec, i, span_p = an.locate(p)
+    dec_q, i2, span_q = an.locate(q)
+    if dec is not dec_q:
+        return _NO_UNGRADED_HOM
+    pieces = tuple(
+        (dec.length_between(i2, ja - span_p), dec.realize(i2, ja))
+        for ja in _hom_ends(dec, i, span_p, i2, span_q)
+    )
+    if not pieces:
+        return _NO_UNGRADED_HOM
+    return HomDescription(len(pieces), by_shift=pieces)
 
 
 def suspend(an: Analysis, obj: StableObject, power: int) -> StableObject:
-    """Iterate the one-step suspension rule through perfect pairs.
+    """Suspension powers in bracket coordinates.
 
-    One step up replaces ``qL(k)`` by ``pL(k + l(p))`` for the pair
-    ``(p, q)``; one step down is its inverse.
+    One step up replaces ``qL(k)`` by ``pL(k + l(p))`` for the perfect pair
+    ``(p, q)``: for ``q = [i, i+span-1]`` that is ``p = [i+span-m-1, i-1]``,
+    since ``pq`` is a relation window of m+1 factors.  Two steps move the
+    window m+1 factors back and keep its span.
     """
     if obj.is_zero:
         raise InputError("cannot suspend the zero object")
-    path = an.require_perfect(obj.path)
-    shift = obj.shift
-    for _ in range(power if power > 0 else 0):
-        pred = an.perfect.predecessor[path]
-        shift += pred.length
-        path = pred
-    for _ in range(-power if power < 0 else 0):
-        shift -= path.length
-        path = an.perfect.successor[path]
-    return StableObject(path, shift)
+    dec, i, span = an.locate(obj.path)
+    half, odd = divmod(power, 2)
+    a = i - half * (dec.m + 1)
+    if odd:
+        a, span = a + span - dec.m - 1, dec.m + 1 - span
+    shift = obj.shift + dec.offset(i) - dec.offset(a)
+    return StableObject(dec.realize(a, a + span - 1), shift)
 
 
 def suspension_closed_form(
@@ -159,24 +156,23 @@ def suspension_closed_form(
     return StableObject(dec.realize(a, b), d)
 
 
+def _tau(dec: CycleDecomposition, i: int, span: int, shift: int) -> StableObject:
+    return StableObject(dec.realize(i + 1, i + span), shift - dec.factor_length(i))
+
+
 def ar_translate(an: Analysis, obj: StableObject) -> StableObject:
     """tau of ``[i, i+m-1]L(j)`` is ``[i+1, i+m]L(j - l(r_i))``."""
     if obj.is_zero:
         raise InputError("cannot translate the zero object")
-    dec, i, span = an.bracket_of(obj.path)
-    return StableObject(
-        dec.realize(i + 1, i + span), obj.shift - dec.factor_length(i)
-    )
+    return _tau(*an.locate(obj.path), obj.shift)
 
 
 def ar_translate_inverse(an: Analysis, obj: StableObject) -> StableObject:
     if obj.is_zero:
         raise InputError("cannot translate the zero object")
-    dec, i, span = an.bracket_of(obj.path)
-    return StableObject(
-        dec.realize(i - 1, i + span - 2),
-        obj.shift + dec.factor_length(i - 1),
-    )
+    dec, i, span = an.locate(obj.path)
+    shift = obj.shift + dec.factor_length(i - 1)
+    return StableObject(dec.realize(i - 1, i + span - 2), shift)
 
 
 @dataclass(frozen=True)
@@ -198,15 +194,12 @@ class ARTriangle:
 def ar_triangle(an: Analysis, obj: StableObject) -> ARTriangle:
     if obj.is_zero:
         raise InputError("no Auslander-Reiten triangle at the zero object")
-    dec, i, span = an.bracket_of(obj.path)
-    tau_obj = ar_translate(an, obj)
+    dec, i, span = an.locate(obj.path)
+    tau_obj = _tau(dec, i, span, obj.shift)
     middles = []
     if span > 1:
         middles.append(
-            StableObject(
-                dec.realize(i + 1, i + span - 1),
-                obj.shift - dec.factor_length(i),
-            )
+            StableObject(dec.realize(i + 1, i + span - 1), tau_obj.shift)
         )
     if span < dec.m:
         middles.append(StableObject(dec.realize(i, i + span), obj.shift))

@@ -145,6 +145,11 @@ class TestArQuiver:
         assert code == 0
         assert {v["shift"] for v in json.loads(out)["vertices"]} == {0}
 
+    def test_window_requires_graded(self, capsys):
+        code, out, err = run(capsys, "ar-quiver", STAR, "--window=3")
+        assert (code, out) == (1, "")
+        assert err == "error: --window requires --graded\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "quiver.dot"
         code, out, _ = run(capsys, "ar-quiver", STAR, "--output", str(target))
@@ -166,6 +171,11 @@ class TestVerify:
         data = json.loads(out)
         assert len(data) == 3
         assert all(c["ok"] for tbl in data for c in tbl["checks"])
+
+    def test_negative_random_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", A2, "--random=-2")
+        assert (code, out) == (1, "")
+        assert err == "error: --random must be non-negative, got -2\n"
 
     def test_failure_exits_2(self, capsys, monkeypatch):
         import gpstable.cli as cli

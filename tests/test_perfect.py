@@ -228,7 +228,7 @@ class TestOverlaps:
         for p in an.perfect.paths:
             for q in an.perfect.paths:
                 if detect_overlap(star, p, q) is not None:
-                    assert an.class_of[p] == an.class_of[q]
+                    assert an.locate(p)[0] is an.locate(q)[0]
 
     def test_overlap_window_paths_perfect(self, star):
         an = Analysis(star)

@@ -176,8 +176,7 @@ class TestAuslanderReiten:
     def test_dimension_identity(self, star_an):
         alg = star_an.algebra
         for p in star_an.perfect.paths:
-            dec = star_an.decomposition_for(p)
-            _, span = dec.bracket_of(p)
+            dec, _, span = star_an.locate(p)
             if not 1 < span < dec.m:
                 continue
             tri = ar_triangle(star_an, StableObject(p, 0))
