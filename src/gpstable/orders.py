@@ -253,17 +253,28 @@ def decompose_cycle(
 ) -> CycleDecomposition:
     """Anchor, factor and index one underlying cycle class.
 
-    Among the rotations of the canonical cycle that start at a co-elementary
-    boundary, the one whose realized arrow sequence is lexicographically
-    smallest is chosen; this pins down all bracket coordinates.
+    The co-elementary factors may wind around the primitive cycle c more
+    than once (factors a3 and a1.a3.a1 on the 2-cycle a1.a3), so the anchor
+    is the least power c^d with a rotation that factors.  Among the
+    rotations of c^d that start at a co-elementary boundary, the one whose
+    realized arrow sequence is lexicographically smallest is chosen; this
+    pins down all bracket coordinates.
     """
     coel = tuple(sorted(set(coelementary), key=Path.sort_key))
+    root = cls.cycle
+    # distinct factors, each a member: d * l(c) is at most the members' total
+    max_power = sum(p.length for p in cls.members) // root.length
     candidates = []
-    for s in range(cls.cycle.length):
-        rot = cls.cycle.rotation(s)
-        fac = _factor_greedily(rot, coel)
-        if fac is not None:
-            candidates.append((rot, fac))
+    power = root
+    for _ in range(max_power):
+        for s in range(root.length):
+            rot = power.rotation(s)
+            fac = _factor_greedily(rot, coel)
+            if fac is not None:
+                candidates.append((rot, fac))
+        if candidates:
+            break
+        power = power * root
     if not candidates:
         raise InternalConsistencyError(
             f"underlying cycle {cls.cycle} admits no co-elementary "

@@ -125,6 +125,14 @@ def test_random_algebra_battery(seed):
     assert not failures, (alg, [str(r) for r in alg.relations], failures)
 
 
+def test_random_algebra_factors_winding_twice():
+    # seed 3684 plants perfect paths that tile the square of their cycle
+    rng = random.Random(3684)
+    alg = random_algebra(rng)
+    failures = [c for c in verify_algebra(alg, rng) if not c.ok]
+    assert not failures, failures
+
+
 def test_random_generator_is_seeded():
     a = random_algebra(random.Random(42))
     b = random_algebra(random.Random(42))

@@ -5,7 +5,11 @@ from functools import reduce
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import InternalConsistencyError, parse_path_string
+from gpstable.algebra import (
+    InternalConsistencyError,
+    parse_algebra,
+    parse_path_string,
+)
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_factorizations
 from gpstable.orders import (
@@ -228,6 +232,32 @@ class TestDecomposition:
     def test_star_two_cycle(self, star_an):
         dec = star_an.decomposition_for(pp(star_an, "a4.a5"))
         assert (dec.size, dec.arrow_length, dec.m) == (1, 2, 3)
+
+    def test_factors_wind_twice(self):
+        # the perfect paths a3 and a1.a3.a1 only tile the square of the
+        # 2-cycle a1.a3: a2.a3.a1 = 0 spoils the pair (a3.a1, a3.a1)
+        an = Analysis(
+            parse_algebra(
+                {
+                    "vertices": ["v1", "v2", "v3"],
+                    "arrows": [
+                        {"id": "a1", "from": "v3", "to": "v1"},
+                        {"id": "a2", "from": "v2", "to": "v1"},
+                        {"id": "a3", "from": "v1", "to": "v3"},
+                    ],
+                    "relations": [
+                        ["a2", "a3", "a1"],
+                        ["a1", "a3", "a1", "a3"],
+                        ["a3", "a1", "a3", "a1"],
+                    ],
+                }
+            )
+        )
+        (dec,) = an.decompositions
+        assert str(dec.cycle_class.cycle) == "a1.a3"
+        assert str(dec.anchored_cycle) == "a1.a3.a1.a3"
+        assert [str(f) for f in dec.factors] == ["a1.a3.a1", "a3"]
+        assert (dec.size, dec.arrow_length, dec.m) == (2, 4, 1)
 
     def test_nakayama_invariants(self):
         for n in (1, 2, 3):
