@@ -71,9 +71,7 @@ class Analysis:
     @cached_property
     def decompositions(self) -> tuple[CycleDecomposition, ...]:
         return tuple(
-            decompose_cycle(
-                self.algebra, cls, self.coelementary, self.perfect.successor
-            )
+            decompose_cycle(self.algebra, cls, self.hasse_prec, self.perfect.successor)
             for cls in self.classes
         )
 
@@ -83,7 +81,8 @@ class Analysis:
         return {
             p: (dec, i, span)
             for dec in self.decompositions
-            for p, (i, span) in dec.bracket_index.items()
+            for i, row in enumerate(dec.windows, 1)
+            for span, p in enumerate(row, 1)
         }
 
     @cached_property

@@ -61,6 +61,8 @@ class TranslationQuiver:
 
 
 def _build(vertices, arrows, tau, identification=None) -> TranslationQuiver:
+    """Index ``arrows`` and ``tau``, pairs of objects with a ``path`` and a
+    ``shift`` (vertices or stable objects), into the sorted ``vertices``."""
     verts = tuple(sorted(vertices, key=TQVertex.key))
     index = {(v.path, v.shift): k for k, v in enumerate(verts)}
     arrow_idx = sorted(
@@ -127,37 +129,31 @@ def graded_ar_window(
     """
     if shift_hi < shift_lo:
         raise InputError("empty shift window")
-    in_window = {
-        (p, s) for p in dec.members for s in range(shift_lo, shift_hi + 1)
-    }
-    vertices = {}
+    shifts = range(shift_lo, shift_hi + 1)
+    vertices = []
     arrows = []
     tau = []
     for p in dec.members:
-        for s in range(shift_lo, shift_hi + 1):
+        bracket = an.locate(p)[1:]
+        for s in shifts:
             obj = StableObject(p, s)
             tri = ar_triangle(an, obj)
             inv = ar_translate_inverse(an, obj)
-            refs = [tri.tau_object, inv, *tri.middles]
+            # every object a triangle names is a member of the same class
             incomplete = any(
-                (r.path, r.shift) not in in_window for r in refs
+                r.shift not in shifts for r in (tri.tau_object, inv, *tri.middles)
             )
-            vertices[(p, s)] = TQVertex(
-                p, s, an.locate(p)[1:], incomplete=incomplete
-            )
-    for (p, s), vertex in vertices.items():
-        tri = ar_triangle(an, StableObject(p, s))
-        tp = (tri.tau_object.path, tri.tau_object.shift)
-        if tp in in_window:
-            tau.append((vertex, vertices[tp]))
-        for mid in tri.middles:
-            mp = (mid.path, mid.shift)
-            if mp in in_window:
-                arrows.append((vertices[mp], vertex))
-                if tp in in_window:
-                    arrows.append((vertices[tp], vertices[mp]))
+            vertices.append(TQVertex(p, s, bracket, incomplete=incomplete))
+            tau_inside = tri.tau_object.shift in shifts
+            if tau_inside:
+                tau.append((obj, tri.tau_object))
+            for mid in tri.middles:
+                if mid.shift in shifts:
+                    arrows.append((mid, obj))
+                    if tau_inside:
+                        arrows.append((tri.tau_object, mid))
     return _build(
-        vertices.values(),
+        vertices,
         arrows,
         tau,
         identification=f"ZA{dec.m} slice, shifts [{shift_lo}, {shift_hi}]",

@@ -12,7 +12,9 @@ all stable-category formulas.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -95,12 +97,13 @@ def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
     if order not in (PREC, LEQ):
         raise InputError(f"unknown order {order!r}; use {PREC!r} or {LEQ!r}")
     verts = tuple(sorted(set(perfect_paths), key=Path.sort_key))
-    present = set(verts)
+    # the vertex objects themselves, so the chains hold the caller's paths
+    present = {v: v for v in verts}
     arrows = []
     for v in verts:
         for k in range(v.length - 1, -1, -1):
-            w = v.prefix(k) if order == PREC else v.suffix(k)
-            if w in present:
+            w = present.get(v.prefix(k) if order == PREC else v.suffix(k))
+            if w is not None:
                 arrows.append((v, w) if order == PREC else (w, v))
                 break
     arrows.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
@@ -149,20 +152,6 @@ def classify_elementary(
     return elementary, coelementary
 
 
-def _factor_greedily(p: Path, coel: Sequence[Path]) -> tuple[Path, ...] | None:
-    """Peel the unique co-elementary left divisor off ``p`` until nothing
-    is left; ``None`` when some step finds no divisor or several."""
-    factors: list[Path] = []
-    rest = p
-    while not rest.is_trivial:
-        hits = [r for r in coel if r.left_divides(rest)]
-        if len(hits) != 1:
-            return None
-        factors.append(hits[0])
-        rest = rest.window(hits[0].length, rest.length)
-    return tuple(factors)
-
-
 def coelementary_factorization(
     p: Path, coelementary: Iterable[Path]
 ) -> tuple[Path, ...]:
@@ -171,12 +160,18 @@ def coelementary_factorization(
     At every step there is exactly one co-elementary left divisor of the
     remaining suffix; anything else falsifies the implementation.
     """
-    factors = _factor_greedily(p, tuple(coelementary))
-    if factors is None:
-        raise InternalConsistencyError(
-            f"{p} has no unique factorization into co-elementary paths"
-        )
-    return factors
+    coel = tuple(coelementary)
+    factors: list[Path] = []
+    rest = p
+    while not rest.is_trivial:
+        hits = [r for r in coel if r.left_divides(rest)]
+        if len(hits) != 1:
+            raise InternalConsistencyError(
+                f"{p} has no unique factorization into co-elementary paths"
+            )
+        factors.append(hits[0])
+        rest = rest.window(hits[0].length, rest.length)
+    return tuple(factors)
 
 
 def _realize(factors: Sequence[Path], i: int, j: int) -> Path:
@@ -197,10 +192,10 @@ class CycleDecomposition:
 
     ``factors`` are the co-elementary paths r_1..r_n with the anchored
     cycle equal to their concatenation; ``size`` is n, ``m`` the number of
-    perfect paths with r_1 as left divisor.  ``bracket_index`` maps every
-    perfect path of the class to its coordinates ``(i, span)`` meaning
-    factors r_i .. r_{i+span-1}, and ``windows[i-1][span-1]`` is that path
-    (the class member object itself) for 1 <= i <= n, 1 <= span <= m.
+    perfect paths with r_1 as left divisor.  ``windows[i-1][span-1]`` is the
+    class member (the object itself) that realizes r_i .. r_{i+span-1}, for
+    1 <= i <= n, 1 <= span <= m: row i is the prefix-order Hasse chain
+    above r_i, read bottom-up.
     """
 
     cycle_class: UnderlyingCycleClass
@@ -213,7 +208,6 @@ class CycleDecomposition:
     elementary: tuple[Path, ...]
     coelementary: tuple[Path, ...]
     phi: dict[Path, Path] = field(compare=False)
-    bracket_index: dict[Path, tuple[int, int]] = field(compare=False)
     windows: tuple[tuple[Path, ...], ...] = field(compare=False)
     # partial sums of the factor lengths: prefix_lengths[t] = l(r_1 ... r_t)
     prefix_lengths: tuple[int, ...] = field(compare=False, repr=False)
@@ -248,112 +242,81 @@ class CycleDecomposition:
 def decompose_cycle(
     alg: MonomialAlgebra,
     cls: UnderlyingCycleClass,
-    coelementary: Iterable[Path],
+    hasse_prec: HasseQuiver,
     successor: Mapping[Path, Path],
 ) -> CycleDecomposition:
-    """Anchor, factor and index one underlying cycle class.
+    """Read one underlying cycle class off the prefix-order Hasse chains.
 
-    The co-elementary factors may wind around the primitive cycle c more
-    than once (factors a3 and a1.a3.a1 on the 2-cycle a1.a3), so the anchor
-    is the least power c^d with a rotation that factors.  Among the
-    rotations of c^d that start at a co-elementary boundary, the one whose
-    realized arrow sequence is lexicographically smallest is chosen; this
-    pins down all bracket coordinates.
+    Each chain of the class, read bottom-up, is one row [i, i], [i, i+1],
+    ..., [i, i+m-1] of the bracket grid: it starts at the co-elementary
+    factor r_i and each cover appends the next factor.  The successor of
+    r_i is [i+1, i+m], the top of the next row, which orders the rows
+    cyclically.  Co-elementary paths are prefix-free, so the periodic arrow
+    word factors uniquely and r_1 ... r_n is the least power c^d of the
+    primitive cycle that factors; the factors may wind around c more than
+    once (a3 and a1.a3.a1 on the 2-cycle a1.a3).  The anchor is the
+    rotation at a factor boundary whose arrows are lexicographically
+    smallest; this pins down all bracket coordinates.
     """
-    coel = tuple(sorted(set(coelementary), key=Path.sort_key))
-    root = cls.cycle
-    # distinct factors, each a member: d * l(c) is at most the members' total
-    max_power = sum(p.length for p in cls.members) // root.length
-    candidates = []
-    power = root
-    for _ in range(max_power):
-        for s in range(root.length):
-            rot = power.rotation(s)
-            fac = _factor_greedily(rot, coel)
-            if fac is not None:
-                candidates.append((rot, fac))
-        if candidates:
-            break
-        power = power * root
-    if not candidates:
+    members = set(cls.members)
+    rows = [chain[::-1] for chain in hasse_prec.components if chain[-1] in members]
+    if sum(map(len, rows)) != len(members) or not all(
+        p in members for row in rows for p in row
+    ):
         raise InternalConsistencyError(
-            f"underlying cycle {cls.cycle} admits no co-elementary "
-            f"factorization"
+            f"the prefix-order chains of class {cls.cycle} do not partition it"
         )
-    anchored, factors = min(candidates, key=lambda t: t[0].arrows)
-    n = len(factors)
-    if len(set(factors)) != n:
+    n, m = len(rows), len(rows[0])
+    if any(len(row) != m for row in rows):
         raise InternalConsistencyError(
-            f"repeated co-elementary factor in {anchored}"
+            f"the prefix-order chains of class {cls.cycle} differ in length"
         )
 
-    r1 = factors[0]
-    chain = tuple(
-        sorted(
-            (p for p in cls.members if r1.left_divides(p)),
-            key=Path.sort_key,
-        )
-    )
-    m = len(chain)
-    if m == 0:
-        raise InternalConsistencyError(f"no perfect path extends {r1}")
-
-    members = {p: p for p in cls.members}
-    bracket_index: dict[Path, tuple[int, int]] = {}
-    windows = []
-    for i in range(1, n + 1):
-        row = []
-        for span in range(1, m + 1):
-            realized = _realize(factors, i, i + span - 1)
-            if realized not in members:
-                raise InternalConsistencyError(
-                    f"bracket window [{i},{i + span - 1}] = {realized} is "
-                    f"not a perfect path of class {cls.cycle}"
-                )
-            if realized in bracket_index:
-                raise InternalConsistencyError(
-                    f"ambiguous bracket coordinates for {realized}"
-                )
-            row.append(members[realized])
-            bracket_index[row[-1]] = (i, span)
-        windows.append(tuple(row))
-    if len(bracket_index) != len(cls.members):
-        raise InternalConsistencyError(
-            f"class {cls.cycle}: {len(cls.members)} members but "
-            f"{len(bracket_index)} bracket windows"
-        )
-    if chain != tuple(_realize(factors, 1, k) for k in range(1, m + 1)):
-        raise InternalConsistencyError(
-            f"chain above {r1} does not match the bracket chain"
-        )
-
-    elementary = tuple(
-        p
-        for p in cls.members
-        if bracket_index[p][1] == m
-    )
-    factor_set = set(factors)
-    phi = {}
-    for x in elementary:
-        r = successor[x]
-        if r not in factor_set:
+    row_by_top = {row[-1]: row for row in rows}
+    ring = [rows[0]]
+    for _ in range(n):
+        nxt = row_by_top.get(successor.get(ring[-1][0]))
+        if nxt is None:
             raise InternalConsistencyError(
-                f"successor {r} of elementary {x} is not a factor of "
-                f"{anchored}"
+                f"the successor of {ring[-1][0]} tops no chain of class {cls.cycle}"
             )
-        phi[x] = r
-    if len(set(phi.values())) != n or len(elementary) != n:
+        if nxt is rows[0]:
+            break
+        ring.append(nxt)
+    if len(ring) != n:
+        raise InternalConsistencyError(
+            f"the co-elementary factors of class {cls.cycle} form no single cycle"
+        )
+    word = tuple(a for row in ring for a in row[0].arrows)
+    cuts = (0, *itertools.accumulate(row[0].length for row in ring[:-1]))
+    doubled = word + word
+    t = min(range(n), key=lambda k: doubled[cuts[k] : cuts[k] + len(word)])
+    windows = tuple(ring[t:] + ring[:t])
+    factors = tuple(row[0] for row in windows)
+    anchored = functools.reduce(operator.mul, factors)
+
+    for i, row in enumerate(windows):
+        for s in range(1, m):
+            r = factors[(i + s) % n]
+            extends = row[s].length == row[s - 1].length + r.length
+            if not (extends and r.right_divides(row[s])):
+                raise InternalConsistencyError(
+                    f"bracket window [{i + 1},{i + s + 1}] = {row[s]} is not "
+                    f"{row[s - 1]} times {r}"
+                )
+        relation = row[-1].arrows + factors[(i + m) % n].arrows
+        if relation not in alg.relation_index.get(len(relation), ()):
+            raise InternalConsistencyError(
+                f"window [{i + 1},{i + 1 + m}] = {'.'.join(relation)} is not a "
+                f"minimal relation"
+            )
+
+    elementary = tuple(sorted((row[-1] for row in windows), key=Path.sort_key))
+    phi = {x: successor.get(x) for x in elementary}
+    if set(phi.values()) != set(factors):
         raise InternalConsistencyError(
             f"elementary/co-elementary bijection failed for {anchored}"
         )
-
-    relation_paths = set(alg.relations)
-    for i in range(1, n + 1):
-        window = _realize(factors, i, i + m)
-        if window not in relation_paths:
-            raise InternalConsistencyError(
-                f"window [{i},{i + m}] = {window} is not a minimal relation"
-            )
 
     return CycleDecomposition(
         cycle_class=cls,
@@ -362,12 +325,11 @@ def decompose_cycle(
         size=n,
         arrow_length=anchored.length,
         m=m,
-        chain=chain,
+        chain=windows[0],
         elementary=elementary,
         coelementary=tuple(sorted(factors, key=Path.sort_key)),
         phi=phi,
-        bracket_index=bracket_index,
-        windows=tuple(windows),
+        windows=windows,
         prefix_lengths=tuple(itertools.accumulate([0] + [r.length for r in factors])),
     )
 

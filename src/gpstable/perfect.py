@@ -122,42 +122,24 @@ def _successor_map(alg: MonomialAlgebra) -> dict[Path, Path]:
 
 
 def _cycles_of_partial_injection(sigma: dict[Path, Path]) -> list[list[Path]]:
-    """Cycles of an injective partial self-map, via chain peeling."""
-    on_cycle: set[Path] = set()
-    dead: set[Path] = set()
-    for start in sigma:
-        if start in on_cycle or start in dead:
-            continue
-        trail: list[Path] = []
-        index: dict[Path, int] = {}
-        cur = start
-        while (
-            cur in sigma
-            and cur not in index
-            and cur not in on_cycle
-            and cur not in dead
-        ):
-            index[cur] = len(trail)
-            trail.append(cur)
-            cur = sigma[cur]
-        if cur in index:
-            cycle = trail[index[cur] :]
-            on_cycle.update(cycle)
-            dead.update(trail[: index[cur]])
-        else:
-            dead.update(trail)
+    """Cycles of an injective partial self-map, each from its smallest member.
+
+    A point is periodic exactly when the walk from it returns to it, and by
+    injectivity a walk that starts off every cycle never meets one; so one
+    walk per unseen start, in sorted order, reaches every cycle first at its
+    smallest member.
+    """
     cycles = []
     seen: set[Path] = set()
-    for p in sorted(on_cycle, key=Path.sort_key):
-        if p in seen:
-            continue
-        cycle = [p]
-        cur = sigma[p]
-        while cur != p:
-            cycle.append(cur)
+    for start in sorted(sigma, key=Path.sort_key):
+        walk = []
+        cur = start
+        while cur in sigma and cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
             cur = sigma[cur]
-        seen.update(cycle)
-        cycles.append(cycle)
+        if walk and cur == start:
+            cycles.append(walk)
     return cycles
 
 

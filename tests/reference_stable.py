@@ -2,8 +2,8 @@
 
 These are the closed forms as they read before the coordinate index: every
 call checks perfectness against the successor map, compares the classes
-of the two paths, finds the decomposition of the class and looks the
-bracket up by path, and witnesses are built by concatenating factors.
+of the two paths, finds the decomposition of the class and scans its
+windows for the bracket, and witnesses are built by concatenating factors.
 Suspension iterates the perfect pairs one step at a time.  They are kept
 only to pin the index-based versions in :mod:`gpstable.stable` down.
 """
@@ -29,8 +29,9 @@ def _bracket_of(an, p):
     cycle = _class_of(an, p)
     for dec in an.decompositions:
         if dec.cycle_class.cycle == cycle:
-            i, span = dec.bracket_index[p]
-            return dec, i, span
+            for i, row in enumerate(dec.windows, 1):
+                if p in row:
+                    return dec, i, row.index(p) + 1
     raise AssertionError("class without a decomposition")
 
 

@@ -11,6 +11,7 @@ from gpstable.arquiver import (
     graded_ar_window,
     ungraded_ar_quiver,
 )
+from gpstable.stable import ar_triangle
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,21 @@ class TestGradedWindow:
                 (str(a.path), str(b.path)) for a, b in graded.arrow_pairs()
             }
             assert proj == arrow_paths(ungraded)
+
+    def test_one_triangle_per_vertex(self, star_an, monkeypatch):
+        import gpstable.arquiver as arquiver
+
+        calls = []
+
+        def counted(an, obj):
+            calls.append(obj)
+            return ar_triangle(an, obj)
+
+        monkeypatch.setattr(arquiver, "ar_triangle", counted)
+        for dec in star_an.decompositions:
+            calls.clear()
+            tq = graded_ar_window(star_an, dec, -3, 3)
+            assert len(calls) == len(tq.vertices) == 7 * len(dec.members)
 
     def test_interior_vertices_complete(self, star_an):
         dec = star_an.decomposition_for(pp(star_an, "a4.a5"))

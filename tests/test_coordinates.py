@@ -95,6 +95,12 @@ class TestEquivalence:
                 outs.append(ar_translate_inverse(an, obj))
                 assert all(id(o.path) in held for o in outs)
                 assert id(tri.connecting_witness) in held
+            for h in (an.hasse_prec, an.hasse_leq):
+                assert all(id(p) in held for c in h.components for p in c)
+                assert all(id(p) in held for arrow in h.arrows for p in arrow)
+            for dec in an.decompositions:
+                rows = (dec.chain, dec.factors, *dec.windows)
+                assert all(id(p) in held for row in rows for p in row)
 
 
 class TestErrors:

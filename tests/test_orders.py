@@ -217,6 +217,40 @@ class TestFactorization:
             assert reduce(operator.mul, factors) == p
 
 
+def winding_twice():
+    return parse_algebra(
+        {
+            "vertices": ["v1", "v2", "v3"],
+            "arrows": [
+                {"id": "a1", "from": "v3", "to": "v1"},
+                {"id": "a2", "from": "v2", "to": "v1"},
+                {"id": "a3", "from": "v1", "to": "v3"},
+            ],
+            "relations": [
+                ["a2", "a3", "a1"],
+                ["a1", "a3", "a1", "a3"],
+                ["a3", "a1", "a3", "a1"],
+            ],
+        }
+    )
+
+
+def off_boundary_minimum():
+    # factors a2.a1 and a3: the anchor a2.a1.a3 is the least rotation at a
+    # factor boundary, while the least rotation a1.a3.a2 starts inside a2.a1
+    return parse_algebra(
+        {
+            "vertices": ["v1", "v2", "v3", "v4"],
+            "arrows": [
+                {"id": "a1", "from": "v4", "to": "v3"},
+                {"id": "a2", "from": "v1", "to": "v4"},
+                {"id": "a3", "from": "v3", "to": "v1"},
+            ],
+            "relations": [["a3", "a2", "a1", "a3"], ["a2", "a1", "a3", "a2", "a1"]],
+        }
+    )
+
+
 class TestDecomposition:
     def test_star_three_cycle(self, star_an):
         dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
@@ -236,24 +270,7 @@ class TestDecomposition:
     def test_factors_wind_twice(self):
         # the perfect paths a3 and a1.a3.a1 only tile the square of the
         # 2-cycle a1.a3: a2.a3.a1 = 0 spoils the pair (a3.a1, a3.a1)
-        an = Analysis(
-            parse_algebra(
-                {
-                    "vertices": ["v1", "v2", "v3"],
-                    "arrows": [
-                        {"id": "a1", "from": "v3", "to": "v1"},
-                        {"id": "a2", "from": "v2", "to": "v1"},
-                        {"id": "a3", "from": "v1", "to": "v3"},
-                    ],
-                    "relations": [
-                        ["a2", "a3", "a1"],
-                        ["a1", "a3", "a1", "a3"],
-                        ["a3", "a1", "a3", "a1"],
-                    ],
-                }
-            )
-        )
-        (dec,) = an.decompositions
+        (dec,) = Analysis(winding_twice()).decompositions
         assert str(dec.cycle_class.cycle) == "a1.a3"
         assert str(dec.anchored_cycle) == "a1.a3.a1.a3"
         assert [str(f) for f in dec.factors] == ["a1.a3.a1", "a3"]
@@ -282,6 +299,52 @@ class TestDecomposition:
             assert sorted(dec.phi.values(), key=lambda p: p.sort_key()) == sorted(
                 dec.factors, key=lambda p: p.sort_key()
             )
+
+
+class TestDecompositionByCutSearch:
+    """The decompositions against the exhaustive factorization search of the
+    oracle, with the co-elementary paths read off the definition (perfect
+    paths with no proper perfect prefix) rather than the Hasse chains."""
+
+    @staticmethod
+    def decompositions():
+        for alg in (*equivalence_algebras(), winding_twice(), off_boundary_minimum()):
+            an = Analysis(alg)
+            paths = an.perfect.paths
+            coel = [p for p in paths if not any(q != p and q.left_divides(p) for q in paths)]
+            for dec in an.decompositions:
+                yield coel, dec
+
+    def test_decompositions_match_cut_search(self):
+        seen = []
+        for coel, dec in self.decompositions():
+            anchored, root, n = dec.anchored_cycle, dec.cycle_class.cycle, dec.size
+            assert bf_factorizations(anchored, coel) == (dec.factors,)
+            # anchored = c^d up to rotation, d the least power with a
+            # rotation that factors
+            d, rest = divmod(anchored.length, root.length)
+            assert rest == 0 and anchored.source == anchored.target
+            word = root.arrows * d
+            assert anchored.arrows in {word[s:] + word[:s] for s in range(root.length)}
+            for e in range(1, d):
+                power = reduce(operator.mul, [root] * e)
+                assert not any(
+                    bf_factorizations(power.rotation(s), coel) for s in range(root.length)
+                )
+            # the anchor is the least rotation at a factor boundary
+            for cut in dec.prefix_lengths[1:-1]:
+                assert anchored.arrows < anchored.rotation(cut).arrows
+            for i, row in enumerate(dec.windows, 1):
+                assert len(row) == dec.m
+                for span, p in enumerate(row, 1):
+                    factors = [dec.factors[(t - 1) % n] for t in range(i, i + span)]
+                    assert p == reduce(operator.mul, factors)
+            seen.append((dec.m, n, d))
+        # 155 classes here: 91 with m > 1, 28 of them with several factors
+        assert sum(m > 1 for m, _, _ in seen) >= 80
+        assert sum(m > 1 and n > 1 for m, n, _ in seen) >= 20
+        assert max(m for m, _, _ in seen) >= 6
+        assert any(d > 1 for _, _, d in seen)
 
 
 class TestBracket:

@@ -1,10 +1,11 @@
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import InputError, parse_path_string
+from gpstable.algebra import InputError, Path, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_verify_perfect
 from gpstable.perfect import (
+    _cycles_of_partial_injection,
     _successor_map,
     detect_overlap,
     enumerate_perfect_paths,
@@ -149,6 +150,20 @@ class TestEnumeration:
                 pset = enumerate_perfect_paths(alg)
                 assert set(pset.paths) == set(alg.nontrivial_basis)
                 assert len(pset.paths) == n * m
+
+    def test_cycles_of_partial_injection(self):
+        # two fixed points, a 2-cycle, a 3-cycle and two chains that end,
+        # one of them starting below every cycle member; listed scrambled
+        x = {k: Path((k,), ("v", "v")) for k in "abcdefghijkl"}
+        links = "kl gi hj bb ff ce id ec ah dg"
+        sigma = {x[u]: x[v] for u, v in links.split()}
+        cycles = _cycles_of_partial_injection(sigma)
+        assert [[str(p) for p in c] for c in cycles] == [
+            ["b"],
+            ["c", "e"],
+            ["d", "g", "i"],
+            ["f"],
+        ]
 
     def test_sigma_injective(self, star):
         pset = enumerate_perfect_paths(star)
