@@ -245,14 +245,15 @@ def relation_index(
 
 
 class RelationSplits(NamedTuple):
-    """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation.
+    """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation,
+    as arrow words.
 
-    ``by_prefix`` maps the arrows of ``r[:cut]`` and ``by_suffix`` those of
-    ``r[cut:]`` to the ``(r, cut)`` pairs they come from.
+    ``by_prefix`` maps ``r[:cut]`` to the ``r[cut:]`` it is cut from, and
+    ``by_suffix`` maps ``r[cut:]`` to the ``r[:cut]``, in relation order.
     """
 
-    by_prefix: dict[tuple[str, ...], tuple[tuple[Path, int], ...]]
-    by_suffix: dict[tuple[str, ...], tuple[tuple[Path, int], ...]]
+    by_prefix: dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
+    by_suffix: dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
 
 
 def admissibility_witness(
@@ -325,14 +326,12 @@ def admissibility_witness(
     return None
 
 
-def _require_admissible(quiver: Quiver, rel_by_len: Mapping) -> None:
-    witness = admissibility_witness(quiver, rel_by_len)
-    if witness is not None:
-        raise NonAdmissibleError(
-            f"non-admissible relation set: non-zero paths wind around the "
-            f"cycle {witness} indefinitely",
-            witness,
-        )
+def _non_admissible(witness: Path) -> NonAdmissibleError:
+    return NonAdmissibleError(
+        f"non-admissible relation set: non-zero paths wind around the "
+        f"cycle {witness} indefinitely",
+        witness,
+    )
 
 
 def enumerate_nonzero_paths(
@@ -340,11 +339,14 @@ def enumerate_nonzero_paths(
 ) -> frozenset[Path]:
     """All non-zero paths, trivial paths included.
 
-    ``rel_by_len`` is the :func:`relation_index` of the relations.  Raises
-    :class:`NonAdmissibleError` (with a live cycle as witness) when the set
-    would be infinite.
+    ``rel_by_len`` is the :func:`relation_index` of the relations.  A
+    depth-first walk extends each path by every arrow that completes no
+    relation.  Which extensions survive depends only on the state (vertex,
+    last d-1 arrows) of :func:`admissibility_witness`, so a state met twice
+    on one walk is a live cycle: the walk raises :class:`NonAdmissibleError`
+    with it as witness instead of running on.
     """
-    _require_admissible(quiver, rel_by_len)
+    width = max(rel_by_len, default=1) - 1
 
     def alive(arrows: tuple[str, ...]) -> bool:
         for ln, rels in rel_by_len.items():
@@ -353,15 +355,28 @@ def enumerate_nonzero_paths(
         return True
 
     basis: set[Path] = set()
-    queue = deque(quiver.trivial(v) for v in quiver.vertices)
-    basis.update(queue)
-    while queue:
-        p = queue.popleft()
-        for arrow in quiver.arrows_from[p.target]:
-            ext = Path(p.arrows + (arrow.id,), p.vertices + (arrow.target,))
-            if alive(ext.arrows):
+    for v in quiver.vertices:
+        root = quiver.trivial(v)
+        basis.add(root)
+        depth = {(v, ()): 0}  # the states on the current walk
+        stack = [(root, (v, ()), iter(quiver.arrows_from[v]))]
+        while stack:
+            p, state, extensions = stack[-1]
+            for arrow in extensions:
+                arrows = p.arrows + (arrow.id,)
+                if not alive(arrows):
+                    continue
+                nxt = (arrow.target, arrows[-width:] if width else ())
+                if nxt in depth:
+                    raise _non_admissible(quiver.path(arrows[depth[nxt] :]))
+                depth[nxt] = len(arrows)
+                ext = Path(arrows, p.vertices + (arrow.target,))
                 basis.add(ext)
-                queue.append(ext)
+                stack.append((ext, nxt, iter(quiver.arrows_from[arrow.target])))
+                break
+            else:
+                del depth[state]
+                stack.pop()
     return frozenset(basis)
 
 
@@ -421,19 +436,22 @@ class MonomialAlgebra:
             degrees[aid] = d
         self.arrow_degrees: dict[str, int] = degrees
 
-        _require_admissible(quiver, self.relation_index)
+        witness = admissibility_witness(quiver, self.relation_index)
+        if witness is not None:
+            raise _non_admissible(witness)
         self.warnings: tuple[str, ...] = tuple(notes)
 
     @cached_property
     def relation_splits(self) -> RelationSplits:
         """The proper cuts of the minimal relations, by prefix and by suffix;
         the only place relation cuts are enumerated."""
-        by_prefix: dict[tuple[str, ...], list[tuple[Path, int]]] = {}
-        by_suffix: dict[tuple[str, ...], list[tuple[Path, int]]] = {}
+        by_prefix: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        by_suffix: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for r in self.relations:
             for cut in range(1, r.length):
-                by_prefix.setdefault(r.arrows[:cut], []).append((r, cut))
-                by_suffix.setdefault(r.arrows[cut:], []).append((r, cut))
+                head, tail = r.arrows[:cut], r.arrows[cut:]
+                by_prefix.setdefault(head, []).append(tail)
+                by_suffix.setdefault(tail, []).append(head)
         return RelationSplits(
             {k: tuple(v) for k, v in by_prefix.items()},
             {k: tuple(v) for k, v in by_suffix.items()},

@@ -17,7 +17,7 @@ from typing import Iterable
 from .algebra import InputError, Path
 from .analysis import Analysis
 from .orders import CycleDecomposition, HasseQuiver
-from .stable import StableObject, ar_translate_inverse, ar_triangle
+from .stable import StableObject, ar_triangle
 
 
 @dataclass(frozen=True)
@@ -60,104 +60,82 @@ class TranslationQuiver:
         return tuple((self.vertices[a], self.vertices[b]) for a, b in self.tau)
 
 
-def _build(vertices, arrows, tau, identification=None) -> TranslationQuiver:
-    """Index ``arrows`` and ``tau``, pairs of objects with a ``path`` and a
-    ``shift`` (vertices or stable objects), into the sorted ``vertices``."""
-    verts = tuple(sorted(vertices, key=TQVertex.key))
-    index = {(v.path, v.shift): k for k, v in enumerate(verts)}
-    arrow_idx = sorted(
-        {(index[(a.path, a.shift)], index[(b.path, b.shift)]) for a, b in arrows}
+def ar_quiver(
+    an: Analysis, pieces: Iterable[tuple[CycleDecomposition, range | None]]
+) -> TranslationQuiver:
+    """The translation quiver of the given ``(decomposition, shifts)`` pieces.
+
+    Shifts ``None`` give the ungraded quiver of the class, ZA_m modulo
+    tau^|c|; a range gives its graded vertices ``pL(j)``, j in the range,
+    flagged incomplete when the translate, the inverse translate (the vertex
+    whose triangle names this one as its translate) or a middle term falls
+    outside.  Every object a triangle names lies in the same class, so a
+    vertex is keyed by (piece, bracket, shift), read off ``an.locate``.
+    """
+    rows, arrows, tau, outside, notes = [], set(), set(), set(), []
+    for k, (dec, shifts) in enumerate(pieces):
+        graded = shifts is not None
+        if graded and not shifts:
+            raise InputError("empty shift window")
+        notes.append(
+            f"ZA{dec.m} slice, shifts [{shifts[0]}, {shifts[-1]}]"
+            if graded
+            else f"ZA{dec.m} / tau^{dec.size}"
+        )
+
+        def key(obj: StableObject):
+            """The vertex of ``obj``; None when it falls outside the window."""
+            if graded and obj.shift not in shifts:
+                return None
+            return (k, *an.locate(obj.path)[1:], obj.shift if graded else None)
+
+        for p in dec.members:
+            for s in shifts if graded else (0,):
+                tri = ar_triangle(an, StableObject(p, s))
+                v, tv = key(tri.target), key(tri.tau_object)
+                mids = [key(mid) for mid in tri.middles]
+                rows.append((p, v))
+                if tv is None or None in mids:
+                    outside.add(v)
+                if tv is not None:
+                    tau.add((v, tv))
+                for mid in mids:
+                    if mid is not None:
+                        arrows.add((mid, v))
+                        if tv is not None:
+                            arrows.add((tv, mid))
+    tau_targets = {tv for _, tv in tau}
+    rows = sorted(
+        (
+            (TQVertex(p, v[3], v[1:3], v in outside or v not in tau_targets), v)
+            for p, v in rows
+        ),
+        key=lambda row: row[0].key(),
     )
-    tau_idx = sorted(
-        {(index[(a.path, a.shift)], index[(b.path, b.shift)]) for a, b in tau}
-    )
+    index = {v: n for n, (_, v) in enumerate(rows)}
     return TranslationQuiver(
-        vertices=verts,
-        arrows=tuple(arrow_idx),
-        tau=tuple(tau_idx),
-        identification=identification,
+        vertices=tuple(vertex for vertex, _ in rows),
+        arrows=tuple(sorted((index[a], index[b]) for a, b in arrows)),
+        tau=tuple(sorted((index[a], index[b]) for a, b in tau)),
+        identification="; ".join(notes) or None,
     )
 
 
 def ungraded_ar_quiver(an: Analysis, dec: CycleDecomposition) -> TranslationQuiver:
     """The stable AR quiver of one cycle class: shape ZA_m modulo tau^|c|."""
-    vertices = [TQVertex(p, None, an.locate(p)[1:]) for p in dec.members]
-    arrows = set()
-    tau_pairs = set()
-    for p in dec.members:
-        tri = ar_triangle(an, StableObject(p, 0))
-        tau_p = tri.tau_object.path
-        tau_pairs.add(((p, None), (tau_p, None)))
-        for mid in tri.middles:
-            arrows.add(((mid.path, None), (p, None)))
-            arrows.add(((tau_p, None), (mid.path, None)))
-    keyed = {(v.path, v.shift): v for v in vertices}
-    return _build(
-        vertices,
-        [(keyed[a], keyed[b]) for a, b in arrows],
-        [(keyed[a], keyed[b]) for a, b in tau_pairs],
-        identification=f"ZA{dec.m} / tau^{dec.size}",
-    )
-
-
-def disjoint_union(quivers: Iterable[TranslationQuiver]) -> TranslationQuiver:
-    """One translation quiver holding the given (per-class) pieces."""
-    vertices: list[TQVertex] = []
-    arrows = []
-    tau = []
-    notes = []
-    for tq in quivers:
-        vertices.extend(tq.vertices)
-        arrows.extend(tq.arrow_pairs())
-        tau.extend(tq.tau_pairs())
-        notes.append(tq.identification)
-    return _build(vertices, arrows, tau, identification="; ".join(notes) or None)
+    return ar_quiver(an, [(dec, None)])
 
 
 def full_ungraded_ar_quiver(an: Analysis) -> TranslationQuiver:
     """Disjoint union of the per-class ungraded AR quivers."""
-    return disjoint_union(ungraded_ar_quiver(an, dec) for dec in an.decompositions)
+    return ar_quiver(an, [(dec, None) for dec in an.decompositions])
 
 
 def graded_ar_window(
     an: Analysis, dec: CycleDecomposition, shift_lo: int, shift_hi: int
 ) -> TranslationQuiver:
-    """Vertices ``pL(j)`` of one class for ``shift_lo <= j <= shift_hi``.
-
-    A vertex is flagged incomplete when its translate, inverse translate
-    or one of its triangle middle terms falls outside the window.
-    """
-    if shift_hi < shift_lo:
-        raise InputError("empty shift window")
-    shifts = range(shift_lo, shift_hi + 1)
-    vertices = []
-    arrows = []
-    tau = []
-    for p in dec.members:
-        bracket = an.locate(p)[1:]
-        for s in shifts:
-            obj = StableObject(p, s)
-            tri = ar_triangle(an, obj)
-            inv = ar_translate_inverse(an, obj)
-            # every object a triangle names is a member of the same class
-            incomplete = any(
-                r.shift not in shifts for r in (tri.tau_object, inv, *tri.middles)
-            )
-            vertices.append(TQVertex(p, s, bracket, incomplete=incomplete))
-            tau_inside = tri.tau_object.shift in shifts
-            if tau_inside:
-                tau.append((obj, tri.tau_object))
-            for mid in tri.middles:
-                if mid.shift in shifts:
-                    arrows.append((mid, obj))
-                    if tau_inside:
-                        arrows.append((tri.tau_object, mid))
-    return _build(
-        vertices,
-        arrows,
-        tau,
-        identification=f"ZA{dec.m} slice, shifts [{shift_lo}, {shift_hi}]",
-    )
+    """Vertices ``pL(j)`` of one class for ``shift_lo <= j <= shift_hi``."""
+    return ar_quiver(an, [(dec, range(shift_lo, shift_hi + 1))])
 
 
 def _quote(text: str) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path as FilePath
 
 from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_path_string
 from .analysis import Analysis
-from .arquiver import disjoint_union, emit, full_ungraded_ar_quiver, graded_ar_window
+from .arquiver import ar_quiver, emit, full_ungraded_ar_quiver
 from .oracle import verify_suite
 from .stable import (
     DEFAULT_GRADING,
@@ -201,11 +201,11 @@ def _cmd_ar_quiver(args) -> int:
     an = _load(args.file)
     fmt = "json" if args.json else args.format
     if args.graded:
-        windows = []
+        pieces = []
         for dec in an.decompositions:
             w = dec.arrow_length if args.window is None else args.window
-            windows.append(graded_ar_window(an, dec, -w, w))
-        quiver = disjoint_union(windows)
+            pieces.append((dec, range(-w, w + 1)))
+        quiver = ar_quiver(an, pieces)
     else:
         quiver = full_ungraded_ar_quiver(an)
     _write(emit(quiver, fmt), args.output)

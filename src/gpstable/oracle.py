@@ -175,9 +175,9 @@ def _relation_split_candidates(alg: MonomialAlgebra):
     """All (prefix, suffix) splits of the minimal relations, both parts
     non-zero; any perfect pair appears here because its product is a
     relation."""
-    for splits in alg.relation_splits.by_prefix.values():
-        for r, cut in splits:
-            yield r.prefix(cut), r.window(cut, r.length)
+    for head, tails in alg.relation_splits.by_prefix.items():
+        for tail in tails:
+            yield alg.quiver.path(head), alg.quiver.path(tail)
 
 
 def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):

@@ -16,14 +16,15 @@ set of prefix-minimal ``r[cut:]`` over those cuts, and L(q) the mirror image.
 Every perfect pair multiplies to a minimal relation, ``pq ∈ F`` (X.-W. Chen,
 D. Shen, G. Zhou, *The Gorenstein-projective modules over a monomial
 algebra*, arXiv:1501.02978), so the successor map only needs the proper
-prefixes of relations as candidates.  The cost is O(|F|·L) index lookups,
-independent of the dimension of the algebra.
+prefixes of relations as candidates.  Each of the |F|·L candidates looks its
+suffixes up among the relation cuts, so the cost is |F|·L² lookups on arrow
+words, independent of the dimension of the algebra; paths are built only for
+the perfect pairs found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
 
@@ -35,46 +36,46 @@ def _require_nonzero_nontrivial(alg: MonomialAlgebra, p: Path) -> None:
         raise InputError(f"annihilators are defined for non-zero paths, got {p}")
 
 
-def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
-    """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted.
+def _word_key(word: tuple[str, ...]):
+    # Path.sort_key of a non-trivial path, whose arrows fix its vertices
+    return len(word), word
 
-    These are the prefix-minimal ``r[cut:]`` over the relation cuts whose
-    ``r[:cut]`` is a non-empty suffix of ``p``.
-    """
-    _require_nonzero_nontrivial(alg, p)
-    by_prefix = alg.relation_splits.by_prefix
-    killers = {
-        r.window(cut, r.length)
-        for k in range(1, p.length + 1)
-        for r, cut in by_prefix.get(p.arrows[-k:], ())
-    }
+
+def _minimal_killers(
+    alg: MonomialAlgebra, word: tuple[str, ...], right: bool
+) -> list[tuple[str, ...]]:
+    """The arrows of R(p) (``right``) or L(p) of the non-zero path with arrows
+    ``word``, shortest first: the prefix-minimal ``r[cut:]`` over the relation
+    cuts whose ``r[:cut]`` is a non-empty suffix of ``word``, or the
+    suffix-minimal ``r[:cut]`` whose ``r[cut:]`` is a non-empty prefix of it."""
+    splits = alg.relation_splits
+    ends = range(1, len(word) + 1)
+    if right:
+        found = {q for k in ends for q in splits.by_prefix.get(word[-k:], ())}
+    else:
+        found = {q for k in ends for q in splits.by_suffix.get(word[:k], ())}
     # Shortest first: a killer is minimal unless a minimal one divides it.
-    minimal: list[Path] = []
-    for q in sorted(killers, key=Path.sort_key):
-        if not any(m.left_divides(q) for m in minimal):
+    minimal: list[tuple[str, ...]] = []
+    for q in sorted(found, key=len):
+        for m in minimal:
+            if (q[: len(m)] if right else q[-len(m) :]) == m:
+                break
+        else:
             minimal.append(q)
-    return tuple(minimal)
+    minimal.sort(key=_word_key)
+    return minimal
+
+
+def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
+    """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted."""
+    _require_nonzero_nontrivial(alg, p)
+    return tuple(map(alg.quiver.path, _minimal_killers(alg, p.arrows, True)))
 
 
 def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
-    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted.
-
-    The mirror image of :func:`right_annihilators`: the suffix-minimal
-    ``r[:cut]`` over the relation cuts whose ``r[cut:]`` is a non-empty
-    prefix of ``p``.
-    """
+    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted."""
     _require_nonzero_nontrivial(alg, p)
-    by_suffix = alg.relation_splits.by_suffix
-    killers = {
-        r.prefix(cut)
-        for k in range(1, p.length + 1)
-        for r, cut in by_suffix.get(p.arrows[:k], ())
-    }
-    minimal: list[Path] = []
-    for q in sorted(killers, key=Path.sort_key):
-        if not any(m.right_divides(q) for m in minimal):
-            minimal.append(q)
-    return tuple(minimal)
+    return tuple(map(alg.quiver.path, _minimal_killers(alg, p.arrows, False)))
 
 
 def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
@@ -101,23 +102,19 @@ class PerfectPathSet:
 
 def _successor_map(alg: MonomialAlgebra) -> dict[Path, Path]:
     """p -> q for every perfect pair; p ranges over the proper prefixes of
-    relations, since ``pq`` is a relation whenever the pair is perfect."""
-    # one path per distinct prefix, read off its first split
-    candidates = sorted(
-        (r.prefix(cut) for (r, cut), *_ in alg.relation_splits.by_prefix.values()),
-        key=Path.sort_key,
-    )
+    relations, since ``pq`` is a relation whenever the pair is perfect.
+    Runs on arrow words and builds paths only for the pairs it returns."""
     sigma: dict[Path, Path] = {}
-    left_cache: dict[Path, tuple[Path, ...]] = {}
-    for p in candidates:
-        right = right_annihilators(alg, p)
+    left_cache: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for p in sorted(alg.relation_splits.by_prefix, key=_word_key):
+        right = _minimal_killers(alg, p, True)
         if len(right) != 1:
             continue
         q = right[0]
         if q not in left_cache:
-            left_cache[q] = left_annihilators(alg, q)
-        if left_cache[q] == (p,):
-            sigma[p] = q
+            left_cache[q] = _minimal_killers(alg, q, False)
+        if left_cache[q] == [p]:
+            sigma[alg.quiver.path(p)] = alg.quiver.path(q)
     return sigma
 
 
@@ -169,26 +166,29 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     )
 
 
+def _root_length(word: tuple[str, ...]) -> int:
+    """The least d with ``word`` a power of ``word[:d]``."""
+    n = len(word)
+    return next(d for d in range(1, n + 1) if not n % d and word[:d] * (n // d) == word)
+
+
+def _least_rotation(word: tuple[str, ...]) -> int:
+    """The first s where the rotation ``word[s:] + word[:s]`` is least."""
+    return min(range(len(word)), key=lambda s: word[s:] + word[:s])
+
+
 def primitive_root(cycle: Path) -> Path:
     """Shortest cycle ``c`` with ``cycle = c**k``."""
     if cycle.source != cycle.target or cycle.is_trivial:
         raise InputError(f"{cycle} is not a non-trivial cycle")
-    n = cycle.length
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        root = cycle.prefix(d)
-        if root.arrows * (n // d) == cycle.arrows:
-            return root
-    raise AssertionError("unreachable")
+    return cycle.prefix(_root_length(cycle.arrows))
 
 
 def min_rotation(cycle: Path) -> Path:
     """Lexicographically smallest rotation under the global path order."""
-    return min(
-        (cycle.rotation(s) for s in range(max(cycle.length, 1))),
-        key=Path.sort_key,
-    )
+    if cycle.is_trivial:
+        return cycle
+    return cycle.rotation(_least_rotation(cycle.arrows))
 
 
 @dataclass(frozen=True)
@@ -207,22 +207,24 @@ class UnderlyingCycleClass:
 def underlying_cycle_classes(
     alg: MonomialAlgebra, pset: PerfectPathSet
 ) -> tuple[UnderlyingCycleClass, ...]:
-    """Group the successor cycles by the primitive root of their product."""
-    grouped: dict[Path, dict] = {}
+    """Group the successor cycles by the least rotation of the primitive root
+    of their product, taken on arrow words; one path is built per class."""
+    grouped: dict[tuple[str, ...], tuple[list[Path], list[int]]] = {}
     for idx, seq in enumerate(pset.sequences):
-        product = reduce(lambda a, b: a * b, seq)
-        canon = min_rotation(primitive_root(product))
-        slot = grouped.setdefault(canon, {"members": set(), "seqs": []})
-        slot["members"].update(seq)
-        slot["seqs"].append(idx)
+        word = tuple(a for p in seq for a in p.arrows)
+        root = word[: _root_length(word)]
+        s = _least_rotation(root)
+        members, seqs = grouped.setdefault(root[s:] + root[:s], ([], []))
+        members.extend(seq)  # the successor cycles are disjoint
+        seqs.append(idx)
     return tuple(
         UnderlyingCycleClass(
-            cycle=canon,
-            members=tuple(sorted(slot["members"], key=Path.sort_key)),
-            sequence_indices=tuple(slot["seqs"]),
+            cycle=alg.quiver.path(canon),
+            members=tuple(sorted(members, key=Path.sort_key)),
+            sequence_indices=tuple(seqs),
         )
-        for canon, slot in sorted(
-            grouped.items(), key=lambda kv: kv[0].sort_key()
+        for canon, (members, seqs) in sorted(
+            grouped.items(), key=lambda kv: _word_key(kv[0])
         )
     )
 

@@ -1,13 +1,14 @@
 """Literal references for the relation-driven perfect pairs and Hasse covers.
 
 The annihilators here scan every non-zero path, the successor map tries
-every non-zero path, and the covering relations come from a transitive
-reduction: O(B²) and O(P³) readings of the definitions, kept only to pin
-the fast versions down on a shared family of algebras.
+every non-zero path, the covering relations come from a transitive
+reduction, and the cycle classes are grouped on ``Path`` products: O(B²),
+O(P³) and path-level readings of the definitions, kept only to pin the fast
+versions down on a shared family of algebras.
 """
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path as FilePath
 
 from gpstable import fixtures
@@ -69,6 +70,32 @@ def reduction_hasse_arrows(paths, order):
         if not any((p, r) in strict and (r, q) in strict for r in verts)
     ]
     return tuple(sorted(arrows, key=lambda e: (e[0].sort_key(), e[1].sort_key())))
+
+
+def path_cycle_classes(pset):
+    """(cycle, members, sequence indices) per class: each successor cycle's
+    product, its primitive root and least rotation taken on ``Path``s."""
+    grouped = {}
+    for idx, seq in enumerate(pset.sequences):
+        product = reduce(lambda a, b: a * b, seq)
+        n = product.length
+        root = next(
+            product.prefix(d)
+            for d in range(1, n + 1)
+            if n % d == 0 and product.prefix(d).arrows * (n // d) == product.arrows
+        )
+        canon = min(
+            (root.rotation(s) for s in range(root.length)), key=Path.sort_key
+        )
+        members, seqs = grouped.setdefault(canon, (set(), []))
+        members.update(seq)
+        seqs.append(idx)
+    return tuple(
+        (canon, tuple(sorted(members, key=Path.sort_key)), tuple(seqs))
+        for canon, (members, seqs) in sorted(
+            grouped.items(), key=lambda kv: kv[0].sort_key()
+        )
+    )
 
 
 @lru_cache(maxsize=None)

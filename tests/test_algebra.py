@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 
 from gpstable import fixtures
 from gpstable.algebra import (
+    Arrow,
     InputError,
     NonAdmissibleError,
     Path,
+    Quiver,
+    admissibility_witness,
     enumerate_nonzero_paths,
     parse_algebra,
     parse_path_string,
+    relation_index,
 )
 
 
@@ -87,6 +91,48 @@ class TestParsing:
         with pytest.raises(NonAdmissibleError) as exc:
             parse_algebra(doc)
         assert str(exc.value.witness) == "x"
+
+    def test_admissibility_checked_once(self, monkeypatch):
+        # parse runs the check; the basis enumeration does not run it again
+        import gpstable.algebra as algebra
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return admissibility_witness(*args)
+
+        monkeypatch.setattr(algebra, "admissibility_witness", counted)
+        alg = parse_algebra(fixtures.lambda_star_document())
+        assert len(alg.basis) == 104
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "relations", [[], [["a", "b", "a", "b", "a", "b"]], [["x", "y", "x"]]]
+    )
+    def test_enumeration_raises_on_non_admissible(self, relations):
+        # two loops at 1 beside a 2-cycle: the language grows exponentially,
+        # so only a walk that stops at its first repeated state returns
+        quiver = Quiver(
+            ("1", "2", "3"),
+            (
+                Arrow("x", "1", "1"),
+                Arrow("y", "1", "1"),
+                Arrow("a", "2", "3"),
+                Arrow("b", "3", "2"),
+            ),
+        )
+        rels = [quiver.path(r) for r in relations]
+        with pytest.raises(NonAdmissibleError) as exc:
+            enumerate_nonzero_paths(quiver, relation_index(rels))
+        witness = exc.value.witness
+        assert witness.source == witness.target and not witness.is_trivial
+        pumped = witness.arrows * 8
+        assert not any(
+            r.arrows == pumped[s : s + r.length]
+            for r in rels
+            for s in range(len(pumped) - r.length + 1)
+        )
 
     def test_boolean_arrow_degree_rejected(self):
         # bool is a subclass of int; true must not pass as degree 1

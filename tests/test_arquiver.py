@@ -11,7 +11,12 @@ from gpstable.arquiver import (
     graded_ar_window,
     ungraded_ar_quiver,
 )
-from gpstable.stable import ar_triangle
+from gpstable.stable import (
+    StableObject,
+    ar_translate,
+    ar_translate_inverse,
+    ar_triangle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +75,14 @@ class TestUngraded:
             arrows = set(tq.arrows)
             for b, c in arrows:
                 assert (tau_map[c], b) in arrows
+
+    def test_tau_is_the_translate(self, star_an):
+        # N(3, 2) has |c| = 3, so a reversed tau edge shows
+        for an in (star_an, Analysis(fixtures.nakayama(3, 2))):
+            pairs = full_ungraded_ar_quiver(an).tau_pairs()
+            assert len(pairs) == len(an.perfect.paths)
+            for a, b in pairs:
+                assert ar_translate(an, StableObject(a.path, 0)).path == b.path
 
     def test_loop_one_single_vertex(self):
         an = Analysis(fixtures.loop(1))
@@ -150,6 +163,42 @@ class TestGradedWindow:
             calls.clear()
             tq = graded_ar_window(star_an, dec, -3, 3)
             assert len(calls) == len(tq.vertices) == 7 * len(dec.members)
+
+    def test_no_inverse_translate_calls(self, star_an, monkeypatch):
+        # incomplete means: tau, tau^-1 or a middle term leaves the window;
+        # the window reads tau^-1 off the triangles, never calls it
+        import gpstable.arquiver as arquiver
+        import gpstable.stable as stable
+
+        ans = [star_an, Analysis(fixtures.nakayama(3, 4)), Analysis(fixtures.loop(2))]
+        windows = [
+            (an, dec, lo, hi)
+            for an in ans
+            for dec in an.decompositions
+            for lo, hi in ((-3, 3), (0, 0), (-7, 2), (1, 9))
+        ]
+        expected = []
+        for an, dec, lo, hi in windows:
+            for p in dec.members:
+                for s in range(lo, hi + 1):
+                    obj = StableObject(p, s)
+                    tri = ar_triangle(an, obj)
+                    inverse = ar_translate_inverse(an, obj)
+                    named = (tri.tau_object, inverse, *tri.middles)
+                    expected.append(any(not lo <= r.shift <= hi for r in named))
+        assert any(expected) and not all(expected)
+
+        def refuse(*args):
+            raise AssertionError("ar_translate_inverse was called")
+
+        monkeypatch.setattr(stable, "ar_translate_inverse", refuse)
+        monkeypatch.setattr(arquiver, "ar_translate_inverse", refuse, raising=False)
+        got = []
+        for an, dec, lo, hi in windows:
+            tq = graded_ar_window(an, dec, lo, hi)
+            flags = {(v.path, v.shift): v.incomplete for v in tq.vertices}
+            got += [flags[(p, s)] for p in dec.members for s in range(lo, hi + 1)]
+        assert got == expected
 
     def test_interior_vertices_complete(self, star_an):
         dec = star_an.decomposition_for(pp(star_an, "a4.a5"))

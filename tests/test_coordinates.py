@@ -18,7 +18,7 @@ import gpstable.algebra as algebra
 import reference_stable as ref
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
-from gpstable.arquiver import emit, full_ungraded_ar_quiver
+from gpstable.arquiver import emit, full_ungraded_ar_quiver, graded_ar_window
 from gpstable.stable import (
     StableObject,
     ar_translate,
@@ -144,6 +144,55 @@ class TestErrors:
         y = an.perfect.paths[0]
         got = self.error(stable, name, an, None, y)
         assert got == self.error(ref, name, an, None, y)
+
+
+# --- no path hashing in the AR quiver -------------------------------------------
+
+
+def planted_multi_class_document():
+    """Nakayama cycles N(3, 2), N(2, 3) and N(1, 4) joined by bridge arrows
+    that lie on no relation: three classes with different m."""
+    arrows, relations = [], []
+    for name, n, m in (("c", 3, 2), ("d", 2, 3), ("e", 1, 4)):
+        arrows += [
+            {"id": f"{name}{j}", "from": f"{name}{j}", "to": f"{name}{(j + 1) % n}"}
+            for j in range(n)
+        ]
+        relations += [[f"{name}{(j + t) % n}" for t in range(m + 1)] for j in range(n)]
+    arrows += [
+        {"id": "b0", "from": "c1", "to": "d0"},
+        {"id": "b1", "from": "e0", "to": "d1"},
+    ]
+    vertices = sorted({a["from"] for a in arrows} | {a["to"] for a in arrows})
+    return {"vertices": vertices, "arrows": arrows, "relations": relations}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f.name for f in FIXTURES.glob("*.json")) + ["planted"]
+)
+def test_ar_quiver_without_path_hashing(monkeypatch, name):
+    if name == "planted":
+        alg = parse_algebra(planted_multi_class_document())
+    else:
+        alg = parse_algebra((FIXTURES / name).read_text())
+
+    def quivers(an):
+        windows = [graded_ar_window(an, dec, -4, 4) for dec in an.decompositions]
+        return [emit(tq, "json") for tq in (full_ungraded_ar_quiver(an), *windows)]
+
+    want = quivers(Analysis(alg))
+    an = Analysis(alg)
+    an.coordinates  # noqa: B018 - the pipeline up to the coordinate index
+
+    def refuse(self):
+        raise AssertionError(f"{self!r} was hashed")
+
+    monkeypatch.setattr(algebra.Path, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="was hashed"):
+        hash(alg.quiver.trivial(alg.quiver.vertices[0]))
+    assert quivers(an) == want
+    if name == "planted":
+        assert sorted(dec.m for dec in an.decompositions) == [2, 3, 4]
 
 
 # --- the lazy basis ------------------------------------------------------------

@@ -18,6 +18,7 @@ from gpstable.perfect import (
 )
 from reference_scan import (
     equivalence_algebras,
+    path_cycle_classes,
     scan_left_annihilators,
     scan_right_annihilators,
     scan_successor_map,
@@ -206,6 +207,26 @@ class TestCycleClasses:
         assert len(by_cycle["a4.a5"].members) == 3
         # both 3-cycle sequences land in the same class
         assert len(by_cycle["a1.a2.a3"].sequence_indices) == 2
+
+    def test_classes_match_path_grouping(self):
+        classes = powers = rotated = shared = 0
+        for alg in equivalence_algebras():
+            pset = enumerate_perfect_paths(alg)
+            got = underlying_cycle_classes(alg, pset)
+            assert [
+                (c.cycle, c.members, c.sequence_indices) for c in got
+            ] == list(path_cycle_classes(pset)), alg.relations
+            classes += len(got)
+            shared += sum(len(c.sequence_indices) > 1 for c in got)
+            for c in got:
+                for idx in c.sequence_indices:
+                    word = tuple(a for p in pset.sequences[idx] for a in p.arrows)
+                    powers += len(word) > c.cycle.length
+                    rotated += word[: c.cycle.length] != c.cycle.arrows
+        # the family reaches proper powers, rotations off the first arrow
+        # and classes shared by several successor cycles
+        assert classes >= 150 and powers >= 100 and rotated >= 40
+        assert shared >= 40
 
     def test_loop_single_class(self):
         alg = fixtures.loop(3)
