@@ -5,15 +5,16 @@ forbidden paths (the monomial relations).  A path is *zero* in the algebra
 exactly when it contains a forbidden path as a consecutive factor, so the
 non-zero paths form a finite basis whenever the ideal is admissible.  This
 module provides the value types (:class:`Path`, :class:`Quiver`,
-:class:`MonomialAlgebra`), the input-document parser, the factor-avoidance
-enumeration of the basis, and the divisibility predicates everything else
-is built on.
+:class:`MonomialAlgebra`), the input-document parser, and the divisibility
+predicates everything else is built on.  One relation automaton, built at
+parse, answers every zero question: the admissibility check is a cycle
+search in it, the basis is a walk through it, and the zero tests run a
+word through it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -237,7 +238,7 @@ def parse_path_string(quiver: Quiver, text: str) -> Path:
 def relation_index(
     relations: Iterable[Path],
 ) -> dict[int, frozenset[tuple[str, ...]]]:
-    """Relation arrow sequences grouped by length, for window lookups."""
+    """Relation arrow sequences grouped by length."""
     by_len: dict[int, set[tuple[str, ...]]] = {}
     for r in relations:
         by_len.setdefault(r.length, set()).add(r.arrows)
@@ -256,72 +257,95 @@ class RelationSplits(NamedTuple):
     by_suffix: dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
 
 
-def admissibility_witness(
-    quiver: Quiver, rel_by_len: Mapping[int, frozenset[tuple[str, ...]]]
-) -> Path | None:
+class RelationAutomaton(NamedTuple):
+    """The factor-avoidance automaton of a minimal relation set, in the
+    style of Aho–Corasick.
+
+    A state is the longest suffix of the walk read so far that is a proper
+    prefix of a relation; the empty suffix is one state per vertex, so
+    there are at most |Q0| + Σ(|r|−1) states.  ``start`` maps each vertex to
+    its empty-suffix state, ``vertex`` gives the vertex each state sits at,
+    and ``moves[s]`` maps each arrow out of that vertex to the next state.
+    An arrow is missing from ``moves[s]`` exactly when reading it completes
+    a relation, so a walk is non-zero iff it reads through without a miss.
+    """
+
+    start: dict[str, int]
+    vertex: tuple[str, ...]
+    moves: tuple[dict[str, int], ...]
+
+    def read(self, state: int, arrows: Iterable[str]) -> int | None:
+        """The state after reading ``arrows`` from ``state``; ``None`` once
+        a relation completes."""
+        moves = self.moves
+        for a in arrows:
+            state = moves[state].get(a)
+            if state is None:
+                return None
+        return state
+
+
+def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:
+    """Build the :class:`RelationAutomaton` of a minimal relation set.
+
+    States are built breadth first with failure links: the failure of a
+    state is its longest proper suffix that is a state.  A move is dead when
+    it completes a relation, or when the failure state's move on the same
+    arrow is dead; otherwise it extends the prefix, or falls back to the
+    failure state's move.
+    """
+    words = {r.arrows for r in relations}
+    prefixes = {w[:k] for w in words for k in range(1, len(w))}
+    start = {v: k for k, v in enumerate(quiver.vertices)}
+    vertex = list(quiver.vertices)
+    word: list[tuple[str, ...]] = [()] * len(vertex)
+    fail: list[int | None] = [None] * len(vertex)
+    moves: list[dict[str, int]] = []
+    for s, v in enumerate(vertex):  # grows while it runs: breadth first
+        out = {}
+        for a in quiver.arrows_from[v]:
+            w = word[s] + (a.id,)
+            back = start[a.target] if fail[s] is None else moves[fail[s]].get(a.id)
+            if w in words or back is None:
+                continue
+            if w in prefixes:
+                out[a.id] = len(vertex)
+                vertex.append(a.target)
+                word.append(w)
+                fail.append(back)
+            else:
+                out[a.id] = back
+        moves.append(out)
+    return RelationAutomaton(start, tuple(vertex), tuple(moves))
+
+
+def admissibility_witness(quiver: Quiver, automaton: RelationAutomaton) -> Path | None:
     """Return a live cycle if the non-zero path language is infinite.
 
-    ``rel_by_len`` is the :func:`relation_index` of the relations.  Runs
-    over the factor-avoidance transition graph whose states are
-    ``(vertex, suffix window of the last d-1 arrows)`` with ``d`` the largest
-    relation length; an infinite language is equivalent to a reachable cycle
-    in this graph.
+    The language is infinite exactly when the :func:`relation_automaton`
+    has a cycle (every state is reachable); a three-colour depth-first
+    search finds one, and the arrows read around it are the witness.
     """
-    width = max(rel_by_len, default=1) - 1
-
-    def step(state, arrow: Arrow):
-        window = state[1] + (arrow.id,)
-        for ln, rels in rel_by_len.items():
-            if len(window) >= ln and window[-ln:] in rels:
-                return None
-        return (arrow.target, window[-width:] if width else ())
-
-    starts = [(v, ()) for v in quiver.vertices]
-    graph: dict[tuple, list[tuple[str, tuple]]] = {}
-    queue = deque(starts)
-    seen = set(starts)
-    while queue:
-        state = queue.popleft()
-        edges = []
-        for arrow in quiver.arrows_from[state[0]]:
-            nxt = step(state, arrow)
-            if nxt is None:
-                continue
-            edges.append((arrow.id, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-        graph[state] = edges
-
-    # Iterative three-colour DFS; a back edge yields the witness cycle.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {state: WHITE for state in graph}
-    for root in starts:
-        if color[root] != WHITE:
+    moves = automaton.moves
+    done: set[int] = set()  # black; the states on the walk are grey
+    for root in automaton.start.values():
+        if root in done:
             continue
-        stack: list[tuple[tuple, str | None, Iterable]] = [
-            (root, None, iter(graph[root]))
-        ]
-        color[root] = GRAY
+        on_walk = {root: 0}  # state -> its index on the stack
+        stack = [(root, None, iter(moves[root].items()))]
         while stack:
             state, _, it = stack[-1]
-            advanced = False
             for aid, nxt in it:
-                if color[nxt] == GRAY:
-                    arrows = [aid]
-                    for frame in reversed(stack):
-                        if frame[0] == nxt:
-                            break
-                        arrows.append(frame[1])
-                    arrows.reverse()
-                    return quiver.path(tuple(arrows))
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, aid, iter(graph[nxt])))
-                    advanced = True
+                if nxt in on_walk:
+                    cycle = [frame[1] for frame in stack[on_walk[nxt] + 1 :]]
+                    return quiver.path((*cycle, aid))
+                if nxt not in done:
+                    on_walk[nxt] = len(stack)
+                    stack.append((nxt, aid, iter(moves[nxt].items())))
                     break
-            if not advanced:
-                color[state] = BLACK
+            else:
+                done.add(state)
+                del on_walk[state]
                 stack.pop()
     return None
 
@@ -335,44 +359,31 @@ def _non_admissible(witness: Path) -> NonAdmissibleError:
 
 
 def enumerate_nonzero_paths(
-    quiver: Quiver, rel_by_len: Mapping[int, frozenset[tuple[str, ...]]]
+    quiver: Quiver, automaton: RelationAutomaton
 ) -> frozenset[Path]:
     """All non-zero paths, trivial paths included.
 
-    ``rel_by_len`` is the :func:`relation_index` of the relations.  A
-    depth-first walk extends each path by every arrow that completes no
-    relation.  Which extensions survive depends only on the state (vertex,
-    last d-1 arrows) of :func:`admissibility_witness`, so a state met twice
-    on one walk is a live cycle: the walk raises :class:`NonAdmissibleError`
-    with it as witness instead of running on.
+    A depth-first walk through the :func:`relation_automaton` extends each
+    path by every live move.  A state met twice on one walk is a live
+    cycle, so the walk raises :class:`NonAdmissibleError` with it as
+    witness instead of running on.
     """
-    width = max(rel_by_len, default=1) - 1
-
-    def alive(arrows: tuple[str, ...]) -> bool:
-        for ln, rels in rel_by_len.items():
-            if len(arrows) >= ln and arrows[-ln:] in rels:
-                return False
-        return True
-
     basis: set[Path] = set()
-    for v in quiver.vertices:
-        root = quiver.trivial(v)
-        basis.add(root)
-        depth = {(v, ()): 0}  # the states on the current walk
-        stack = [(root, (v, ()), iter(quiver.arrows_from[v]))]
+    for root in automaton.start.values():
+        p = quiver.trivial(automaton.vertex[root])
+        basis.add(p)
+        depth = {root: 0}  # the states on the current walk
+        stack = [(p, root, iter(automaton.moves[root].items()))]
         while stack:
-            p, state, extensions = stack[-1]
-            for arrow in extensions:
-                arrows = p.arrows + (arrow.id,)
-                if not alive(arrows):
-                    continue
-                nxt = (arrow.target, arrows[-width:] if width else ())
+            p, state, it = stack[-1]
+            for aid, nxt in it:
+                arrows = p.arrows + (aid,)
                 if nxt in depth:
                     raise _non_admissible(quiver.path(arrows[depth[nxt] :]))
                 depth[nxt] = len(arrows)
-                ext = Path(arrows, p.vertices + (arrow.target,))
+                ext = Path(arrows, p.vertices + (automaton.vertex[nxt],))
                 basis.add(ext)
-                stack.append((ext, nxt, iter(quiver.arrows_from[arrow.target])))
+                stack.append((ext, nxt, iter(automaton.moves[nxt].items())))
                 break
             else:
                 del depth[state]
@@ -436,7 +447,8 @@ class MonomialAlgebra:
             degrees[aid] = d
         self.arrow_degrees: dict[str, int] = degrees
 
-        witness = admissibility_witness(quiver, self.relation_index)
+        self.automaton = relation_automaton(quiver, self.relations)
+        witness = admissibility_witness(quiver, self.automaton)
         if witness is not None:
             raise _non_admissible(witness)
         self.warnings: tuple[str, ...] = tuple(notes)
@@ -460,7 +472,7 @@ class MonomialAlgebra:
     @cached_property
     def basis(self) -> frozenset[Path]:
         """The non-zero paths, enumerated on first use (the closed forms never do)."""
-        return enumerate_nonzero_paths(self.quiver, self.relation_index)
+        return enumerate_nonzero_paths(self.quiver, self.automaton)
 
     @cached_property
     def basis_sorted(self) -> tuple[Path, ...]:
@@ -482,31 +494,14 @@ class MonomialAlgebra:
 
     def is_zero(self, p: Path) -> bool:
         """True iff some relation occurs in ``p`` as a consecutive factor."""
-        if p.length < 2:
-            return False
-        arrows = p.arrows
-        for ln, rels in self.relation_index.items():
-            if ln > len(arrows):
-                continue
-            for s in range(len(arrows) - ln + 1):
-                if arrows[s : s + ln] in rels:
-                    return True
-        return False
+        auto = self.automaton
+        return auto.read(auto.start[p.source], p.arrows) is None
 
     def concat_zero(self, p: Path, q: Path) -> bool:
-        """Whether ``p*q`` vanishes, assuming ``p`` and ``q`` are non-zero.
-
-        Only relation windows crossing the junction need checking.
-        """
-        lp = len(p.arrows)
-        arrows = p.arrows + q.arrows
-        for ln, rels in self.relation_index.items():
-            lo = max(0, lp - ln + 1)
-            hi = min(lp - 1, len(arrows) - ln)
-            for s in range(lo, hi + 1):
-                if arrows[s : s + ln] in rels:
-                    return True
-        return False
+        """Whether ``p*q`` vanishes; one automaton run over both words."""
+        auto = self.automaton
+        state = auto.read(auto.start[p.source], p.arrows)
+        return state is None or auto.read(state, q.arrows) is None
 
     def module_dim(self, r: Path) -> int:
         """Dimension of the cyclic right module generated by ``r``
@@ -541,7 +536,7 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     if isinstance(doc, str):
         try:
             data = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"malformed JSON document: {exc}") from None
     else:
         data = doc

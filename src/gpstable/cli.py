@@ -29,14 +29,17 @@ from .stable import (
 def _load(path: str) -> Analysis:
     try:
         text = FilePath(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return Analysis(parse_algebra(text))
 
 
 def _write(text: str, output: str | None) -> None:
     if output:
-        FilePath(output).write_text(text, encoding="utf-8")
+        try:
+            FilePath(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

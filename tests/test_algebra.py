@@ -15,13 +15,17 @@ from gpstable.algebra import (
     enumerate_nonzero_paths,
     parse_algebra,
     parse_path_string,
-    relation_index,
+    relation_automaton,
 )
+from gpstable.analysis import analyze
+from gpstable.stable import classify
+
+from reference_scan import equivalence_algebras
 
 
 def brute_basis(alg, cap=40):
     """Independent enumeration: grow all paths, filter by a full subpath
-    scan against the relation list, never using the suffix-window pruning."""
+    scan against the relation list, never using the relation automaton."""
 
     def zero(p):
         return any(r.subpath_of(p) for r in alg.relations)
@@ -124,7 +128,7 @@ class TestParsing:
         )
         rels = [quiver.path(r) for r in relations]
         with pytest.raises(NonAdmissibleError) as exc:
-            enumerate_nonzero_paths(quiver, relation_index(rels))
+            enumerate_nonzero_paths(quiver, relation_automaton(quiver, rels))
         witness = exc.value.witness
         assert witness.source == witness.target and not witness.is_trivial
         pumped = witness.arrows * 8
@@ -152,6 +156,10 @@ class TestParsing:
                 ("a4", "a5", "a4", "a5", "a4", "a5", "a4", "a5"),
             },
         }
+
+    def test_deeply_nested_json_is_input_error(self):
+        with pytest.raises(InputError, match="malformed JSON document"):
+            parse_algebra("[" * 100000)
 
     def test_json_text_roundtrip(self):
         alg = parse_algebra(json.dumps(fixtures.nakayama_document(2, 2)))
@@ -206,6 +214,70 @@ class TestBasis:
                 if p.target != q.source or p.is_trivial or q.is_trivial:
                     continue
                 assert alg.concat_zero(p, q) == alg.is_zero(p * q)
+
+
+def chain_document(n, width, rel):
+    """A chain 0 -> 1 -> ... -> n-1 with ``width`` parallel arrows per step
+    and one relation: the first ``rel`` arrows of copy 0."""
+    arrows = [
+        {"id": f"a{i}_{c}", "from": str(i), "to": str(i + 1)}
+        for i in range(n - 1)
+        for c in range(width)
+    ]
+    return {
+        "vertices": [str(i) for i in range(n)],
+        "arrows": arrows,
+        "relations": [[f"a{i}_0" for i in range(rel)]],
+    }
+
+
+def test_automaton_state_bound_on_a_long_relation(monkeypatch):
+    # states (vertex, last d-1 arrows) would number about 3^11 here
+    import gpstable.algebra as algebra
+
+    def refuse(*args):
+        raise AssertionError("the path basis was enumerated")
+
+    monkeypatch.setattr(algebra, "enumerate_nonzero_paths", refuse)
+    alg = parse_algebra(chain_document(13, 3, 12))
+    bound = len(alg.quiver.vertices) + sum(r.length - 1 for r in alg.relations)
+    assert len(alg.automaton.vertex) <= bound == 24
+    an = analyze(alg)
+    assert an.perfect.cm_free and an.decompositions == ()
+    assert classify(an).cm_free
+
+
+def scan_zero(alg, p):
+    """The zero test read off the definition, without the automaton."""
+    return any(r.subpath_of(p) for r in alg.relations)
+
+
+def zero_test_algebras():
+    import random
+
+    from gpstable.oracle import random_algebra
+
+    yield from equivalence_algebras()
+    for seed in range(300):
+        yield random_algebra(random.Random(seed))
+
+
+def test_zero_tests_agree_with_subpath_scan():
+    extensions = 0
+    for alg in zero_test_algebras():
+        for p in alg.basis_sorted:
+            assert not alg.is_zero(p)
+            for arrow in alg.quiver.arrows_from[p.target]:
+                a = alg.quiver.arrow_path(arrow.id)
+                expected = scan_zero(alg, p * a)
+                assert alg.is_zero(p * a) == expected
+                assert alg.concat_zero(p, a) == expected
+                extensions += 1
+            for arrow in alg.quiver.arrows:
+                if arrow.target == p.source:
+                    a = alg.quiver.arrow_path(arrow.id)
+                    assert alg.concat_zero(a, p) == scan_zero(alg, a * p)
+    assert extensions > 3000
 
 
 class TestPathOps:
@@ -285,5 +357,5 @@ def test_random_algebra_basis_consistency(seed):
     alg = random_algebra(random.Random(seed))
     assert alg.basis == frozenset(brute_basis(alg, cap=60))
     quiver = alg.quiver
-    again = enumerate_nonzero_paths(quiver, alg.relation_index)
+    again = enumerate_nonzero_paths(quiver, alg.automaton)
     assert again == alg.basis

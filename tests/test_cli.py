@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gpstable.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -224,6 +226,26 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "no-such-file.json")
         assert code == 1 and "cannot read" in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        f = tmp_path / "latin.json"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {f}:")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100000)
+        code, _, err = run(capsys, "analyze", str(f))
+        assert code == 1 and err.startswith("error: malformed JSON document:")
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        out_path = tmp_path / target
+        code, out, err = run(capsys, "analyze", A2, "-o", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}:")
 
     def test_bad_document(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
