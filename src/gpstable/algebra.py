@@ -235,16 +235,6 @@ def parse_path_string(quiver: Quiver, text: str) -> Path:
     return quiver.path(tuple(part for part in text.split(".")))
 
 
-def relation_index(
-    relations: Iterable[Path],
-) -> dict[int, frozenset[tuple[str, ...]]]:
-    """Relation arrow sequences grouped by length."""
-    by_len: dict[int, set[tuple[str, ...]]] = {}
-    for r in relations:
-        by_len.setdefault(r.length, set()).add(r.arrows)
-    return {ln: frozenset(rels) for ln, rels in by_len.items()}
-
-
 class RelationSplits(NamedTuple):
     """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation,
     as arrow words.
@@ -432,7 +422,6 @@ class MonomialAlgebra:
         self.relations: tuple[Path, ...] = tuple(
             sorted(minimal, key=Path.sort_key)
         )
-        self.relation_index = relation_index(self.relations)
 
         degrees = {a.id: 1 for a in quiver.arrows}
         for aid, d in (arrow_degrees or {}).items():

@@ -220,7 +220,7 @@ def _cmd_verify(args) -> int:
         raise InputError(f"--random must be non-negative, got {args.random}")
     an = _load(args.file)
     tables = verify_suite(an.algebra, random_count=args.random, seed=args.seed)
-    failed = 0
+    failed = sum(1 for _, checks in tables for c in checks if not c.ok)
     if args.json:
         data = [
             {
@@ -232,9 +232,6 @@ def _cmd_verify(args) -> int:
             }
             for name, checks in tables
         ]
-        failed = sum(
-            1 for _, checks in tables for c in checks if not c.ok
-        )
         _write(_dump_json(data), args.output)
     else:
         lines = []
@@ -242,8 +239,6 @@ def _cmd_verify(args) -> int:
             lines.append(f"== {name}")
             for c in checks:
                 mark = "PASS" if c.ok else "FAIL"
-                if not c.ok:
-                    failed += 1
                 suffix = f"  ({c.detail})" if c.detail else ""
                 lines.append(f"  {mark}  {c.name}{suffix}")
         lines.append(

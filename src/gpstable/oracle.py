@@ -6,6 +6,9 @@ factorizations by exhaustive cut search.  The :func:`verify_algebra`
 battery runs all of it against the fast implementations and powers both
 the property-test suite and the ``verify`` CLI command; oracles may be
 exponential in path length and are meant for desk-scale inputs only.
+The battery computes each brute-force quantity once per algebra (the
+perfectness verdicts, the overlap table and both Hom tables over the
+pairs of perfect paths) and every row that needs it reads that table.
 """
 
 from __future__ import annotations
@@ -49,29 +52,18 @@ def bf_stable_hom(
     ``(dim, witnesses)`` for one shift, or ``(total, {k: witnesses})``
     over all shifts when ``shift`` is None.
     """
-
-    def piece(k: int) -> tuple[Path, ...]:
-        if k < 0 or k >= q.length:
-            return ()
-        want = k + p.length
-        hits = [
-            u
-            for u in alg.basis
-            if u.length == want
-            and q.left_divides(u)
-            and p.right_divides(u)
-        ]
-        return tuple(sorted(hits, key=Path.sort_key))
-
+    by_shift: dict[int, list[Path]] = {}
+    for u in alg.basis_sorted:  # one pass, bucketed by shift
+        k = u.length - p.length
+        if 0 <= k < q.length and q.left_divides(u) and p.right_divides(u):
+            by_shift.setdefault(k, []).append(u)
     if shift is not None:
-        hits = piece(shift)
+        hits = tuple(by_shift.get(shift, ()))
         return len(hits), hits
-    by_shift = {}
-    for k in range(q.length):
-        hits = piece(k)
-        if hits:
-            by_shift[k] = hits
-    return sum(len(v) for v in by_shift.values()), by_shift
+    return (
+        sum(len(v) for v in by_shift.values()),
+        {k: tuple(v) for k, v in by_shift.items()},
+    )
 
 
 def bf_ordinary_hom(alg: MonomialAlgebra, p: Path, q: Path):
@@ -90,13 +82,13 @@ def bf_verify_perfect(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
         return False
     if alg.is_zero(p) or alg.is_zero(q):
         return False
-    if p.target != q.source or not alg.is_zero(p * q):
+    if p.target != q.source or not alg.concat_zero(p, q):
         return False
     for u in alg.nontrivial_basis:
-        if u.source == p.target and alg.is_zero(p * u):
+        if u.source == p.target and alg.concat_zero(p, u):
             if not q.left_divides(u):
                 return False
-        if u.target == q.source and alg.is_zero(u * q):
+        if u.target == q.source and alg.concat_zero(u, q):
             if not p.right_divides(u):
                 return False
     return True
@@ -243,12 +235,9 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         ]
         candidates += rng.sample(pool, min(60, len(pool)))
         candidates += pairs
-    bf_true = {
-        (p, q) for p, q in set(candidates) if bf_verify_perfect(alg, p, q)
-    }
-    fast_true = {
-        (p, q) for p, q in set(candidates) if is_perfect_pair(alg, p, q)
-    }
+    candidates = set(candidates)
+    bf_true = {(p, q) for p, q in candidates if bf_verify_perfect(alg, p, q)}
+    fast_true = {(p, q) for p, q in candidates if is_perfect_pair(alg, p, q)}
     check(
         "perfect-pairs-match-bruteforce",
         bf_true == fast_true,
@@ -256,10 +245,12 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         f"fast only: {sorted(map(str, fast_true - bf_true))[:3]}",
     )
     # Perfect paths are the periodic points of the pair assignment, a
-    # strictly smaller set than the pairs themselves in general.
+    # strictly smaller set than the pairs themselves in general.  Every
+    # successor pair is a candidate (a pair of non-trivial basis paths, or
+    # added explicitly when sampling), so its verdict is already in bf_true.
     check(
         "perfect-paths-are-periodic-pairs",
-        all(bf_verify_perfect(alg, p, q) for p, q in pairs),
+        set(pairs) <= bf_true,
         "an enumerated successor pair fails the literal definition",
     )
 
@@ -318,34 +309,37 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         factor_ok,
         "exhaustive cut search disagrees with the greedy factorization",
     )
+    # Every brute-force table below is built once and read by each row
+    # that needs it; the co-elementary paths are perfect paths.
+    overlaps = {
+        (p, q): detect_overlap(alg, p, q) for p in pset.paths for q in pset.paths
+    }
     check(
         "no-overlap-between-coelementary",
         all(
-            detect_overlap(alg, r, s) is None
+            overlaps[r, s] is None
             for r in an.coelementary
             for s in an.coelementary
         ),
         "two co-elementary paths overlap",
     )
 
-    overlap_class_ok = True
+    cross = ""  # names the first overlapping pair that straddles two classes
     intersection_perfect_ok = True
-    for p in pset.paths:
-        for q in pset.paths:
-            ov = detect_overlap(alg, p, q)
-            if ov is None:
-                continue
-            if an.locate(p)[0] is not an.locate(q)[0]:
-                overlap_class_ok = False
-            for u in alg.basis:
-                if (
-                    p.left_divides(u)
-                    and q.right_divides(u)
-                    and u.length < p.length + q.length
-                    and u not in pset.successor
-                ):
-                    intersection_perfect_ok = False
-    check("overlap-implies-same-class", overlap_class_ok, "")
+    for (p, q), ov in overlaps.items():
+        if ov is None:
+            continue
+        if not cross and an.locate(p)[0] is not an.locate(q)[0]:
+            cross = f"{p} and {q} overlap but lie in different classes"
+        for u in alg.basis:
+            if (
+                p.left_divides(u)
+                and q.right_divides(u)
+                and u.length < p.length + q.length
+                and u not in pset.successor
+            ):
+                intersection_perfect_ok = False
+    check("overlap-implies-same-class", not cross, cross)
     check(
         "overlap-intersection-paths-perfect",
         intersection_perfect_ok,
@@ -366,11 +360,7 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         )
 
     # --- no-overlap three-way equivalence ------------------------------------
-    no_overlap = all(
-        detect_overlap(alg, p, q) is None
-        for p in pset.paths
-        for q in pset.paths
-    )
+    no_overlap = all(ov is None for ov in overlaps.values())
     both_sets = set(an.elementary) == set(pset.paths) == set(an.coelementary)
     isolated = not an.hasse_prec.arrows and not an.hasse_leq.arrows
     check(
@@ -382,42 +372,41 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
 
     # --- stable homs ----------------------------------------------------------
     hom_ok = True
-    ungraded_ok = True
+    shift_sum = ""  # names the first pair whose Hom is not its shift sum
+    ungraded = {}
     for p in pset.paths:
         for q in pset.paths:
+            total, by_shift = bf_stable_hom(alg, p, q)
             for k in range(-2, q.length + 2):
-                bf_dim, bf_wit = bf_stable_hom(alg, p, q, k)
+                bf_wit = by_shift.get(k, ())
                 h = graded_stable_hom(
                     an, StableObject(p, 0), StableObject(q, k)
                 )
-                if h.dimension != bf_dim or bf_dim > 1:
+                if h.dimension != len(bf_wit) or len(bf_wit) > 1:
                     hom_ok = False
-                elif bf_dim == 1 and h.witness != bf_wit[0]:
+                elif bf_wit and h.witness != bf_wit[0]:
                     hom_ok = False
-            total, _ = bf_stable_hom(alg, p, q)
-            if ungraded_stable_hom(an, p, q).dimension != total:
-                ungraded_ok = False
+            ungraded[p, q] = ungraded_stable_hom(an, p, q).dimension
+            if not shift_sum and ungraded[p, q] != total:
+                shift_sum = (
+                    f"Hom({p}, {q}) has dimension {ungraded[p, q]}, "
+                    f"its shifts sum to {total}"
+                )
     check(
         "graded-hom-closed-form-vs-oracle",
         hom_ok,
         "bracket formula disagrees with the basis quotient",
     )
-    check("ungraded-hom-shift-sum", ungraded_ok, "")
+    check("ungraded-hom-shift-sum", not shift_sum, shift_sum)
 
-    overlap_hom_ok = True
-    for p in pset.paths:
-        for q in pset.paths:
-            if p == q:
-                endo = ungraded_stable_hom(an, p, p).dimension
-                if (endo > 1) != (detect_overlap(alg, p, p) is not None):
-                    overlap_hom_ok = False
-            else:
-                hom_qp = ungraded_stable_hom(an, q, p).dimension
-                if (hom_qp > 0) != (detect_overlap(alg, p, q) is not None):
-                    overlap_hom_ok = False
+    # An overlap of p with q is a non-zero Hom(q, p); an endomorphism ring
+    # of dimension > 1 is a self-overlap.
     check(
         "overlap-hom-criterion",
-        overlap_hom_ok,
+        all(
+            (ungraded[q, p] > (1 if p == q else 0)) == (ov is not None)
+            for (p, q), ov in overlaps.items()
+        ),
         "overlaps do not match non-vanishing stable Homs",
     )
 

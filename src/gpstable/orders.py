@@ -304,11 +304,11 @@ def decompose_cycle(
                     f"bracket window [{i + 1},{i + s + 1}] = {row[s]} is not "
                     f"{row[s - 1]} times {r}"
                 )
-        relation = row[-1].arrows + factors[(i + m) % n].arrows
-        if relation not in alg.relation_index.get(len(relation), ()):
+        r = factors[(i + m) % n]
+        if r.arrows not in alg.relation_splits.by_prefix.get(row[-1].arrows, ()):
             raise InternalConsistencyError(
-                f"window [{i + 1},{i + 1 + m}] = {'.'.join(relation)} is not a "
-                f"minimal relation"
+                f"window [{i + 1},{i + 1 + m}] = "
+                f"{'.'.join(row[-1].arrows + r.arrows)} is not a minimal relation"
             )
 
     elementary = tuple(sorted((row[-1] for row in windows), key=Path.sort_key))
@@ -358,13 +358,11 @@ def cycle_predicates(
             f"arrow-perfectness disagrees with |c| = l(c) on {cycle}"
         )
 
+    words = {rel.arrows for rel in alg.relations}
     found: int | None = None
-    for r in sorted(alg.relation_index):
-        if r < 2:
-            continue
+    for r in sorted({len(w) for w in words}):
         buf = cycle.arrows * (r // cycle.length + 2)
-        wins = (buf[t : t + r] for t in range(cycle.length))
-        if all(w in alg.relation_index[r] for w in wins):
+        if all(buf[t : t + r] in words for t in range(cycle.length)):
             found = r
             break
     if all_arrows and found is not None and found != dec.m + 1:

@@ -147,16 +147,6 @@ class TestParsing:
         doc["arrow_degrees"] = {"a": 2}
         assert parse_algebra(doc).arrow_degrees == {"a": 2}
 
-    def test_relation_index_groups_by_length(self):
-        alg = fixtures.lambda_star()
-        assert alg.relation_index == {
-            7: {("a3", "a1", "a2", "a3", "a1", "a2", "a3")},
-            8: {
-                ("a1", "a2", "a3", "a1", "a2", "a3", "a1", "a2"),
-                ("a4", "a5", "a4", "a5", "a4", "a5", "a4", "a5"),
-            },
-        }
-
     def test_deeply_nested_json_is_input_error(self):
         with pytest.raises(InputError, match="malformed JSON document"):
             parse_algebra("[" * 100000)

@@ -193,6 +193,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", STAR)
         assert code == 2
         assert "FAIL" in out and "1 failure(s)" in out
+        code, out, _ = run(capsys, "verify", STAR, "--json")
+        assert code == 2 and json.loads(out)[0]["checks"][0]["ok"] is False
 
 
     def test_stage_error_is_a_fail_row(self, capsys, monkeypatch):

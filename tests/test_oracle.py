@@ -1,12 +1,17 @@
+import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpstable import fixtures
-from gpstable.algebra import parse_path_string
+from gpstable import fixtures, oracle
+from gpstable.algebra import Path, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import (
+    FULL_PAIR_SCAN_LIMIT,
     bf_factorizations,
     bf_ordinary_hom,
     bf_ses_dims,
@@ -114,6 +119,97 @@ class TestVerifySuite:
         assert len(tables) == 6
         for _, checks in tables:
             assert all(c.ok for c in checks)
+
+
+# lambda_star is sampled (99 non-trivial basis paths), N(3,3) fully scanned.
+SAMPLED, FULL = fixtures.lambda_star, lambda: fixtures.nakayama(3, 3)
+
+
+class TestBatteryWork:
+    """One verify_algebra call computes each brute-force table once."""
+
+    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["sampled", "full-scan"])
+    def test_each_table_once(self, make, monkeypatch):
+        alg = make()
+        calls = Counter()
+        for name in ("detect_overlap", "ungraded_stable_hom", "bf_stable_hom"):
+
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        checked, inside, products = [], [], []
+        real_perfect, real_mul = oracle.bf_verify_perfect, Path.__mul__
+
+        def perfect(alg, p, q):
+            checked.append((p, q))
+            inside.append(True)
+            try:
+                return real_perfect(alg, p, q)
+            finally:
+                inside.pop()
+
+        def mul(self, other):
+            if inside:
+                products.append((self, other))
+            return real_mul(self, other)
+
+        monkeypatch.setattr(oracle, "bf_verify_perfect", perfect)
+        monkeypatch.setattr(Path, "__mul__", mul)
+        assert all(c.ok for c in verify_algebra(alg, random.Random(1)))
+
+        pset = Analysis(alg).perfect
+        n = len(pset.paths) ** 2
+        assert calls == Counter(
+            detect_overlap=n, ungraded_stable_hom=n, bf_stable_hom=n
+        )
+        assert len(checked) == len(set(checked)) and not products
+        basis = alg.nontrivial_basis
+        if len(basis) <= FULL_PAIR_SCAN_LIMIT:
+            assert set(checked) == set(itertools.product(basis, basis))
+        else:
+            assert set(pset.successor.items()) <= set(checked)
+
+    def test_rng_draws_one_sample_when_sampling(self):
+        alg = SAMPLED()
+        assert len(alg.nontrivial_basis) > FULL_PAIR_SCAN_LIMIT
+        rng, ref = random.Random(5), random.Random(5)
+        verify_algebra(alg, rng)
+        basis = alg.nontrivial_basis
+        pool = [(p, q) for p in basis for q in basis if p.target == q.source]
+        ref.sample(pool, min(60, len(pool)))
+        assert rng.getstate() == ref.getstate()
+
+    def test_rng_untouched_when_scanning(self):
+        alg = FULL()
+        assert len(alg.nontrivial_basis) <= FULL_PAIR_SCAN_LIMIT
+        rng = random.Random(5)
+        verify_algebra(alg, rng)
+        assert rng.getstate() == random.Random(5).getstate()
+
+
+def _row(results, name):
+    (row,) = [c for c in results if c.name == name]
+    return row
+
+
+class TestFailureDetails:
+    def test_overlap_across_classes_names_a_pair(self, monkeypatch):
+        # every pair of perfect paths overlaps, across both classes too
+        monkeypatch.setattr(oracle, "detect_overlap", lambda alg, p, q: object())
+        row = _row(verify_algebra(fixtures.lambda_star()), "overlap-implies-same-class")
+        assert not row.ok and "overlap" in row.detail
+
+    def test_shift_sum_names_a_pair(self, monkeypatch):
+        real = oracle.ungraded_stable_hom
+        monkeypatch.setattr(
+            oracle,
+            "ungraded_stable_hom",
+            lambda an, p, q: SimpleNamespace(dimension=real(an, p, q).dimension + 1),
+        )
+        row = _row(verify_algebra(fixtures.lambda_star()), "ungraded-hom-shift-sum")
+        assert not row.ok and row.detail.startswith("Hom(")
 
 
 @settings(max_examples=30, deadline=None)

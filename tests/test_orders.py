@@ -7,6 +7,7 @@ import pytest
 from gpstable import fixtures
 from gpstable.algebra import (
     InternalConsistencyError,
+    RelationSplits,
     parse_algebra,
     parse_path_string,
 )
@@ -21,6 +22,7 @@ from gpstable.orders import (
     PREC,
     coelementary_factorization,
     cycle_predicates,
+    decompose_cycle,
     hasse_quiver,
     order_compare,
 )
@@ -400,6 +402,15 @@ class TestCyclePredicates:
             preds = cycle_predicates(an.algebra, dec, an.perfect.paths)
             assert preds.all_arrows_perfect
             assert preds.relation_length == m + 1
+
+
+def test_decompose_names_a_closing_window_that_is_no_relation():
+    an = Analysis(fixtures.loop(2))
+    (cls,), hasse, successor = an.classes, an.hasse_prec, an.perfect.successor
+    alg = an.algebra
+    alg.relation_splits = RelationSplits({}, {})  # no relation left to close a row
+    with pytest.raises(InternalConsistencyError, match=r"= x\.x\.x is not a minimal"):
+        decompose_cycle(alg, cls, hasse, successor)
 
 
 def test_hasse_rejects_non_chain_posets():
