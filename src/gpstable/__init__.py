@@ -27,11 +27,9 @@ from .orders import (
     CyclePredicates,
     HasseQuiver,
     classify_elementary,
-    coelementary_factorization,
     cycle_predicates,
     decompose_cycle,
     hasse_quiver,
-    order_compare,
 )
 from .perfect import (
     Overlap,
@@ -41,8 +39,6 @@ from .perfect import (
     enumerate_perfect_paths,
     is_perfect_pair,
     left_annihilators,
-    min_rotation,
-    primitive_root,
     right_annihilators,
     underlying_cycle_classes,
 )

@@ -135,15 +135,6 @@ class Path:
     def subpath_of(self, other: "Path") -> bool:
         return next(iter(self.occurrences_in(other)), None) is not None
 
-    def rotation(self, s: int) -> "Path":
-        """Cyclic rotation starting at arrow position ``s`` (cycles only)."""
-        if self.source != self.target:
-            raise InputError(f"{self} is not a cycle")
-        s %= max(self.length, 1)
-        if s == 0:
-            return self
-        return self.window(s, self.length) * self.window(0, s)
-
     def __str__(self) -> str:
         if self.is_trivial:
             return f"e({self.source})"
@@ -174,6 +165,11 @@ class Quiver:
         seen = set()
         vset = set(self.vertices)
         for a in self.arrows:
+            if not a.id or "." in a.id:
+                raise InputError(
+                    f"arrow id {a.id!r} must be non-empty and free of '.', "
+                    f"which joins arrows in path strings"
+                )
             if a.id in seen:
                 raise InputError(f"duplicate arrow id {a.id!r}")
             seen.add(a.id)
@@ -394,11 +390,13 @@ class MonomialAlgebra:
         quiver: Quiver,
         relations: Sequence[Path],
         arrow_degrees: Mapping[str, int] | None = None,
-        warnings: Sequence[str] = (),
     ):
         self.quiver = quiver
-        notes = list(warnings)
+        notes = []
 
+        # arrow word -> position among the distinct relations, in input
+        # order; a non-trivial path is determined by its arrows
+        position: dict[tuple[str, ...], int] = {}
         cleaned: list[Path] = []
         for k, r in enumerate(relations):
             if r.length < 2:
@@ -406,16 +404,26 @@ class MonomialAlgebra:
                     f"relation #{k} ({r}) has length {r.length}; monomial "
                     f"relations must have length >= 2"
                 )
-            if r in cleaned:
+            if r.arrows in position:
                 notes.append(f"duplicate relation {r} dropped")
             else:
+                position[r.arrows] = len(cleaned)
                 cleaned.append(r)
+        lengths = sorted({r.length for r in cleaned})
         minimal = []
         for r in cleaned:
-            covers = [s for s in cleaned if s != r and s.subpath_of(r)]
+            w = r.arrows
+            covers = [
+                position[w[s : s + n]]
+                for n in lengths
+                if n < len(w)
+                for s in range(len(w) - n + 1)
+                if w[s : s + n] in position
+            ]
             if covers:
                 notes.append(
-                    f"relation {r} dropped: contains {covers[0]} as a subpath"
+                    f"relation {r} dropped: contains {cleaned[min(covers)]} "
+                    f"as a subpath"
                 )
             else:
                 minimal.append(r)

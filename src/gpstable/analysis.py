@@ -99,10 +99,6 @@ class Analysis:
             raise InputError(f"{p} is not a perfect path of this algebra")
         return found
 
-    def decomposition_for(self, p: Path) -> CycleDecomposition:
-        """The decomposition of the class a perfect path belongs to."""
-        return self.locate(p)[0]
-
 
 def analyze(source) -> Analysis:
     """Build an :class:`Analysis` from an algebra, document dict or JSON text."""

@@ -138,6 +138,12 @@ def graded_ar_window(
     return ar_quiver(an, [(dec, range(shift_lo, shift_hi + 1))])
 
 
+def dump_json(data) -> str:
+    """The one JSON serializer of every ``--json`` output: two-space
+    indent, sorted keys, a closing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _quote(text: str) -> str:
     return '"' + text.replace('"', r"\"") + '"'
 
@@ -192,7 +198,7 @@ def translation_quiver_json(tq: TranslationQuiver) -> str:
         "arrows": [[_node_id(a), _node_id(b)] for a, b in tq.arrow_pairs()],
         "tau": [[_node_id(a), _node_id(b)] for a, b in tq.tau_pairs()],
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return dump_json(data)
 
 
 def hasse_dot(h: HasseQuiver) -> str:
@@ -218,7 +224,7 @@ def hasse_json(h: HasseQuiver) -> str:
         "arrows": [[str(a), str(b)] for a, b in h.arrows],
         "components": [[str(v) for v in chain] for chain in h.components],
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return dump_json(data)
 
 
 def emit(quiver, fmt: str) -> str:

@@ -8,13 +8,12 @@ codes: 0 success, 1 input error, 2 verification failure, 3 internal error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path as FilePath
 
 from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_path_string
 from .analysis import Analysis
-from .arquiver import ar_quiver, emit, full_ungraded_ar_quiver
+from .arquiver import ar_quiver, dump_json, emit, full_ungraded_ar_quiver
 from .oracle import verify_suite
 from .stable import (
     DEFAULT_GRADING,
@@ -42,10 +41,6 @@ def _write(text: str, output: str | None) -> None:
             raise InputError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _analysis_summary(an: Analysis) -> dict:
@@ -87,7 +82,7 @@ def _cmd_analyze(args) -> int:
     an = _load(args.file)
     data = _analysis_summary(an)
     if args.json:
-        _write(_dump_json(data), args.output)
+        _write(dump_json(data), args.output)
         return 0
     lines = [
         f"Algebra: {data['vertices']} vertices, {data['arrows']} arrows, "
@@ -136,7 +131,7 @@ def _cmd_classify(args) -> int:
     grading = WEIGHTED_GRADING if args.weighted else DEFAULT_GRADING
     report = classify(an, grading)
     if args.json:
-        _write(_dump_json(report.to_json_dict()), args.output)
+        _write(dump_json(report.to_json_dict()), args.output)
         return 0
     lines = []
     if report.cm_free:
@@ -194,7 +189,7 @@ def _cmd_hom(args) -> int:
         text = f"dim Hom({src}L, {dst}L) = {h.dimension}\n"
         for k, w in h.by_shift or ():
             text += f"  shift {k}: witness {w}\n"
-    _write(_dump_json(data) if args.json else text, args.output)
+    _write(dump_json(data) if args.json else text, args.output)
     return 0
 
 
@@ -232,7 +227,7 @@ def _cmd_verify(args) -> int:
             }
             for name, checks in tables
         ]
-        _write(_dump_json(data), args.output)
+        _write(dump_json(data), args.output)
     else:
         lines = []
         for name, checks in tables:

@@ -41,25 +41,19 @@ from .stable import (
 FULL_PAIR_SCAN_LIMIT = 70  # basis size under which every pair is bf-checked
 
 
-def bf_stable_hom(
-    alg: MonomialAlgebra, p: Path, q: Path, shift: int | None = None
-):
-    """Dimension/basis of stable Hom(pL, qL(k)) from the path basis.
+def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
+    """Dimension/basis of stable Hom(pL, qL) from the path basis.
 
-    The graded piece at k is spanned by the basis paths u with q as left
-    divisor, p as right divisor and l(u) = k + l(p); pieces with
-    k >= l(q) land in the image of a projective and die.  Returns
-    ``(dim, witnesses)`` for one shift, or ``(total, {k: witnesses})``
-    over all shifts when ``shift`` is None.
+    The graded piece at k, Hom(pL, qL(k)), is spanned by the basis paths u
+    with q as left divisor, p as right divisor and l(u) = k + l(p); pieces
+    with k >= l(q) land in the image of a projective and die.  Returns
+    ``(total, {k: witnesses})`` over the shifts with a non-zero piece.
     """
     by_shift: dict[int, list[Path]] = {}
     for u in alg.basis_sorted:  # one pass, bucketed by shift
         k = u.length - p.length
         if 0 <= k < q.length and q.left_divides(u) and p.right_divides(u):
             by_shift.setdefault(k, []).append(u)
-    if shift is not None:
-        hits = tuple(by_shift.get(shift, ()))
-        return len(hits), hits
     return (
         sum(len(v) for v in by_shift.values()),
         {k: tuple(v) for k, v in by_shift.items()},

@@ -16,38 +16,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .algebra import InternalConsistencyError, InputError, MonomialAlgebra, Path
 from .perfect import UnderlyingCycleClass
 
 PREC = "prec"  # p below q iff p is a left divisor of q
 LEQ = "leq"  # p below q iff q is a right divisor of p
-
-EQUAL = "equal"
-LESS = "less"
-GREATER = "greater"
-INCOMPARABLE = "incomparable"
-
-
-def _below(p: Path, q: Path, order: str) -> bool:
-    if order == PREC:
-        return p.left_divides(q)
-    if order == LEQ:
-        return q.right_divides(p)
-    raise InputError(f"unknown order {order!r}; use {PREC!r} or {LEQ!r}")
-
-
-def order_compare(p: Path, q: Path, order: str) -> str:
-    le = _below(p, q, order)
-    ge = _below(q, p, order)
-    if le and ge:
-        return EQUAL
-    if le:
-        return LESS
-    if ge:
-        return GREATER
-    return INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -72,17 +47,6 @@ class HasseQuiver:
     def sinks(self) -> tuple[Path, ...]:
         tails = {a for a, _ in self.arrows}
         return tuple(v for v in self.vertices if v not in tails)
-
-    def chain_above(self, p: Path) -> tuple[Path, ...]:
-        """The vertices above ``p`` (inclusive), read from the top down.
-
-        In the prefix order this is the ascending filtration of the cyclic
-        module of ``p`` by submodules with elementary factors.
-        """
-        for chain in self.components:
-            if p in chain:
-                return chain[: chain.index(p) + 1]
-        raise InputError(f"{p} is not a vertex of this Hasse quiver")
 
 
 def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
@@ -152,40 +116,6 @@ def classify_elementary(
     return elementary, coelementary
 
 
-def coelementary_factorization(
-    p: Path, coelementary: Iterable[Path]
-) -> tuple[Path, ...]:
-    """Greedy unique factorization of a perfect path into co-elementary ones.
-
-    At every step there is exactly one co-elementary left divisor of the
-    remaining suffix; anything else falsifies the implementation.
-    """
-    coel = tuple(coelementary)
-    factors: list[Path] = []
-    rest = p
-    while not rest.is_trivial:
-        hits = [r for r in coel if r.left_divides(rest)]
-        if len(hits) != 1:
-            raise InternalConsistencyError(
-                f"{p} has no unique factorization into co-elementary paths"
-            )
-        factors.append(hits[0])
-        rest = rest.window(hits[0].length, rest.length)
-    return tuple(factors)
-
-
-def _realize(factors: Sequence[Path], i: int, j: int) -> Path:
-    """The path r_i r_{i+1} ... r_j over cyclically indexed ``factors``,
-    trivial at s(r_i) when i > j."""
-    n = len(factors)
-    out = factors[(i - 1) % n]
-    if i > j:
-        return Path((), (out.source,))
-    for t in range(i, j):
-        out = out * factors[t % n]
-    return out
-
-
 @dataclass(frozen=True)
 class CycleDecomposition:
     """An underlying cycle rotated to a co-elementary boundary.
@@ -207,7 +137,6 @@ class CycleDecomposition:
     chain: tuple[Path, ...]
     elementary: tuple[Path, ...]
     coelementary: tuple[Path, ...]
-    phi: dict[Path, Path] = field(compare=False)
     windows: tuple[tuple[Path, ...], ...] = field(compare=False)
     # partial sums of the factor lengths: prefix_lengths[t] = l(r_1 ... r_t)
     prefix_lengths: tuple[int, ...] = field(compare=False, repr=False)
@@ -223,11 +152,14 @@ class CycleDecomposition:
         return self.factor(i).length
 
     def realize(self, i: int, j: int) -> Path:
-        """The path r_i r_{i+1} ... r_j, trivial at s(r_i) when i > j;
-        a perfect window is the class member itself."""
-        if 0 <= j - i < self.m:
-            return self.windows[(i - 1) % self.size][j - i]
-        return _realize(self.factors, i, j)
+        """The class member that realizes r_i r_{i+1} ... r_j, for
+        ``0 <= j - i < m``; any other window is an input error."""
+        if not 0 <= j - i < self.m:
+            raise InputError(
+                f"window [{i},{j}] spans {j - i + 1} factors; perfect windows "
+                f"span 1..{self.m}"
+            )
+        return self.windows[(i - 1) % self.size][j - i]
 
     def offset(self, i: int) -> int:
         """Signed arrow length from the start of r_1 to the start of r_i."""
@@ -312,8 +244,7 @@ def decompose_cycle(
             )
 
     elementary = tuple(sorted((row[-1] for row in windows), key=Path.sort_key))
-    phi = {x: successor.get(x) for x in elementary}
-    if set(phi.values()) != set(factors):
+    if {successor.get(x) for x in elementary} != set(factors):
         raise InternalConsistencyError(
             f"elementary/co-elementary bijection failed for {anchored}"
         )
@@ -328,7 +259,6 @@ def decompose_cycle(
         chain=windows[0],
         elementary=elementary,
         coelementary=tuple(sorted(factors, key=Path.sort_key)),
-        phi=phi,
         windows=windows,
         prefix_lengths=tuple(itertools.accumulate([0] + [r.length for r in factors])),
     )

@@ -96,7 +96,6 @@ class PerfectPathSet:
     paths: tuple[Path, ...]
     sequences: tuple[tuple[Path, ...], ...]
     successor: dict[Path, Path]
-    predecessor: dict[Path, Path]
     cm_free: bool
 
 
@@ -155,13 +154,10 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     if len(canon) != len(paths):
         raise InternalConsistencyError("successor cycles are not disjoint")
     sequences = tuple(tuple(canon[p] for p in c) for c in cycles)
-    successor = {p: canon[sigma[p]] for p in paths}
-    predecessor = {q: p for p, q in successor.items()}
     return PerfectPathSet(
         paths=paths,
         sequences=sequences,
-        successor=successor,
-        predecessor=predecessor,
+        successor={p: canon[sigma[p]] for p in paths},
         cm_free=not paths,
     )
 
@@ -177,20 +173,6 @@ def _least_rotation(word: tuple[str, ...]) -> int:
     return min(range(len(word)), key=lambda s: word[s:] + word[:s])
 
 
-def primitive_root(cycle: Path) -> Path:
-    """Shortest cycle ``c`` with ``cycle = c**k``."""
-    if cycle.source != cycle.target or cycle.is_trivial:
-        raise InputError(f"{cycle} is not a non-trivial cycle")
-    return cycle.prefix(_root_length(cycle.arrows))
-
-
-def min_rotation(cycle: Path) -> Path:
-    """Lexicographically smallest rotation under the global path order."""
-    if cycle.is_trivial:
-        return cycle
-    return cycle.rotation(_least_rotation(cycle.arrows))
-
-
 @dataclass(frozen=True)
 class UnderlyingCycleClass:
     """An equivalence class of underlying cycles, up to rotation.
@@ -201,7 +183,6 @@ class UnderlyingCycleClass:
 
     cycle: Path
     members: tuple[Path, ...]
-    sequence_indices: tuple[int, ...]
 
 
 def underlying_cycle_classes(
@@ -209,23 +190,19 @@ def underlying_cycle_classes(
 ) -> tuple[UnderlyingCycleClass, ...]:
     """Group the successor cycles by the least rotation of the primitive root
     of their product, taken on arrow words; one path is built per class."""
-    grouped: dict[tuple[str, ...], tuple[list[Path], list[int]]] = {}
-    for idx, seq in enumerate(pset.sequences):
+    grouped: dict[tuple[str, ...], list[Path]] = {}
+    for seq in pset.sequences:
         word = tuple(a for p in seq for a in p.arrows)
         root = word[: _root_length(word)]
         s = _least_rotation(root)
-        members, seqs = grouped.setdefault(root[s:] + root[:s], ([], []))
-        members.extend(seq)  # the successor cycles are disjoint
-        seqs.append(idx)
+        # the successor cycles are disjoint
+        grouped.setdefault(root[s:] + root[:s], []).extend(seq)
     return tuple(
         UnderlyingCycleClass(
             cycle=alg.quiver.path(canon),
             members=tuple(sorted(members, key=Path.sort_key)),
-            sequence_indices=tuple(seqs),
         )
-        for canon, (members, seqs) in sorted(
-            grouped.items(), key=lambda kv: _word_key(kv[0])
-        )
+        for canon, members in sorted(grouped.items(), key=lambda kv: _word_key(kv[0]))
     )
 
 
@@ -238,10 +215,6 @@ class Overlap:
     left: Path
     middle: Path
     right: Path
-
-    @property
-    def witness_path(self) -> Path:
-        return self.left * self.middle * self.right
 
 
 def detect_overlap(alg: MonomialAlgebra, p: Path, q: Path) -> Overlap | None:

@@ -21,22 +21,12 @@ WEIGHTED_GRADING = "weighted"
 
 @dataclass(frozen=True)
 class StableObject:
-    """A labelled indecomposable ``pL(shift)``, or the zero object."""
+    """A labelled indecomposable ``pL(shift)``."""
 
-    path: Path | None
+    path: Path
     shift: int = 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.path is None
-
-    @staticmethod
-    def zero() -> "StableObject":
-        return StableObject(None, 0)
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         if self.shift:
             return f"{self.path}({self.shift})"
         return f"{self.path}"
@@ -80,8 +70,6 @@ def graded_stable_hom(
     Cross-class Hom spaces vanish; within a class the bracket coordinates
     decide existence, and the witness is the composite factor window.
     """
-    if src.is_zero or dst.is_zero:
-        raise InputError("graded_stable_hom is defined on non-zero objects")
     dec, i, span_p = an.locate(src.path)
     dec_q, i2, span_q = an.locate(dst.path)
     if dec is not dec_q:
@@ -119,8 +107,6 @@ def suspend(an: Analysis, obj: StableObject, power: int) -> StableObject:
     since ``pq`` is a relation window of m+1 factors.  Two steps move the
     window m+1 factors back and keep its span.
     """
-    if obj.is_zero:
-        raise InputError("cannot suspend the zero object")
     dec, i, span = an.locate(obj.path)
     half, odd = divmod(power, 2)
     a = i - half * (dec.m + 1)
@@ -162,14 +148,10 @@ def _tau(dec: CycleDecomposition, i: int, span: int, shift: int) -> StableObject
 
 def ar_translate(an: Analysis, obj: StableObject) -> StableObject:
     """tau of ``[i, i+m-1]L(j)`` is ``[i+1, i+m]L(j - l(r_i))``."""
-    if obj.is_zero:
-        raise InputError("cannot translate the zero object")
     return _tau(*an.locate(obj.path), obj.shift)
 
 
 def ar_translate_inverse(an: Analysis, obj: StableObject) -> StableObject:
-    if obj.is_zero:
-        raise InputError("cannot translate the zero object")
     dec, i, span = an.locate(obj.path)
     shift = obj.shift + dec.factor_length(i - 1)
     return StableObject(dec.realize(i - 1, i + span - 2), shift)
@@ -192,8 +174,6 @@ class ARTriangle:
 
 
 def ar_triangle(an: Analysis, obj: StableObject) -> ARTriangle:
-    if obj.is_zero:
-        raise InputError("no Auslander-Reiten triangle at the zero object")
     dec, i, span = an.locate(obj.path)
     tau_obj = _tau(dec, i, span, obj.shift)
     middles = []
@@ -212,17 +192,13 @@ def ar_triangle(an: Analysis, obj: StableObject) -> ARTriangle:
     )
 
 
-def tau_periodicity_check(
-    an: Analysis, dec: CycleDecomposition, samples=None
-) -> bool:
-    """tau^{|c|} acts as the shift (-l(c)) on every sampled object."""
-    if samples is None:
-        samples = [StableObject(p, 0) for p in dec.members]
-    for start in samples:
-        cur = start
+def tau_periodicity_check(an: Analysis, dec: CycleDecomposition) -> bool:
+    """tau^{|c|} acts as the shift (-l(c)) on every object ``pL(0)`` of the class."""
+    for p in dec.members:
+        cur = StableObject(p, 0)
         for _ in range(dec.size):
             cur = ar_translate(an, cur)
-        if cur != StableObject(start.path, start.shift - dec.arrow_length):
+        if cur != StableObject(p, -dec.arrow_length):
             return False
     return True
 

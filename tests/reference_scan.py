@@ -72,11 +72,16 @@ def reduction_hasse_arrows(paths, order):
     return tuple(sorted(arrows, key=lambda e: (e[0].sort_key(), e[1].sort_key())))
 
 
+def rotation(cycle, s):
+    """The cycle read from arrow position ``s`` on, as a ``Path`` product."""
+    return cycle if s == 0 else cycle.window(s, cycle.length) * cycle.window(0, s)
+
+
 def path_cycle_classes(pset):
-    """(cycle, members, sequence indices) per class: each successor cycle's
-    product, its primitive root and least rotation taken on ``Path``s."""
+    """(cycle, members) per class: each successor cycle's product, its
+    primitive root and least rotation taken on ``Path``s."""
     grouped = {}
-    for idx, seq in enumerate(pset.sequences):
+    for seq in pset.sequences:
         product = reduce(lambda a, b: a * b, seq)
         n = product.length
         root = next(
@@ -85,16 +90,12 @@ def path_cycle_classes(pset):
             if n % d == 0 and product.prefix(d).arrows * (n // d) == product.arrows
         )
         canon = min(
-            (root.rotation(s) for s in range(root.length)), key=Path.sort_key
+            (rotation(root, s) for s in range(root.length)), key=Path.sort_key
         )
-        members, seqs = grouped.setdefault(canon, (set(), []))
-        members.update(seq)
-        seqs.append(idx)
+        grouped.setdefault(canon, set()).update(seq)
     return tuple(
-        (canon, tuple(sorted(members, key=Path.sort_key)), tuple(seqs))
-        for canon, (members, seqs) in sorted(
-            grouped.items(), key=lambda kv: kv[0].sort_key()
-        )
+        (canon, tuple(sorted(members, key=Path.sort_key)))
+        for canon, members in sorted(grouped.items(), key=lambda kv: kv[0].sort_key())
     )
 
 

@@ -68,6 +68,54 @@ class TestParsing:
         assert [str(r) for r in alg.relations] == ["x.x"]
         assert any("x.x.x" in w for w in alg.warnings)
 
+    def test_relation_cover_named_in_input_order(self):
+        # x.y.x.y contains y.x.y, y.x and x.y; the warning names the first of
+        # them in input order, a non-minimal relation included
+        doc = {
+            "vertices": ["1"],
+            "arrows": [
+                {"id": "x", "from": "1", "to": "1"},
+                {"id": "y", "from": "1", "to": "1"},
+            ],
+            "relations": [
+                ["x", "y", "x", "y"], ["y", "x", "y"], ["y", "x"], ["y", "x"],
+                ["x", "x"], ["x", "y"], ["y", "y"],
+            ],
+        }
+        alg = parse_algebra(doc)
+        assert [str(r) for r in alg.relations] == ["x.x", "x.y", "y.x", "y.y"]
+        assert alg.warnings == (
+            "duplicate relation y.x dropped",
+            "relation x.y.x.y dropped: contains y.x.y as a subpath",
+            "relation y.x.y dropped: contains y.x as a subpath",
+        )
+
+    def test_minimality_reads_words_not_subpath_scans(self, monkeypatch):
+        # one vertex, 40 loops and all 1600 quadratic relations: a pairwise
+        # subpath scan made this quadratic in the number of relations
+        def refuse(*args):
+            raise AssertionError("relation minimality scanned subpaths")
+
+        monkeypatch.setattr(Path, "subpath_of", refuse)
+        monkeypatch.setattr(Path, "occurrences_in", refuse)
+        loops = [f"x{k}" for k in range(40)]
+        doc = {
+            "vertices": ["1"],
+            "arrows": [{"id": a, "from": "1", "to": "1"} for a in loops],
+            "relations": [[a, b] for a in loops for b in loops],
+        }
+        alg = parse_algebra(doc)
+        assert len(alg.relations) == 1600 and not alg.warnings
+
+    @pytest.mark.parametrize("arrow_id", ["a.b", ""])
+    def test_arrow_id_must_survive_path_strings(self, arrow_id):
+        # path strings join arrow ids with '.', so "a.b" would read as two
+        # arrows and "" would print as an empty path
+        doc = fixtures.a2_document()
+        doc["arrows"][0]["id"] = arrow_id
+        with pytest.raises(InputError, match=f"arrow id {arrow_id!r} must be non-empty"):
+            parse_algebra(doc)
+
     def test_short_relation_rejected(self):
         doc = fixtures.loop_document(1)
         doc["relations"] = [["x"]]

@@ -42,14 +42,14 @@ def tau_paths(tq):
 
 class TestUngraded:
     def test_three_cycle_component(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         tq = ungraded_ar_quiver(star_an, dec)
         assert len(tq.vertices) == 8
         assert arrow_paths(tq) == THREE_CYCLE_ARROWS
         assert tau_paths(tq) == THREE_CYCLE_TAU
 
     def test_two_cycle_component(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a4.a5"))
+        dec = star_an.locate(pp(star_an, "a4.a5"))[0]
         tq = ungraded_ar_quiver(star_an, dec)
         assert len(tq.vertices) == 3
         assert arrow_paths(tq) == TWO_CYCLE_ARROWS
@@ -118,7 +118,7 @@ class TestGradedWindow:
         assert tq.vertices[0].incomplete
 
     def test_components_count_is_period(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         tq = graded_ar_window(star_an, dec, -3, 3)
         import collections
 
@@ -201,7 +201,7 @@ class TestGradedWindow:
         assert got == expected
 
     def test_interior_vertices_complete(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a4.a5"))
+        dec = star_an.locate(pp(star_an, "a4.a5"))[0]
         tq = graded_ar_window(star_an, dec, -6, 6)
         inner = [v for v in tq.vertices if abs(v.shift) <= 2]
         assert inner and all(not v.incomplete for v in inner)

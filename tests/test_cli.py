@@ -255,6 +255,20 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("arrow_id", ["a.b", ""])
+    def test_arrow_id_outside_path_strings_exits_1(self, capsys, tmp_path, arrow_id):
+        # with arrow a.b, `hom --from a.b` used to read the arrows a and b
+        import gpstable.fixtures as fx
+
+        doc = fx.loop_document(1)
+        doc["arrows"][0]["id"] = arrow_id
+        doc["relations"] = [[arrow_id, arrow_id]]
+        f = tmp_path / "arrow_id.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hom", str(f), "--from", "a.b", "--to", "a.b")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: arrow id {arrow_id!r} must be non-empty")
+
     def test_boolean_degree_exits_1(self, capsys, tmp_path):
         import gpstable.fixtures as fx
 

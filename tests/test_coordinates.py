@@ -57,7 +57,7 @@ def assert_same_stable_data(an, paths):
                 want = ref.graded_stable_hom(an, StableObject(p, 0), StableObject(q, k))
                 assert got == want, (an.algebra.relations, p, q, k)
             assert ungraded_stable_hom(an, x, y) == ref.ungraded_stable_hom(an, p, q)
-        dec = an.decomposition_for(p)
+        dec = an.locate(p)[0]
         for shift in (0, 5):
             obj, want_obj = StableObject(x, shift), StableObject(p, shift)
             for power in range(-2 * (dec.m + 1), 2 * (dec.m + 1) + 1):

@@ -6,7 +6,9 @@ import pytest
 
 from gpstable import fixtures
 from gpstable.algebra import (
+    InputError,
     InternalConsistencyError,
+    Path,
     RelationSplits,
     parse_algebra,
     parse_path_string,
@@ -14,20 +16,14 @@ from gpstable.algebra import (
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_factorizations
 from gpstable.orders import (
-    EQUAL,
-    GREATER,
-    INCOMPARABLE,
     LEQ,
-    LESS,
     PREC,
-    coelementary_factorization,
     cycle_predicates,
     decompose_cycle,
     hasse_quiver,
-    order_compare,
 )
 from gpstable.perfect import enumerate_perfect_paths
-from reference_scan import equivalence_algebras, reduction_hasse_arrows
+from reference_scan import equivalence_algebras, reduction_hasse_arrows, rotation
 
 
 @pytest.fixture(scope="module")
@@ -39,32 +35,35 @@ def pp(an, text):
     return parse_path_string(an.algebra.quiver, text)
 
 
-class TestOrderCompare:
+def factorization(an, p):
+    """The co-elementary factors of a perfect path, read off its coordinates."""
+    dec, i, span = an.locate(p)
+    return tuple(dec.factor(t) for t in range(i, i + span))
+
+
+class TestDivisibilityOrders:
+    """p is below q in the prefix order when p left-divides q, and in the
+    suffix order when q right-divides p."""
+
     def test_prefix_order(self, star_an):
         a12 = pp(star_an, "a1.a2")
         a123 = pp(star_an, "a1.a2.a3")
-        assert order_compare(a12, a123, PREC) == LESS
-        assert order_compare(a123, a12, PREC) == GREATER
-        assert order_compare(a12, a12, PREC) == EQUAL
+        assert a12.left_divides(a123) and not a123.left_divides(a12)
 
     def test_suffix_order(self, star_an):
         # a3.a1.a2 is a right divisor of a1.a2.a3.a1.a2, which places the
         # longer path strictly below the shorter one.
         long = pp(star_an, "a1.a2.a3.a1.a2")
         short = pp(star_an, "a3.a1.a2")
-        assert order_compare(long, short, LEQ) == LESS
-        assert order_compare(short, long, LEQ) == GREATER
+        assert short.right_divides(long) and not long.right_divides(short)
 
     def test_incomparable(self, star_an):
-        assert (
-            order_compare(pp(star_an, "a3"), pp(star_an, "a4.a5"), PREC)
-            == INCOMPARABLE
-        )
+        a3, a45 = pp(star_an, "a3"), pp(star_an, "a4.a5")
+        assert not a3.left_divides(a45) and not a45.left_divides(a3)
 
     def test_reflexive(self, star_an):
         for p in star_an.perfect.paths:
-            assert order_compare(p, p, PREC) == EQUAL
-            assert order_compare(p, p, LEQ) == EQUAL
+            assert p.left_divides(p) and p.right_divides(p)
 
 
 PREC_COMPONENTS = [
@@ -143,26 +142,34 @@ class TestLinearHasseEquivalence:
 
 
 class TestFiltrationView:
+    """The prefix-order chain above p, read from the top down, is the end of
+    p's window row: [i, i+m-1] down to [i, i+span-1]."""
+
+    @staticmethod
+    def chain_above(an, p):
+        dec, i, span = an.locate(p)
+        return dec.windows[i - 1][span - 1 :][::-1]
+
     def test_chain_above(self, star_an):
-        h = star_an.hasse_prec
         p = pp(star_an, "a1.a2.a3")
-        assert [str(x) for x in h.chain_above(p)] == [
+        chain = self.chain_above(star_an, p)
+        assert [str(x) for x in chain] == [
             "a1.a2.a3.a1.a2.a3",
             "a1.a2.a3.a1.a2",
             "a1.a2.a3",
         ]
+        # the rows are the prefix-order Hasse chains
+        assert any(c[: len(chain)] == chain for c in star_an.hasse_prec.components)
         # successive quotients along the chain are elementary perfect paths:
         # each covering complement recombines with the predecessor pair.
-        chain = h.chain_above(p)
         for above, below in zip(chain, chain[1:]):
             assert below.left_divides(above)
             complement = above.window(below.length, above.length)
             assert complement in set(star_an.coelementary)
 
     def test_top_of_chain_is_elementary(self, star_an):
-        h = star_an.hasse_prec
         for p in star_an.perfect.paths:
-            assert h.chain_above(p)[0] in set(star_an.elementary)
+            assert self.chain_above(star_an, p)[0] in set(star_an.elementary)
 
 
 class TestElementary:
@@ -191,32 +198,26 @@ class TestElementary:
 class TestFactorization:
     def test_star_long_elementary(self, star_an):
         p = pp(star_an, "a1.a2.a3.a1.a2.a3")
-        facs = coelementary_factorization(p, star_an.coelementary)
+        facs = factorization(star_an, p)
         assert [str(f) for f in facs] == ["a1.a2", "a3", "a1.a2", "a3"]
 
     def test_already_coelementary(self, star_an):
         p = pp(star_an, "a3")
-        assert coelementary_factorization(p, star_an.coelementary) == (p,)
+        assert factorization(star_an, p) == (p,)
 
     def test_loop3_cube(self):
         an = Analysis(fixtures.loop(3))
         x = pp(an, "x")
-        assert coelementary_factorization(pp(an, "x.x.x"), an.coelementary) == (
-            x,
-            x,
-            x,
-        )
+        assert factorization(an, pp(an, "x.x.x")) == (x, x, x)
 
     def test_unique_by_exhaustion(self, star_an):
         for p in star_an.perfect.paths:
             facs = bf_factorizations(p, star_an.coelementary)
-            assert len(facs) == 1
-            assert facs[0] == coelementary_factorization(p, star_an.coelementary)
+            assert facs == (factorization(star_an, p),)
 
     def test_recomposition(self, star_an):
         for p in star_an.perfect.paths:
-            factors = coelementary_factorization(p, star_an.coelementary)
-            assert reduce(operator.mul, factors) == p
+            assert reduce(operator.mul, factorization(star_an, p)) == p
 
 
 def winding_twice():
@@ -255,7 +256,7 @@ def off_boundary_minimum():
 
 class TestDecomposition:
     def test_star_three_cycle(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         assert [str(f) for f in dec.factors] == ["a1.a2", "a3"]
         assert (dec.size, dec.arrow_length, dec.m) == (2, 3, 4)
         assert [str(p) for p in dec.chain] == [
@@ -266,7 +267,7 @@ class TestDecomposition:
         ]
 
     def test_star_two_cycle(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a4.a5"))
+        dec = star_an.locate(pp(star_an, "a4.a5"))[0]
         assert (dec.size, dec.arrow_length, dec.m) == (1, 2, 3)
 
     def test_factors_wind_twice(self):
@@ -297,10 +298,11 @@ class TestDecomposition:
             assert len(dec.elementary) == len(dec.coelementary) == dec.size
 
     def test_phi_bijection(self, star_an):
+        # phi: elementary -> co-elementary is the successor map
+        successor = star_an.perfect.successor
         for dec in star_an.decompositions:
-            assert sorted(dec.phi.values(), key=lambda p: p.sort_key()) == sorted(
-                dec.factors, key=lambda p: p.sort_key()
-            )
+            phi = sorted((successor[x] for x in dec.elementary), key=Path.sort_key)
+            assert phi == sorted(dec.factors, key=Path.sort_key)
 
 
 class TestDecompositionByCutSearch:
@@ -331,11 +333,11 @@ class TestDecompositionByCutSearch:
             for e in range(1, d):
                 power = reduce(operator.mul, [root] * e)
                 assert not any(
-                    bf_factorizations(power.rotation(s), coel) for s in range(root.length)
+                    bf_factorizations(rotation(power, s), coel) for s in range(root.length)
                 )
             # the anchor is the least rotation at a factor boundary
             for cut in dec.prefix_lengths[1:-1]:
-                assert anchored.arrows < anchored.rotation(cut).arrows
+                assert anchored.arrows < rotation(anchored, cut).arrows
             for i, row in enumerate(dec.windows, 1):
                 assert len(row) == dec.m
                 for span, p in enumerate(row, 1):
@@ -351,27 +353,30 @@ class TestDecompositionByCutSearch:
 
 class TestBracket:
     def test_realize_chain(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         path = dec.realize(1, 4)
         assert str(path) == "a1.a2.a3.a1.a2.a3" and not star_an.algebra.is_zero(path)
 
     def test_index_reduction(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         assert dec.realize(7, 7) == dec.factors[0]
 
     def test_zero_marker(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
-        path = dec.realize(1, 5)
+        # m + 1 factors make a relation, which no window realizes
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
+        path = reduce(operator.mul, [dec.factor(t) for t in range(1, dec.m + 2)])
         assert star_an.algebra.is_zero(path)
         assert path in set(star_an.algebra.relations)
+        with pytest.raises(InputError, match=r"window \[1,5\] spans 5 factors"):
+            dec.realize(1, dec.m + 1)
 
-    def test_empty_window_trivial(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
-        path = dec.realize(3, 2)
-        assert path.is_trivial and not star_an.algebra.is_zero(path)
+    def test_empty_window_rejected(self, star_an):
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
+        with pytest.raises(InputError, match=r"perfect windows span 1\.\.4"):
+            dec.realize(3, 2)
 
     def test_length_between(self, star_an):
-        dec = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec = star_an.locate(pp(star_an, "a1.a2"))[0]
         assert dec.length_between(1, 2) == 3
         assert dec.length_between(1, 4) == 6
         assert dec.length_between(2, 1) == 0
@@ -390,7 +395,7 @@ class TestCyclePredicates:
                 assert preds.relation_length == m + 1
 
     def test_star(self, star_an):
-        dec3 = star_an.decomposition_for(pp(star_an, "a1.a2"))
+        dec3 = star_an.locate(pp(star_an, "a1.a2"))[0]
         preds = cycle_predicates(star_an.algebra, dec3, star_an.perfect.paths)
         assert not preds.all_arrows_perfect
         assert not preds.repetition_free
