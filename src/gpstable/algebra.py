@@ -165,10 +165,10 @@ class Quiver:
         seen = set()
         vset = set(self.vertices)
         for a in self.arrows:
-            if not a.id or "." in a.id:
+            if not a.id or "." in a.id or a.id != a.id.strip():
                 raise InputError(
-                    f"arrow id {a.id!r} must be non-empty and free of '.', "
-                    f"which joins arrows in path strings"
+                    f"arrow id {a.id!r} must be non-empty, free of '.' (it joins "
+                    f"arrows in path strings) and of outer whitespace (they strip it)"
                 )
             if a.id in seen:
                 raise InputError(f"duplicate arrow id {a.id!r}")
@@ -231,21 +231,9 @@ def parse_path_string(quiver: Quiver, text: str) -> Path:
     return quiver.path(tuple(part for part in text.split(".")))
 
 
-class RelationSplits(NamedTuple):
-    """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation,
-    as arrow words.
-
-    ``by_prefix`` maps ``r[:cut]`` to the ``r[cut:]`` it is cut from, and
-    ``by_suffix`` maps ``r[cut:]`` to the ``r[:cut]``, in relation order.
-    """
-
-    by_prefix: dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
-    by_suffix: dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
-
-
 class RelationAutomaton(NamedTuple):
     """The factor-avoidance automaton of a minimal relation set, in the
-    style of Aho–Corasick.
+    style of Aho–Corasick, over the trie of the relations.
 
     A state is the longest suffix of the walk read so far that is a proper
     prefix of a relation; the empty suffix is one state per vertex, so
@@ -254,11 +242,24 @@ class RelationAutomaton(NamedTuple):
     and ``moves[s]`` maps each arrow out of that vertex to the next state.
     An arrow is missing from ``moves[s]`` exactly when reading it completes
     a relation, so a walk is non-zero iff it reads through without a miss.
+
+    The trie: ``fail[s]`` is the longest proper suffix of ``s`` that is a
+    state (``None`` on the empty ones), ``depth[s]`` its length, ``leaves[s]``
+    the number of relations with prefix ``s``.  ``relations`` are the sorted
+    relation words, so those below a state are a run; ``paths[i]`` are the
+    states ``relations[i][:k]``, ``k < |r|``, and ``tops[i]`` the longest
+    proper suffix of the whole relation that is a state (by minimality).
     """
 
     start: dict[str, int]
     vertex: tuple[str, ...]
     moves: tuple[dict[str, int], ...]
+    fail: tuple[int | None, ...]
+    depth: tuple[int, ...]
+    leaves: tuple[int, ...]
+    relations: tuple[tuple[str, ...], ...]
+    paths: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
 
     def read(self, state: int, arrows: Iterable[str]) -> int | None:
         """The state after reading ``arrows`` from ``state``; ``None`` once
@@ -278,21 +279,24 @@ def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAut
     state is its longest proper suffix that is a state.  A move is dead when
     it completes a relation, or when the failure state's move on the same
     arrow is dead; otherwise it extends the prefix, or falls back to the
-    failure state's move.
+    failure state's move.  Each relation is then read along its states.
     """
-    words = {r.arrows for r in relations}
-    prefixes = {w[:k] for w in words for k in range(1, len(w))}
+    source = {r.arrows: r.source for r in relations}
+    prefixes = {w[:k] for w in source for k in range(1, len(w))}
     start = {v: k for k, v in enumerate(quiver.vertices)}
     vertex = list(quiver.vertices)
     word: list[tuple[str, ...]] = [()] * len(vertex)
     fail: list[int | None] = [None] * len(vertex)
     moves: list[dict[str, int]] = []
+    tops: dict[tuple[str, ...], int] = {}
     for s, v in enumerate(vertex):  # grows while it runs: breadth first
         out = {}
         for a in quiver.arrows_from[v]:
             w = word[s] + (a.id,)
             back = start[a.target] if fail[s] is None else moves[fail[s]].get(a.id)
-            if w in words or back is None:
+            if w in source:
+                tops[w] = back
+            if w in source or back is None:
                 continue
             if w in prefixes:
                 out[a.id] = len(vertex)
@@ -302,7 +306,20 @@ def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAut
             else:
                 out[a.id] = back
         moves.append(out)
-    return RelationAutomaton(start, tuple(vertex), tuple(moves))
+    words = sorted(source)
+    leaves = [0] * len(vertex)
+    paths = []
+    for w in words:
+        path = [start[source[w]]]
+        for a in w[:-1]:
+            path.append(moves[path[-1]][a])
+        for s in path:
+            leaves[s] += 1
+        paths.append(tuple(path))
+    return RelationAutomaton(
+        start, tuple(vertex), tuple(moves), tuple(fail), tuple(map(len, word)),
+        tuple(leaves), tuple(words), tuple(paths), tuple(tops[w] for w in words),
+    )
 
 
 def admissibility_witness(quiver: Quiver, automaton: RelationAutomaton) -> Path | None:
@@ -444,6 +461,7 @@ class MonomialAlgebra:
             degrees[aid] = d
         self.arrow_degrees: dict[str, int] = degrees
 
+        self.relation_words = frozenset(r.arrows for r in self.relations)
         self.automaton = relation_automaton(quiver, self.relations)
         witness = admissibility_witness(quiver, self.automaton)
         if witness is not None:
@@ -451,20 +469,13 @@ class MonomialAlgebra:
         self.warnings: tuple[str, ...] = tuple(notes)
 
     @cached_property
-    def relation_splits(self) -> RelationSplits:
-        """The proper cuts of the minimal relations, by prefix and by suffix;
-        the only place relation cuts are enumerated."""
-        by_prefix: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        by_suffix: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for r in self.relations:
-            for cut in range(1, r.length):
-                head, tail = r.arrows[:cut], r.arrows[cut:]
-                by_prefix.setdefault(head, []).append(tail)
-                by_suffix.setdefault(tail, []).append(head)
-        return RelationSplits(
-            {k: tuple(v) for k, v in by_prefix.items()},
-            {k: tuple(v) for k, v in by_suffix.items()},
-        )
+    def opposite_automaton(self) -> RelationAutomaton:
+        """The automaton of the opposite algebra (arrows and relations
+        reversed) on the arrows that relations use; built on first use."""
+        q, used = self.quiver, {a for w in self.relation_words for a in w}
+        op = [Arrow(a.id, a.target, a.source) for a in q.arrows if a.id in used]
+        reverse = (Path(r.arrows[::-1], r.vertices[::-1]) for r in self.relations)
+        return relation_automaton(Quiver(q.vertices, tuple(op)), reverse)
 
     @cached_property
     def basis(self) -> frozenset[Path]:

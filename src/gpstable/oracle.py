@@ -161,9 +161,9 @@ def _relation_split_candidates(alg: MonomialAlgebra):
     """All (prefix, suffix) splits of the minimal relations, both parts
     non-zero; any perfect pair appears here because its product is a
     relation."""
-    for head, tails in alg.relation_splits.by_prefix.items():
-        for tail in tails:
-            yield alg.quiver.path(head), alg.quiver.path(tail)
+    for r in alg.relations:
+        for cut in range(1, r.length):
+            yield r.prefix(cut), r.window(cut, r.length)
 
 
 def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):

@@ -237,7 +237,7 @@ def decompose_cycle(
                     f"{row[s - 1]} times {r}"
                 )
         r = factors[(i + m) % n]
-        if r.arrows not in alg.relation_splits.by_prefix.get(row[-1].arrows, ()):
+        if row[-1].arrows + r.arrows not in alg.relation_words:
             raise InternalConsistencyError(
                 f"window [{i + 1},{i + 1 + m}] = "
                 f"{'.'.join(row[-1].arrows + r.arrows)} is not a minimal relation"
@@ -288,11 +288,10 @@ def cycle_predicates(
             f"arrow-perfectness disagrees with |c| = l(c) on {cycle}"
         )
 
-    words = {rel.arrows for rel in alg.relations}
     found: int | None = None
-    for r in sorted({len(w) for w in words}):
+    for r in sorted({len(w) for w in alg.relation_words}):
         buf = cycle.arrows * (r // cycle.length + 2)
-        if all(buf[t : t + r] in words for t in range(cycle.length)):
+        if all(buf[t : t + r] in alg.relation_words for t in range(cycle.length)):
             found = r
             break
     if all_arrows and found is not None and found != dec.m + 1:

@@ -11,22 +11,28 @@ quiver, giving the underlying-cycle classes.
 Everything here is read off the minimal relations F alone.  For a non-zero
 ``p`` the product ``pq`` vanishes exactly when some relation crosses the
 junction, i.e. ``r = r[:cut] * r[cut:]`` with ``r[:cut]`` a non-empty
-suffix of ``p`` and ``r[cut:]`` a non-empty prefix of ``q``; so R(p) is the
-set of prefix-minimal ``r[cut:]`` over those cuts, and L(q) the mirror image.
+suffix of ``p`` and ``r[cut:]`` a non-empty prefix of ``q``.  Those
+suffixes are the failure chain of the state ``p`` reads to in the relation
+trie, so R(p) is the set of prefix-minimal completions of the chain; L(q)
+is R of the reversed ``q`` in the trie of the opposite algebra.
 Every perfect pair multiplies to a minimal relation, ``pq ∈ F`` (X.-W. Chen,
 D. Shen, G. Zhou, *The Gorenstein-projective modules over a monomial
-algebra*, arXiv:1501.02978), so the successor map only needs the proper
-prefixes of relations as candidates.  Each of the |F|·L candidates looks its
-suffixes up among the relation cuts, so the cost is |F|·L² lookups on arrow
-words, independent of the dimension of the algebra; paths are built only for
-the perfect pairs found.
+algebra*, arXiv:1501.02978), so the successor map only tries relation cuts
+``p·q``.  By minimality, R(p) = {q} iff ``q`` is the only completion of
+``p`` and every relation below each state ``s`` on the chain of ``p`` runs
+through ``s·q``, the state at depth |s| + |q| on the chain of ``pq``.  A
+two-pointer walk down both chains checks a cut in O(L) steps, so the map
+costs O(Σ|r|·L), independent of the dimension of the algebra; it runs on
+arrow words and builds one path per perfect word.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
+from .algebra import RelationAutomaton
 
 
 def _require_nonzero_nontrivial(alg: MonomialAlgebra, p: Path) -> None:
@@ -41,41 +47,42 @@ def _word_key(word: tuple[str, ...]):
     return len(word), word
 
 
-def _minimal_killers(
-    alg: MonomialAlgebra, word: tuple[str, ...], right: bool
-) -> list[tuple[str, ...]]:
-    """The arrows of R(p) (``right``) or L(p) of the non-zero path with arrows
-    ``word``, shortest first: the prefix-minimal ``r[cut:]`` over the relation
-    cuts whose ``r[:cut]`` is a non-empty suffix of ``word``, or the
-    suffix-minimal ``r[:cut]`` whose ``r[cut:]`` is a non-empty prefix of it."""
-    splits = alg.relation_splits
-    ends = range(1, len(word) + 1)
-    if right:
-        found = {q for k in ends for q in splits.by_prefix.get(word[-k:], ())}
-    else:
-        found = {q for k in ends for q in splits.by_suffix.get(word[:k], ())}
+def _killers(auto: RelationAutomaton, word: tuple[str, ...], vertices: tuple[str, ...]):
+    """The arrows of R(p) for the non-zero path p with ``word`` and
+    ``vertices``: the prefix-minimal completions of the relation prefixes
+    that are suffixes of ``word``, the failure chain of the state it reads
+    to.  An arrow missing from ``auto`` lies in no relation, so the walk
+    restarts after it.  Those below one state are a run of ``relations``."""
+    state = auto.start[vertices[0]]
+    for a, v in zip(word, vertices[1:]):
+        state = auto.moves[state].get(a, auto.start[v])
+    found = set()
+    while d := auto.depth[state]:
+        lo = bisect.bisect_left(auto.relations, word[-d:])
+        found.update(w[d:] for w in auto.relations[lo : lo + auto.leaves[state]])
+        state = auto.fail[state]
     # Shortest first: a killer is minimal unless a minimal one divides it.
     minimal: list[tuple[str, ...]] = []
     for q in sorted(found, key=len):
-        for m in minimal:
-            if (q[: len(m)] if right else q[-len(m) :]) == m:
-                break
-        else:
+        if all(q[: len(m)] != m for m in minimal):
             minimal.append(q)
-    minimal.sort(key=_word_key)
     return minimal
 
 
 def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
     """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted."""
     _require_nonzero_nontrivial(alg, p)
-    return tuple(map(alg.quiver.path, _minimal_killers(alg, p.arrows, True)))
+    killers = _killers(alg.automaton, p.arrows, p.vertices)
+    return tuple(map(alg.quiver.path, sorted(killers, key=_word_key)))
 
 
 def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
-    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted."""
+    """L(p): right-minimal non-zero q with t(q) = s(p) and qp = 0, sorted;
+    R of the reversed path in the opposite algebra, reversed."""
     _require_nonzero_nontrivial(alg, p)
-    return tuple(map(alg.quiver.path, _minimal_killers(alg, p.arrows, False)))
+    killers = _killers(alg.opposite_automaton, p.arrows[::-1], p.vertices[::-1])
+    killers = sorted((q[::-1] for q in killers), key=_word_key)
+    return tuple(map(alg.quiver.path, killers))
 
 
 def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
@@ -99,25 +106,49 @@ class PerfectPathSet:
     cm_free: bool
 
 
-def _successor_map(alg: MonomialAlgebra) -> dict[Path, Path]:
-    """p -> q for every perfect pair; p ranges over the proper prefixes of
-    relations, since ``pq`` is a relation whenever the pair is perfect.
-    Runs on arrow words and builds paths only for the pairs it returns."""
-    sigma: dict[Path, Path] = {}
-    left_cache: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for p in sorted(alg.relation_splits.by_prefix, key=_word_key):
-        right = _minimal_killers(alg, p, True)
-        if len(right) != 1:
-            continue
-        q = right[0]
-        if q not in left_cache:
-            left_cache[q] = _minimal_killers(alg, q, False)
-        if left_cache[q] == [p]:
-            sigma[alg.quiver.path(p)] = alg.quiver.path(q)
+def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
+    """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]}.
+
+    The prefixes with a single completion are the longest ones of r.  For
+    each, a pointer ``t`` walks down the failure chain of r in step with the
+    chain of r[:k]: each state ``s`` there needs the state ``s·r[k:]`` at
+    depth |s| + |r| - k on r's chain, with as many leaves as ``s``.
+    """
+    fail, depth, leaves = auto.fail, auto.depth, auto.leaves
+    out = []
+    for path, top in zip(auto.paths, auto.tops):
+        n = len(path)
+        cuts = set()
+        for k in range(n - 1, 0, -1):
+            if leaves[path[k]] != 1:
+                break
+            s, t = fail[path[k]], top
+            while depth[s]:
+                while depth[t] > depth[s] + n - k:
+                    t = fail[t]
+                if depth[t] < depth[s] + n - k or leaves[t] != leaves[s]:
+                    break
+                s = fail[s]
+            else:
+                cuts.add(k)
+        out.append(cuts)
+    return out
+
+
+def _successor_words(alg: MonomialAlgebra) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """p -> q on arrow words for every perfect pair: the cuts p·q of the
+    relations with R(p) = {q}, and L(q) = {p}, which is the same test on
+    the reversed relation in the opposite automaton."""
+    op = alg.opposite_automaton
+    left = {w[::-1]: cuts for w, cuts in zip(op.relations, _unique_cuts(op))}
+    sigma = {}
+    for w, cuts in zip(alg.automaton.relations, _unique_cuts(alg.automaton)):
+        for k in cuts & {len(w) - j for j in left[w]}:
+            sigma[w[:k]] = w[k:]
     return sigma
 
 
-def _cycles_of_partial_injection(sigma: dict[Path, Path]) -> list[list[Path]]:
+def _cycles_of_partial_injection(sigma: dict[tuple, tuple]) -> list[list[tuple]]:
     """Cycles of an injective partial self-map, each from its smallest member.
 
     A point is periodic exactly when the walk from it returns to it, and by
@@ -126,8 +157,8 @@ def _cycles_of_partial_injection(sigma: dict[Path, Path]) -> list[list[Path]]:
     smallest member.
     """
     cycles = []
-    seen: set[Path] = set()
-    for start in sorted(sigma, key=Path.sort_key):
+    seen: set[tuple] = set()
+    for start in sorted(sigma, key=_word_key):
         walk = []
         cur = start
         while cur in sigma and cur not in seen:
@@ -146,19 +177,18 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     their smallest member and sorted by that member; the algebra is CM-free
     exactly when the result is empty.
     """
-    sigma = _successor_map(alg)
+    sigma = _successor_words(alg)
     cycles = _cycles_of_partial_injection(sigma)
-    paths = tuple(sorted((p for c in cycles for p in c), key=Path.sort_key))
+    words = sorted((w for c in cycles for w in c), key=_word_key)
     # one object per perfect path, shared by every structure built from them
-    canon = {p: p for p in paths}
-    if len(canon) != len(paths):
+    path = {w: alg.quiver.path(w) for w in words}
+    if len(path) != len(words):
         raise InternalConsistencyError("successor cycles are not disjoint")
-    sequences = tuple(tuple(canon[p] for p in c) for c in cycles)
     return PerfectPathSet(
-        paths=paths,
-        sequences=sequences,
-        successor={p: canon[sigma[p]] for p in paths},
-        cm_free=not paths,
+        paths=tuple(path[w] for w in words),
+        sequences=tuple(tuple(path[w] for w in c) for c in cycles),
+        successor={path[w]: path[sigma[w]] for w in words},
+        cm_free=not words,
     )
 
 

@@ -4,10 +4,14 @@ The annihilators here scan every non-zero path, the successor map tries
 every non-zero path, the covering relations come from a transitive
 reduction, and the cycle classes are grouped on ``Path`` products: O(B²),
 O(P³) and path-level readings of the definitions, kept only to pin the fast
-versions down on a shared family of algebras.
+versions down on a shared family of algebras.  The split reference below is
+the relation-cut index the trie replaced: it slices and looks up every
+suffix of every relation prefix, O(|F|·L³).
 """
 
+import importlib.util
 import random
+import sys
 from functools import lru_cache, reduce
 from pathlib import Path as FilePath
 
@@ -16,7 +20,8 @@ from gpstable.algebra import Path, parse_algebra
 from gpstable.oracle import random_algebra
 from gpstable.orders import PREC
 
-FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
+ROOT = FilePath(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def scan_right_annihilators(alg, p):
@@ -52,6 +57,49 @@ def scan_successor_map(alg):
     for p in alg.nontrivial_basis:
         right = scan_right_annihilators(alg, p)
         if len(right) == 1 and scan_left_annihilators(alg, right[0]) == (p,):
+            sigma[p] = right[0]
+    return sigma
+
+
+def relation_splits(alg):
+    """Every proper cut ``r = r[:cut] * r[cut:]`` of every minimal relation,
+    as arrow words: ``r[:cut] -> [r[cut:], ...]`` and ``r[cut:] -> [r[:cut],
+    ...]``, in relation order."""
+    by_prefix, by_suffix = {}, {}
+    for r in alg.relations:
+        for cut in range(1, r.length):
+            head, tail = r.arrows[:cut], r.arrows[cut:]
+            by_prefix.setdefault(head, []).append(tail)
+            by_suffix.setdefault(tail, []).append(head)
+    return by_prefix, by_suffix
+
+
+def split_killers(splits, word, right):
+    """The arrows of R(p) (``right``) or L(p) of the non-zero path with
+    arrows ``word``, sorted: the prefix-minimal ``r[cut:]`` over the cuts
+    whose ``r[:cut]`` is a non-empty suffix of ``word``, or the
+    suffix-minimal ``r[:cut]`` whose ``r[cut:]`` is a non-empty prefix."""
+    by_prefix, by_suffix = splits
+    ends = range(1, len(word) + 1)
+    if right:
+        found = {q for k in ends for q in by_prefix.get(word[-k:], ())}
+    else:
+        found = {q for k in ends for q in by_suffix.get(word[:k], ())}
+    minimal = []
+    for q in sorted(found, key=len):
+        if all((q[: len(m)] if right else q[-len(m) :]) != m for m in minimal):
+            minimal.append(q)
+    return sorted(minimal, key=lambda w: (len(w), w))
+
+
+def split_successor_map(alg):
+    """p -> q on arrow words: every relation prefix p with R(p) = {q} and
+    L(q) = {p}."""
+    splits = relation_splits(alg)
+    sigma = {}
+    for p in splits[0]:
+        right = split_killers(splits, p, True)
+        if len(right) == 1 and split_killers(splits, right[0], False) == [p]:
             sigma[p] = right[0]
     return sigma
 
@@ -112,4 +160,35 @@ def equivalence_algebras():
         random_algebra(rng, max_vertices=5, max_arrows=8, max_relations=6)
         for _ in range(300)
     ]
+    return tuple(algs)
+
+
+def _perfbench_module(name):
+    """Load ``perfbench/<name>.py`` read-only; ``workloads`` imports
+    ``inputs`` by its bare name, so the module is registered under it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@lru_cache(maxsize=None)
+def trie_algebras():
+    """Every fixture document, N(n, m) for n, m <= 7, 2000 draws of
+    ``random_algebra(random.Random(7))`` and one seeded draw of every
+    planted shape of the benchmark workloads, plus its reference algebra."""
+    inputs = _perfbench_module("inputs")
+    workloads = _perfbench_module("workloads")
+    docs = [f.read_text() for f in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(12)
+    shapes = workloads.CLASSIFY_SHAPES + workloads.ORACLE_SHAPES
+    docs += [inputs.planted_document(rng, s)[0] for s in (*shapes, workloads.STABLE_SHAPE)]
+    docs += [inputs.wide_tail_document(rng, *s)[0] for s in workloads.WIDE_TAIL_SHAPES]
+    docs.append(inputs.lambda_star_document()[0])
+    algs = [parse_algebra(doc) for doc in docs]
+    algs += [fixtures.nakayama(n, m) for n in range(1, 8) for m in range(1, 8)]
+    rng = random.Random(7)
+    algs += [random_algebra(rng) for _ in range(2000)]
     return tuple(algs)

@@ -255,9 +255,10 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 1 and "error:" in err
 
-    @pytest.mark.parametrize("arrow_id", ["a.b", ""])
+    @pytest.mark.parametrize("arrow_id", ["a.b", "", " x", "x "])
     def test_arrow_id_outside_path_strings_exits_1(self, capsys, tmp_path, arrow_id):
-        # with arrow a.b, `hom --from a.b` used to read the arrows a and b
+        # with arrow a.b, `hom --from a.b` used to read the arrows a and b;
+        # with arrow " x", `hom --from " x"` used to look up the arrow x
         import gpstable.fixtures as fx
 
         doc = fx.loop_document(1)
@@ -265,7 +266,7 @@ class TestErrors:
         doc["relations"] = [[arrow_id, arrow_id]]
         f = tmp_path / "arrow_id.json"
         f.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "hom", str(f), "--from", "a.b", "--to", "a.b")
+        code, out, err = run(capsys, "hom", str(f), f"--from={arrow_id}", f"--to={arrow_id}")
         assert code == 1 and out == ""
         assert err.startswith(f"error: arrow id {arrow_id!r} must be non-empty")
 

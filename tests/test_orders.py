@@ -9,7 +9,6 @@ from gpstable.algebra import (
     InputError,
     InternalConsistencyError,
     Path,
-    RelationSplits,
     parse_algebra,
     parse_path_string,
 )
@@ -413,7 +412,7 @@ def test_decompose_names_a_closing_window_that_is_no_relation():
     an = Analysis(fixtures.loop(2))
     (cls,), hasse, successor = an.classes, an.hasse_prec, an.perfect.successor
     alg = an.algebra
-    alg.relation_splits = RelationSplits({}, {})  # no relation left to close a row
+    alg.relation_words = frozenset()  # no relation left to close a row
     with pytest.raises(InternalConsistencyError, match=r"= x\.x\.x is not a minimal"):
         decompose_cycle(alg, cls, hasse, successor)
 

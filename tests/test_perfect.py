@@ -1,14 +1,14 @@
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import InputError, Path, parse_path_string
+from gpstable.algebra import InputError, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_verify_perfect
 from gpstable.perfect import (
     _cycles_of_partial_injection,
     _least_rotation,
     _root_length,
-    _successor_map,
+    _successor_words,
     detect_overlap,
     enumerate_perfect_paths,
     is_perfect_pair,
@@ -22,6 +22,8 @@ from reference_scan import (
     scan_left_annihilators,
     scan_right_annihilators,
     scan_successor_map,
+    split_successor_map,
+    trie_algebras,
 )
 
 
@@ -66,13 +68,14 @@ class TestAnnihilators:
 
 
 class TestRelationDrivenEquivalence:
-    """The relation-split annihilators and successor map agree with scans
-    over the whole basis, on every non-zero path of every algebra of the
-    shared family.  The oracle battery only checks that enumerated pairs
-    are perfect; this also shows that none is missed."""
+    """The trie annihilators and successor map agree with scans over the
+    whole basis, and with the relation-split index the trie replaced, on
+    every non-zero path of every algebra of a shared family.  The oracle
+    battery only checks that enumerated pairs are perfect; this also shows
+    that none is missed."""
 
     def test_annihilators_match_scan(self):
-        for alg in equivalence_algebras():
+        for alg in trie_algebras():
             for p in alg.nontrivial_basis:
                 assert right_annihilators(alg, p) == scan_right_annihilators(
                     alg, p
@@ -81,14 +84,49 @@ class TestRelationDrivenEquivalence:
                     alg, p
                 ), (alg.relations, p)
 
+    def test_successor_map_matches_split_reference(self):
+        algs = trie_algebras()
+        assert len(algs) >= 2000 + 49
+        for alg in algs:
+            assert _successor_words(alg) == split_successor_map(alg), alg.relations
+
     def test_successor_map_matches_scan(self):
         for alg in equivalence_algebras():
-            assert _successor_map(alg) == scan_successor_map(alg), alg.relations
+            sigma = {
+                alg.quiver.path(p): alg.quiver.path(q)
+                for p, q in _successor_words(alg).items()
+            }
+            assert sigma == scan_successor_map(alg), alg.relations
 
     def test_family_reaches_perfect_pairs(self):
-        maps = [_successor_map(alg) for alg in equivalence_algebras()]
-        assert sum(1 for sigma in maps if sigma) >= 150
-        assert sum(len(sigma) for sigma in maps) >= 600
+        for family, algebras, pairs in (
+            (equivalence_algebras(), 150, 600),
+            (trie_algebras(), 1000, 3500),
+        ):
+            maps = [_successor_words(alg) for alg in family]
+            assert sum(1 for sigma in maps if sigma) >= algebras
+            assert sum(len(sigma) for sigma in maps) >= pairs
+
+    def test_successor_walk_is_linear_in_relation_data(self):
+        # Count every failure link the two-pointer walks follow on N(40, 40):
+        # 40 relations of length L = 41, so Σ|r|·L = 67240.
+        class Counted(tuple):
+            steps = 0
+
+            def __getitem__(self, k):
+                Counted.steps += 1
+                return tuple.__getitem__(self, k)
+
+        alg = fixtures.nakayama(40, 40)
+        for name in ("automaton", "opposite_automaton"):
+            auto = getattr(alg, name)
+            setattr(alg, name, auto._replace(fail=Counted(auto.fail)))
+        sigma = _successor_words(alg)
+        assert len(sigma) == 40 * 40
+        budget = sum(len(r.arrows) for r in alg.relations) * 41
+        # each cut follows at most L links down each of its two chains, in
+        # each of the two automata; the suffix scan took L times more
+        assert 0 < Counted.steps <= 4 * budget
 
 
 class TestPerfectPairs:
@@ -155,11 +193,10 @@ class TestEnumeration:
     def test_cycles_of_partial_injection(self):
         # two fixed points, a 2-cycle, a 3-cycle and two chains that end,
         # one of them starting below every cycle member; listed scrambled
-        x = {k: Path((k,), ("v", "v")) for k in "abcdefghijkl"}
         links = "kl gi hj bb ff ce id ec ah dg"
-        sigma = {x[u]: x[v] for u, v in links.split()}
+        sigma = {(u,): (v,) for u, v in links.split()}
         cycles = _cycles_of_partial_injection(sigma)
-        assert [[str(p) for p in c] for c in cycles] == [
+        assert [["".join(w) for w in c] for c in cycles] == [
             ["b"],
             ["c", "e"],
             ["d", "g", "i"],
