@@ -2,18 +2,16 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/scale.py [--nakayama 60 120] [--loops 40]
+    PYTHONPATH=src python scripts/scale.py
 
-For each N(n, n) (cyclic quiver on n vertices, paths of length n + 1 zero)
-and each one-vertex algebra with k loops and every quadratic relation, it
-prints the parse time and then the parse-free stages of ``classify``, each
-cached on a fresh ``Analysis`` and timed with ``perf_counter``, best of
-``--repeat`` runs.
+For N(60, 60) and N(120, 120) (cyclic quiver on n vertices, paths of
+length n + 1 zero) it prints the parse time and then the parse-free stages
+of ``classify``, each cached on a fresh ``Analysis`` and timed once with
+``perf_counter``.  ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 from time import perf_counter
 
@@ -22,16 +20,8 @@ from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
 from gpstable.stable import classify
 
+NAKAYAMA = (60, 120)
 STAGES = ("perfect", "classes", "hasse_prec", "hasse_leq", "decompositions")
-
-
-def loops_document(k: int) -> dict:
-    loops = [f"x{i}" for i in range(k)]
-    return {
-        "vertices": ["1"],
-        "arrows": [{"id": x, "from": "1", "to": "1"} for x in loops],
-        "relations": [[a, b] for a in loops for b in loops],
-    }
 
 
 def run_once(doc: dict) -> dict[str, float]:
@@ -53,17 +43,10 @@ def run_once(doc: dict) -> dict[str, float]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--nakayama", type=int, nargs="*", default=[60, 120])
-    ap.add_argument("--loops", type=int, nargs="*", default=[40])
-    ap.add_argument("--repeat", type=int, default=1)
-    args = ap.parse_args()
-    docs = [(f"N({n},{n})", fixtures.nakayama_document(n, n)) for n in args.nakayama]
-    docs += [(f"loops({k})", loops_document(k)) for k in args.loops]
-    for name, doc in docs:
-        runs = [run_once(doc) for _ in range(max(1, args.repeat))]
-        best = {key: round(min(r[key] for r in runs), 4) for key in runs[0]}
-        print(json.dumps({"algebra": name, **best}))
+    for n in NAKAYAMA:
+        times = run_once(fixtures.nakayama_document(n, n))
+        rounded = {key: round(t, 4) for key, t in times.items()}
+        print(json.dumps({"algebra": f"N({n},{n})", **rounded}))
 
 
 if __name__ == "__main__":

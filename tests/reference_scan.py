@@ -176,19 +176,20 @@ def _perfbench_module(name):
 
 @lru_cache(maxsize=None)
 def trie_algebras():
-    """Every fixture document, N(n, m) for n, m <= 7, 2000 draws of
-    ``random_algebra(random.Random(7))`` and one seeded draw of every
-    planted shape of the benchmark workloads, plus its reference algebra."""
+    """``equivalence_algebras()`` plus N(7, m) and N(n, 7) for n, m <= 7,
+    2000 draws of ``random_algebra(random.Random(7))`` at its default sizes
+    and one seeded draw of every planted shape of the benchmark workloads,
+    plus its reference algebra."""
     inputs = _perfbench_module("inputs")
     workloads = _perfbench_module("workloads")
-    docs = [f.read_text() for f in sorted(FIXTURES.glob("*.json"))]
     rng = random.Random(12)
     shapes = workloads.CLASSIFY_SHAPES + workloads.ORACLE_SHAPES
-    docs += [inputs.planted_document(rng, s)[0] for s in (*shapes, workloads.STABLE_SHAPE)]
+    docs = [inputs.planted_document(rng, s)[0] for s in (*shapes, workloads.STABLE_SHAPE)]
     docs += [inputs.wide_tail_document(rng, *s)[0] for s in workloads.WIDE_TAIL_SHAPES]
     docs.append(inputs.lambda_star_document()[0])
-    algs = [parse_algebra(doc) for doc in docs]
-    algs += [fixtures.nakayama(n, m) for n in range(1, 8) for m in range(1, 8)]
+    algs = list(equivalence_algebras()) + [parse_algebra(doc) for doc in docs]
+    algs += [fixtures.nakayama(7, m) for m in range(1, 8)]
+    algs += [fixtures.nakayama(n, 7) for n in range(1, 7)]
     rng = random.Random(7)
     algs += [random_algebra(rng) for _ in range(2000)]
     return tuple(algs)
