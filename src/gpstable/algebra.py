@@ -165,10 +165,11 @@ class Quiver:
         seen = set()
         vset = set(self.vertices)
         for a in self.arrows:
-            if not a.id or "." in a.id or a.id != a.id.strip():
+            if not a.id or "." in a.id or "\\" in a.id or a.id != a.id.strip():
                 raise InputError(
                     f"arrow id {a.id!r} must be non-empty, free of '.' (it joins "
-                    f"arrows in path strings) and of outer whitespace (they strip it)"
+                    f"arrows in path strings), of '\\' (DOT reads it as an escape) "
+                    f"and of outer whitespace (path strings strip it)"
                 )
             if a.id in seen:
                 raise InputError(f"duplicate arrow id {a.id!r}")
@@ -518,10 +519,6 @@ class MonomialAlgebra:
             return 0
         return sum(1 for u in self.basis if r.left_divides(u))
 
-    def degree(self, p: Path) -> int:
-        """Degree of ``p`` under the declared arrow degrees (default 1)."""
-        return sum(self.arrow_degrees[a] for a in p.arrows)
-
     def __repr__(self):
         return (
             f"MonomialAlgebra({len(self.quiver.vertices)} vertices, "
@@ -539,7 +536,8 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
          "relations": [["a1", "a2"], ...],
          "arrow_degrees": {"a1": 1, ...}}        # optional
 
-    Arrow degrees default to 1 everywhere.
+    Arrow degrees default to 1 everywhere.  They are validated, but no
+    output reads them yet: every graded closed form shifts by arrow length.
     """
     if isinstance(doc, str):
         try:

@@ -15,14 +15,7 @@ from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_
 from .analysis import Analysis
 from .arquiver import ar_quiver, dump_json, emit, full_ungraded_ar_quiver
 from .oracle import verify_suite
-from .stable import (
-    DEFAULT_GRADING,
-    WEIGHTED_GRADING,
-    StableObject,
-    classify,
-    graded_stable_hom,
-    ungraded_stable_hom,
-)
+from .stable import StableObject, classify, graded_stable_hom, ungraded_stable_hom
 
 
 def _load(path: str) -> Analysis:
@@ -121,15 +114,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_hasse(args) -> int:
     an = _load(args.file)
-    fmt = "json" if args.json else args.format
-    _write(emit(an.hasse(args.order), fmt), args.output)
+    _write(emit(an.hasse(args.order), "json" if args.json else "dot"), args.output)
     return 0
 
 
 def _cmd_classify(args) -> int:
     an = _load(args.file)
-    grading = WEIGHTED_GRADING if args.weighted else DEFAULT_GRADING
-    report = classify(an, grading)
+    report = classify(an)
     if args.json:
         _write(dump_json(report.to_json_dict()), args.output)
         return 0
@@ -197,7 +188,6 @@ def _cmd_ar_quiver(args) -> int:
     if args.window is not None and not args.graded:
         raise InputError("--window requires --graded")
     an = _load(args.file)
-    fmt = "json" if args.json else args.format
     if args.graded:
         pieces = []
         for dec in an.decompositions:
@@ -206,7 +196,7 @@ def _cmd_ar_quiver(args) -> int:
         quiver = ar_quiver(an, pieces)
     else:
         quiver = full_ungraded_ar_quiver(an)
-    _write(emit(quiver, fmt), args.output)
+    _write(emit(quiver, "json" if args.json else "dot"), args.output)
     return 0
 
 
@@ -265,16 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hasse", help="Hasse quiver of one of the two orders")
     common(p)
     p.add_argument("--order", choices=["prec", "leq"], default="prec")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(handler=_cmd_hasse)
 
     p = sub.add_parser("classify", help="the two classification outputs")
     common(p)
-    p.add_argument(
-        "--weighted",
-        action="store_true",
-        help="use the declared arrow degrees instead of degree 1",
-    )
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("hom", help="stable Hom dimension between two objects")
@@ -289,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--graded", action="store_true")
     p.add_argument("--window", type=int, default=None, help="graded shift window")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(handler=_cmd_ar_quiver)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suite")

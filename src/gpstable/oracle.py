@@ -112,17 +112,19 @@ def bf_factorizations(
     return tuple(rec(p))
 
 
+RANDOM_MAX_RELATION_LENGTH = 5
+RANDOM_MAX_ATTEMPTS = 400
+
+
 def random_algebra(
     rng: random.Random,
     max_vertices: int = 4,
     max_arrows: int = 6,
     max_relations: int = 4,
-    max_relation_length: int = 5,
-    max_attempts: int = 400,
 ) -> MonomialAlgebra:
     """A random admissible monomial algebra; non-admissible draws are
     discarded rather than repaired."""
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_MAX_ATTEMPTS):
         nv = rng.randint(1, max_vertices)
         vertices = tuple(f"v{k}" for k in range(1, nv + 1))
         na = rng.randint(1, max_arrows)
@@ -133,7 +135,7 @@ def random_algebra(
         quiver = Quiver(vertices, arrows)
         relations = []
         for _ in range(rng.randint(0, max_relations)):
-            length = rng.randint(2, max_relation_length)
+            length = rng.randint(2, RANDOM_MAX_RELATION_LENGTH)
             start = rng.choice(arrows)
             walk = [start]
             while len(walk) < length:

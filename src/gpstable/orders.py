@@ -12,9 +12,7 @@ all stable-category formulas.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -225,13 +223,12 @@ def decompose_cycle(
     t = min(range(n), key=lambda k: doubled[cuts[k] : cuts[k] + len(word)])
     windows = tuple(ring[t:] + ring[:t])
     factors = tuple(row[0] for row in windows)
-    anchored = functools.reduce(operator.mul, factors)
+    anchored = alg.quiver.path(word[cuts[t] :] + word[: cuts[t]])
 
     for i, row in enumerate(windows):
         for s in range(1, m):
             r = factors[(i + s) % n]
-            extends = row[s].length == row[s - 1].length + r.length
-            if not (extends and r.right_divides(row[s])):
+            if row[s].arrows != row[s - 1].arrows + r.arrows:
                 raise InternalConsistencyError(
                     f"bracket window [{i + 1},{i + s + 1}] = {row[s]} is not "
                     f"{row[s - 1]} times {r}"

@@ -15,9 +15,6 @@ from .algebra import InputError, InternalConsistencyError, Path
 from .analysis import Analysis
 from .orders import CycleDecomposition
 
-DEFAULT_GRADING = "default"
-WEIGHTED_GRADING = "weighted"
-
 
 @dataclass(frozen=True)
 class StableObject:
@@ -203,28 +200,12 @@ def tau_periodicity_check(an: Analysis, dec: CycleDecomposition) -> bool:
     return True
 
 
-def class_multiplicity(an: Analysis, dec: CycleDecomposition, grading: str) -> int:
-    """Period of the degree shift on one class: the arrow length of the
-    cycle, or its total arrow degree under the weighted grading."""
-    if grading != WEIGHTED_GRADING:
-        return dec.arrow_length
-    deg = an.algebra.degree(dec.anchored_cycle)
-    if deg <= 0:
-        raise InputError(
-            f"weighted grading requires positive degree on {dec.anchored_cycle}"
-        )
-    return deg
-
-
-def tilting_object(
-    an: Analysis, grading: str = DEFAULT_GRADING
-) -> tuple[StableObject, ...]:
+def tilting_object(an: Analysis) -> tuple[StableObject, ...]:
     """Summands of the tilting object: each chain, shifted through one
-    period of the degree shift (arrow length, or cycle degree when
-    weighted)."""
+    period of the degree shift, the arrow length of its cycle."""
     summands = []
     for dec in an.decompositions:
-        for s in range(class_multiplicity(an, dec, grading)):
+        for s in range(dec.arrow_length):
             for p in dec.chain:
                 summands.append(StableObject(p, s))
     return tuple(summands)
@@ -246,9 +227,7 @@ class EndBlock:
     pattern: tuple[tuple[int, ...], ...]
 
 
-def end_algebra(
-    an: Analysis, grading: str = DEFAULT_GRADING
-) -> tuple[EndBlock, ...]:
+def end_algebra(an: Analysis) -> tuple[EndBlock, ...]:
     blocks = []
     for dec in an.decompositions:
         pattern = []
@@ -273,7 +252,7 @@ def end_algebra(
             EndBlock(
                 cycle=dec.cycle_class.cycle,
                 size=dec.m,
-                multiplicity=class_multiplicity(an, dec, grading),
+                multiplicity=dec.arrow_length,
                 pattern=tuple(pattern),
             )
         )
@@ -330,9 +309,7 @@ class ClassificationReport:
         }
 
 
-def classify(an: Analysis, grading: str = DEFAULT_GRADING) -> ClassificationReport:
-    if grading not in (DEFAULT_GRADING, WEIGHTED_GRADING):
-        raise InputError(f"unknown grading {grading!r}")
+def classify(an: Analysis) -> ClassificationReport:
     graded = []
     ungraded = []
     for dec in an.decompositions:
@@ -340,7 +317,7 @@ def classify(an: Analysis, grading: str = DEFAULT_GRADING) -> ClassificationRepo
             GradedFactor(
                 cycle=dec.cycle_class.cycle,
                 typeA_size=dec.m,
-                multiplicity=class_multiplicity(an, dec, grading),
+                multiplicity=dec.arrow_length,
             )
         )
         ungraded.append(

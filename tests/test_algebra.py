@@ -119,6 +119,15 @@ class TestParsing:
         with pytest.raises(InputError, match=message):
             parse_algebra(doc)
 
+    def test_backslash_in_arrow_id_rejected(self):
+        # DOT reads a backslash inside a quoted id as an escape: "x\" never
+        # closes, and \n, \l or \N would rewrite a label
+        doc = fixtures.loop_document(1)
+        doc["arrows"][0]["id"] = "x\\"
+        doc["relations"] = [["x\\", "x\\"]]
+        with pytest.raises(InputError, match=re.escape("of '\\'")):
+            parse_algebra(doc)
+
     def test_short_relation_rejected(self):
         doc = fixtures.loop_document(1)
         doc["relations"] = [["x"]]

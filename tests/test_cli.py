@@ -60,19 +60,6 @@ class TestClassify:
         assert {"vertices": 2, "radical_exponent": 5} in data["ungraded"]
         assert data["cm_free"] is False
 
-    def test_weighted(self, capsys, tmp_path):
-        import gpstable.fixtures as fx
-
-        doc = fx.lambda_star_document()
-        doc["arrow_degrees"] = {"a1": 2}
-        f = tmp_path / "weighted.json"
-        f.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "classify", str(f), "--weighted", "--json")
-        assert code == 0
-        data = json.loads(out)
-        mults = {g["cycle"]: g["multiplicity"] for g in data["graded"]}
-        assert mults == {"a1.a2.a3": 4, "a4.a5": 2}
-
 
 class TestHom:
     def test_graded(self, capsys):
@@ -114,7 +101,7 @@ class TestHasse:
         assert code == 0
         assert '"a1.a2.a3" -> "a1.a2"' in out
 
-    def test_json_flag_overrides_format(self, capsys):
+    def test_json(self, capsys):
         code, out, _ = run(capsys, "hasse", STAR, "--order=leq", "--json")
         data = json.loads(out)
         assert code == 0
@@ -129,14 +116,14 @@ class TestArQuiver:
         assert out.count("label=") == 11 + 1  # node labels plus graph label
 
     def test_json(self, capsys):
-        code, out, _ = run(capsys, "ar-quiver", STAR, "--format=json")
+        code, out, _ = run(capsys, "ar-quiver", STAR, "--json")
         data = json.loads(out)
         assert code == 0
         assert len(data["vertices"]) == 11
 
     def test_graded_window(self, capsys):
         code, out, _ = run(
-            capsys, "ar-quiver", STAR, "--graded", "--window=2", "--format=json"
+            capsys, "ar-quiver", STAR, "--graded", "--window=2", "--json"
         )
         assert code == 0
         # one document for both classes: 11 perfect paths x shifts -2..2
@@ -269,6 +256,21 @@ class TestErrors:
         code, out, err = run(capsys, "hom", str(f), f"--from={arrow_id}", f"--to={arrow_id}")
         assert code == 1 and out == ""
         assert err.startswith(f"error: arrow id {arrow_id!r} must be non-empty")
+
+    @pytest.mark.parametrize("command", ["hasse", "ar-quiver"])
+    def test_backslash_in_arrow_id_exits_1(self, capsys, tmp_path, command):
+        # the arrow x\ used to be printed as the DOT id "x\", whose closing
+        # quote DOT reads as escaped
+        import gpstable.fixtures as fx
+
+        doc = fx.loop_document(1)
+        doc["arrows"][0]["id"] = "x\\"
+        doc["relations"] = [["x\\", "x\\"]]
+        f = tmp_path / "backslash.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: arrow id 'x\\\\' must be non-empty") and "'\\'" in err
 
     def test_boolean_degree_exits_1(self, capsys, tmp_path):
         import gpstable.fixtures as fx

@@ -41,7 +41,6 @@ def _invocations():
         yield ["analyze", f, "--json"]
         yield ["classify", f]
         yield ["classify", f, "--json"]
-        yield ["classify", f, "--weighted"]
         for order in ("prec", "leq"):
             yield ["hasse", f, f"--order={order}"]
             yield ["hasse", f, f"--order={order}", "--json"]
@@ -73,6 +72,11 @@ def test_cli_output_matches_golden(case, monkeypatch):
 def test_golden_covers_every_fixture():
     recorded = {c["argv"][1] for c in CASES}
     assert recorded == {f"fixtures/{p.name}" for p in (ROOT / "fixtures").glob("*.json")}
+
+
+def test_golden_follows_its_recipe():
+    # an edit to _invocations() must come with a regenerated golden file
+    assert [c["argv"] for c in CASES] == list(_invocations())
 
 
 if __name__ == "__main__":

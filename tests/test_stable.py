@@ -5,8 +5,6 @@ from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_ordinary_hom, bf_stable_hom
 from gpstable.stable import (
-    DEFAULT_GRADING,
-    WEIGHTED_GRADING,
     StableObject,
     ar_translate,
     ar_triangle,
@@ -263,20 +261,16 @@ class TestClassification:
                 assert rep.ungraded[0].vertices == n
                 assert rep.ungraded[0].radical_exponent == m + 1
 
-    def test_weighted(self):
+    def test_declared_degrees_change_nothing(self):
+        # every graded closed form shifts by arrow length; no output reads
+        # the declared arrow degrees
         doc = fixtures.lambda_star_document()
+        plain = Analysis(parse_algebra(doc))
         doc["arrow_degrees"] = {"a1": 2, "a4": 3}
-        an = Analysis(parse_algebra(doc))
-        rep = classify(an, WEIGHTED_GRADING)
-        mults = {str(f.cycle): f.multiplicity for f in rep.graded}
-        assert mults == {"a1.a2.a3": 4, "a4.a5": 4}
-        default = classify(an, DEFAULT_GRADING)
-        assert {str(f.cycle): f.multiplicity for f in default.graded} == {
-            "a1.a2.a3": 3,
-            "a4.a5": 2,
-        }
-        assert rep.to_json_dict()["ungraded"] == default.to_json_dict()["ungraded"]
-        assert len(tilting_object(an, WEIGHTED_GRADING)) == 4 * 4 + 4 * 3
+        weighted = Analysis(parse_algebra(doc))
+        assert weighted.algebra.arrow_degrees["a4"] == 3
+        for query in (classify, tilting_object, end_algebra):
+            assert query(weighted) == query(plain)
 
     def test_quadratic_all_a1(self):
         rep = classify(Analysis(fixtures.quadratic()))
