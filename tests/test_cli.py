@@ -259,6 +259,39 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"error: arrow id {arrow_id!r} must be non-empty")
 
+    @pytest.mark.parametrize("command", ["hasse", "ar-quiver"])
+    def test_backslash_in_arrow_id_exits_1(self, capsys, tmp_path, command):
+        # the arrow x\ used to be printed as the DOT id "x\", whose closing
+        # quote DOT reads as escaped
+        import gpstable.fixtures as fx
+
+        doc = fx.loop_document(1)
+        doc["arrows"][0]["id"] = "x\\"
+        doc["relations"] = [["x\\", "x\\"]]
+        f = tmp_path / "backslash.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: arrow id 'x\\\\' must be non-empty") and "'\\'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", STAR, "--weighted"],
+            ["hasse", STAR, "--format=dot"],
+            ["ar-quiver", STAR, "--format=json"],
+        ],
+        ids=["classify--weighted", "hasse--format", "ar-quiver--format"],
+    )
+    def test_retired_option_is_a_usage_error(self, capsys, argv):
+        # a retired flag must not be read as an abbreviation of another
+        # option or be silently ignored: argparse exits 2 and prints nothing
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"unrecognized arguments: {argv[-1]}" in out.err
+
     def test_boolean_degree_exits_1(self, capsys, tmp_path):
         import gpstable.fixtures as fx
 
