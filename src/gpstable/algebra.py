@@ -116,25 +116,6 @@ class Path:
             and other.vertices[-(n + 1) :] == self.vertices
         )
 
-    def occurrences_in(self, other: "Path") -> Iterable[int]:
-        """Arrow positions (or vertex positions for trivial paths) where
-        ``self`` occurs as a consecutive factor of ``other``."""
-        if self.is_trivial:
-            for k, v in enumerate(other.vertices):
-                if v == self.source:
-                    yield k
-            return
-        n = self.length
-        for s in range(other.length - n + 1):
-            if (
-                other.arrows[s : s + n] == self.arrows
-                and other.vertices[s : s + n + 1] == self.vertices
-            ):
-                yield s
-
-    def subpath_of(self, other: "Path") -> bool:
-        return next(iter(self.occurrences_in(other)), None) is not None
-
     def __str__(self) -> str:
         if self.is_trivial:
             return f"e({self.source})"
@@ -395,6 +376,15 @@ def enumerate_nonzero_paths(
     return frozenset(basis)
 
 
+class DivisorIndex(NamedTuple):
+    """The basis paths by divisor, in ``basis_sorted`` order: ``starts[(v, w)]``
+    holds the paths ``w·x`` from vertex ``v``, ``ends[(w, v)]`` the paths ``x·w``
+    into ``v``; a key is present exactly when its divisor is non-zero."""
+
+    starts: dict[tuple[str, tuple[str, ...]], list[Path]]
+    ends: dict[tuple[tuple[str, ...], str], list[Path]]
+
+
 class MonomialAlgebra:
     """A monomial bound quiver algebra; its non-zero basis is built lazily.
 
@@ -491,6 +481,17 @@ class MonomialAlgebra:
     def nontrivial_basis(self) -> tuple[Path, ...]:
         return tuple(p for p in self.basis_sorted if not p.is_trivial)
 
+    @cached_property
+    def divisor_index(self) -> DivisorIndex:
+        """Built in one pass over ``basis_sorted``, on first use."""
+        starts, ends = {}, {}
+        for u in self.basis_sorted:
+            w, source, target = u.arrows, u.vertices[0], u.vertices[-1]
+            for k in range(len(w) + 1):
+                starts.setdefault((source, w[:k]), []).append(u)
+                ends.setdefault((w[k:], target), []).append(u)
+        return DivisorIndex(starts, ends)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -515,9 +516,7 @@ class MonomialAlgebra:
     def module_dim(self, r: Path) -> int:
         """Dimension of the cyclic right module generated by ``r``
         (the number of non-zero paths with ``r`` as left divisor)."""
-        if self.is_zero(r):
-            return 0
-        return sum(1 for u in self.basis if r.left_divides(u))
+        return len(self.divisor_index.starts.get((r.source, r.arrows), ()))
 
     def __repr__(self):
         return (

@@ -1,11 +1,13 @@
 """Brute-force verifiers: the ground truth every closed form must match.
 
 Nothing here reuses bracket arithmetic.  Hom spaces are path-basis
-quotients, perfectness is checked by quantifying over the whole basis,
-factorizations by exhaustive cut search.  The :func:`verify_algebra`
-battery runs all of it against the fast implementations and powers both
-the property-test suite and the ``verify`` CLI command; oracles may be
-exponential in path length and are meant for desk-scale inputs only.
+quotients, perfectness is checked by quantifying over the basis,
+factorizations by exhaustive cut search.  Every basis scan reads only the
+paths with a given left or right divisor, listed by the algebra's
+``divisor_index``.  The :func:`verify_algebra` battery runs all of it
+against the fast implementations and powers both the property-test suite
+and the ``verify`` CLI command; oracles may be exponential in path length
+and are meant for desk-scale inputs only.
 The battery computes each brute-force quantity once per algebra (the
 perfectness verdicts, the overlap table and both Hom tables over the
 pairs of perfect paths) and every row that needs it reads that table.
@@ -50,9 +52,9 @@ def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
     ``(total, {k: witnesses})`` over the shifts with a non-zero piece.
     """
     by_shift: dict[int, list[Path]] = {}
-    for u in alg.basis_sorted:  # one pass, bucketed by shift
+    for u in alg.divisor_index.starts.get((q.source, q.arrows), ()):
         k = u.length - p.length
-        if 0 <= k < q.length and q.left_divides(u) and p.right_divides(u):
+        if 0 <= k < q.length and p.right_divides(u):
             by_shift.setdefault(k, []).append(u)
     return (
         sum(len(v) for v in by_shift.values()),
@@ -62,29 +64,27 @@ def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
 
 def bf_ordinary_hom(alg: MonomialAlgebra, p: Path, q: Path):
     """Dimension/basis of the ordinary Hom(pL, qL) = qL ∩ Lp."""
-    hits = [
-        u
-        for u in alg.basis
-        if q.left_divides(u) and p.right_divides(u)
-    ]
-    return len(hits), tuple(sorted(hits, key=Path.sort_key))
+    starts = alg.divisor_index.starts.get((q.source, q.arrows), ())
+    hits = tuple(u for u in starts if p.right_divides(u))
+    return len(hits), hits
 
 
 def bf_verify_perfect(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
-    """The three defining conditions, quantified over every non-zero path."""
+    """The three defining conditions, quantified over every non-zero path
+    that starts at t(p) or ends at s(q)."""
     if p.is_trivial or q.is_trivial:
         return False
     if alg.is_zero(p) or alg.is_zero(q):
         return False
     if p.target != q.source or not alg.concat_zero(p, q):
         return False
-    for u in alg.nontrivial_basis:
-        if u.source == p.target and alg.concat_zero(p, u):
-            if not q.left_divides(u):
-                return False
-        if u.target == q.source and alg.concat_zero(u, q):
-            if not p.right_divides(u):
-                return False
+    index = alg.divisor_index
+    for u in index.starts[p.target, ()]:
+        if alg.concat_zero(p, u) and not q.left_divides(u):
+            return False
+    for u in index.ends[(), q.source]:
+        if alg.concat_zero(u, q) and not p.right_divides(u):
+            return False
     return True
 
 
@@ -223,11 +223,12 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
         )
     else:
         candidates = list(_relation_split_candidates(alg))
+        starts = alg.divisor_index.starts
         pool = [
             (p, q)
             for p in alg.nontrivial_basis
-            for q in alg.nontrivial_basis
-            if p.target == q.source
+            for q in starts[p.target, ()]
+            if not q.is_trivial
         ]
         candidates += rng.sample(pool, min(60, len(pool)))
         candidates += pairs
@@ -327,10 +328,9 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
             continue
         if not cross and an.locate(p)[0] is not an.locate(q)[0]:
             cross = f"{p} and {q} overlap but lie in different classes"
-        for u in alg.basis:
+        for u in alg.divisor_index.starts[p.source, p.arrows]:
             if (
-                p.left_divides(u)
-                and q.right_divides(u)
+                q.right_divides(u)
                 and u.length < p.length + q.length
                 and u not in pset.successor
             ):

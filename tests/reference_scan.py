@@ -6,7 +6,9 @@ reduction, and the cycle classes are grouped on ``Path`` products: O(B²),
 O(P³) and path-level readings of the definitions, kept only to pin the fast
 versions down on a shared family of algebras.  The split reference below is
 the relation-cut index the trie replaced: it slices and looks up every
-suffix of every relation prefix, O(|F|·L³).
+suffix of every relation prefix, O(|F|·L³).  The brute-force Hom,
+perfectness and module scans walk the whole basis for every pair, as the
+oracle did before it read the algebra's divisor index.
 """
 
 import importlib.util
@@ -59,6 +61,46 @@ def scan_successor_map(alg):
         if len(right) == 1 and scan_left_annihilators(alg, right[0]) == (p,):
             sigma[p] = right[0]
     return sigma
+
+
+def scan_stable_hom(alg, p, q):
+    by_shift = {}
+    for u in alg.basis_sorted:
+        k = u.length - p.length
+        if 0 <= k < q.length and q.left_divides(u) and p.right_divides(u):
+            by_shift.setdefault(k, []).append(u)
+    return (
+        sum(len(v) for v in by_shift.values()),
+        {k: tuple(v) for k, v in by_shift.items()},
+    )
+
+
+def scan_ordinary_hom(alg, p, q):
+    hits = [u for u in alg.basis if q.left_divides(u) and p.right_divides(u)]
+    return len(hits), tuple(sorted(hits, key=Path.sort_key))
+
+
+def scan_verify_perfect(alg, p, q):
+    if p.is_trivial or q.is_trivial:
+        return False
+    if alg.is_zero(p) or alg.is_zero(q):
+        return False
+    if p.target != q.source or not alg.concat_zero(p, q):
+        return False
+    for u in alg.nontrivial_basis:
+        if u.source == p.target and alg.concat_zero(p, u):
+            if not q.left_divides(u):
+                return False
+        if u.target == q.source and alg.concat_zero(u, q):
+            if not p.right_divides(u):
+                return False
+    return True
+
+
+def scan_module_dim(alg, r):
+    if alg.is_zero(r):
+        return 0
+    return sum(1 for u in alg.basis if r.left_divides(u))
 
 
 def relation_splits(alg):

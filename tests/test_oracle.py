@@ -22,6 +22,14 @@ from gpstable.oracle import (
     verify_suite,
 )
 
+from reference_scan import (
+    equivalence_algebras,
+    scan_module_dim,
+    scan_ordinary_hom,
+    scan_stable_hom,
+    scan_verify_perfect,
+)
+
 
 def pp(alg, text):
     return parse_path_string(alg.quiver, text)
@@ -171,15 +179,33 @@ class TestBatteryWork:
         else:
             assert set(pset.successor.items()) <= set(checked)
 
-    def test_rng_draws_one_sample_when_sampling(self):
+    def test_rng_draws_one_sample_when_sampling(self, monkeypatch):
         alg = SAMPLED()
         assert len(alg.nontrivial_basis) > FULL_PAIR_SCAN_LIMIT
+        checked, real = [], oracle.bf_verify_perfect
+
+        def perfect(alg, p, q):
+            checked.append((p, q))
+            return real(alg, p, q)
+
+        monkeypatch.setattr(oracle, "bf_verify_perfect", perfect)
         rng, ref = random.Random(5), random.Random(5)
         verify_algebra(alg, rng)
         basis = alg.nontrivial_basis
         pool = [(p, q) for p in basis for q in basis if p.target == q.source]
-        ref.sample(pool, min(60, len(pool)))
+        sample = set(ref.sample(pool, min(60, len(pool))))
         assert rng.getstate() == ref.getstate()
+        # the candidates are the relation splits, the sample drawn from the
+        # pool in this order and the successor pairs, each checked once
+        splits = {
+            (r.prefix(k), r.window(k, r.length))
+            for r in alg.relations
+            for k in range(1, r.length)
+        }
+        successor = set(Analysis(alg).perfect.successor.items())
+        assert sample - splits - successor
+        assert len(checked) == len(set(checked))
+        assert set(checked) == splits | sample | successor
 
     def test_rng_untouched_when_scanning(self):
         alg = FULL()
@@ -187,6 +213,56 @@ class TestBatteryWork:
         rng = random.Random(5)
         verify_algebra(alg, rng)
         assert rng.getstate() == random.Random(5).getstate()
+
+
+def index_algebras():
+    """``equivalence_algebras()`` plus 300 draws of ``random_algebra`` at
+    its default sizes."""
+    rng = random.Random(14)
+    return (*equivalence_algebras(), *(random_algebra(rng) for _ in range(300)))
+
+
+class TestIndexReadsMatchScans:
+    """The divisor-index reads return what the whole-basis scans did."""
+
+    def test_perfect_pairs(self):
+        pairs, homs, verdicts = 0, 0, 0
+        for alg in index_algebras():
+            paths = Analysis(alg).perfect.paths
+            for p in paths:
+                assert alg.module_dim(p) == scan_module_dim(alg, p)
+                for q in paths:
+                    total, by_shift = bf_stable_hom(alg, p, q)
+                    ref_total, ref_by_shift = scan_stable_hom(alg, p, q)
+                    assert total == ref_total
+                    assert list(by_shift.items()) == list(ref_by_shift.items())
+                    ordinary = bf_ordinary_hom(alg, p, q)
+                    assert ordinary == scan_ordinary_hom(alg, p, q)
+                    verdict = bf_verify_perfect(alg, p, q)
+                    assert verdict == scan_verify_perfect(alg, p, q)
+                    pairs += 1
+                    homs += total > 0
+                    verdicts += verdict
+        # measured: 9653 pairs, 3677 non-zero Homs, 887 perfect pairs
+        assert pairs >= 9000 and homs >= 3400 and verdicts >= 800
+
+    def test_basis_pairs_on_small_bases(self):
+        algebras, pairs, verdicts = 0, 0, 0
+        for alg in index_algebras():
+            basis = alg.nontrivial_basis
+            if len(basis) > 40:
+                continue
+            algebras += 1
+            for p in alg.basis_sorted:
+                assert alg.module_dim(p) == scan_module_dim(alg, p)
+            for p in basis:
+                for q in basis:
+                    verdict = bf_verify_perfect(alg, p, q)
+                    assert verdict == scan_verify_perfect(alg, p, q)
+                    pairs += 1
+                    verdicts += verdict
+        # measured: 644 algebras, 26504 pairs, 976 perfect pairs
+        assert algebras >= 600 and pairs >= 25000 and verdicts >= 900
 
 
 def _row(results, name):
