@@ -87,11 +87,9 @@ def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
 
 def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
     """The defining conditions, checked via the annihilator sets."""
-    if p.is_trivial or q.is_trivial:
+    if p.is_trivial or q.is_trivial or p.target != q.source:
         return False
-    if alg.is_zero(p) or alg.is_zero(q):
-        return False
-    if p.target != q.source or not alg.concat_zero(p, q):
+    if alg.is_zero(p) or alg.is_zero(q) or not alg.concat_zero(p, q):
         return False
     return right_annihilators(alg, p) == (q,) and left_annihilators(alg, q) == (p,)
 
@@ -255,18 +253,16 @@ def detect_overlap(alg: MonomialAlgebra, p: Path, q: Path) -> Overlap | None:
     possible middle lengths in increasing order.
     """
     same = p == q
-    max_x = min(p.length, q.length)
-    if same:
-        max_x = p.length - 1
+    # for p == q a middle shorter than p leaves both complements non-trivial
+    max_x = p.length - 1 if same else min(p.length, q.length)
+    pa, pv, qa, qv = p.arrows, p.vertices, q.arrows, q.vertices
     for xlen in range(1, max_x + 1):
-        x = p.suffix(xlen)
-        if x != q.prefix(xlen):
+        # compare the words first; build paths only for a matching middle
+        if pa[-xlen:] != qa[:xlen] or pv[-xlen - 1 :] != qv[: xlen + 1]:
             continue
         left = p.prefix(p.length - xlen)
-        right = q.suffix(q.length - xlen)
-        if same and (left.is_trivial or right.is_trivial):
-            continue
-        whole = left * q
-        if not alg.is_zero(whole):
-            return Overlap("O1" if same else "O2", left, x, right)
+        if not alg.is_zero(left * q):
+            return Overlap(
+                "O1" if same else "O2", left, q.prefix(xlen), q.suffix(q.length - xlen)
+            )
     return None

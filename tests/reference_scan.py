@@ -8,7 +8,10 @@ versions down on a shared family of algebras.  The split reference below is
 the relation-cut index the trie replaced: it slices and looks up every
 suffix of every relation prefix, O(|F|·L³).  The brute-force Hom,
 perfectness and module scans walk the whole basis for every pair, as the
-oracle did before it read the algebra's divisor index.
+oracle did before it read the algebra's divisor index.  The subpath-closure
+scan tests every window of every basis path, and the overlap scan builds a
+``Path`` for every candidate middle, as the oracle did before it took one
+step at a time and compared words.
 """
 
 import importlib.util
@@ -20,6 +23,7 @@ from pathlib import Path as FilePath
 from gpstable import fixtures
 from gpstable.algebra import Path, parse_algebra
 from gpstable.oracle import random_algebra
+from gpstable.perfect import Overlap
 from gpstable.orders import PREC
 
 ROOT = FilePath(__file__).resolve().parent.parent
@@ -101,6 +105,33 @@ def scan_module_dim(alg, r):
     if alg.is_zero(r):
         return 0
     return sum(1 for u in alg.basis if r.left_divides(u))
+
+
+def scan_subpath_closed(alg):
+    return all(
+        p.window(i, j) in alg.basis
+        for p in alg.basis
+        for i in range(p.length + 1)
+        for j in range(i, p.length + 1)
+    )
+
+
+def scan_overlap(alg, p, q):
+    same = p == q
+    max_x = min(p.length, q.length)
+    if same:
+        max_x = p.length - 1
+    for xlen in range(1, max_x + 1):
+        x = p.suffix(xlen)
+        if x != q.prefix(xlen):
+            continue
+        left = p.prefix(p.length - xlen)
+        right = q.suffix(q.length - xlen)
+        if same and (left.is_trivial or right.is_trivial):
+            continue
+        if not alg.is_zero(left * q):
+            return Overlap("O1" if same else "O2", left, x, right)
+    return None
 
 
 def relation_splits(alg):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpstable import fixtures, oracle
-from gpstable.algebra import Path, parse_path_string
+from gpstable.algebra import MonomialAlgebra, Path, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import (
     FULL_PAIR_SCAN_LIMIT,
@@ -21,12 +22,17 @@ from gpstable.oracle import (
     verify_algebra,
     verify_suite,
 )
+from gpstable.perfect import detect_overlap
+from gpstable.stable import StableObject
 
 from reference_scan import (
+    FIXTURES,
     equivalence_algebras,
     scan_module_dim,
     scan_ordinary_hom,
+    scan_overlap,
     scan_stable_hom,
+    scan_subpath_closed,
     scan_verify_perfect,
 )
 
@@ -207,6 +213,24 @@ class TestBatteryWork:
         assert len(checked) == len(set(checked))
         assert set(checked) == splits | sample | successor
 
+    def test_zero_tests_only_on_composable_pairs(self, monkeypatch):
+        alg = FULL()
+        basis = alg.nontrivial_basis
+        assert len(basis) <= FULL_PAIR_SCAN_LIMIT
+        callers, real = Counter(), MonomialAlgebra.is_zero
+
+        def is_zero(self, p):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real(self, p)
+
+        monkeypatch.setattr(MonomialAlgebra, "is_zero", is_zero)
+        assert all(c.ok for c in verify_algebra(alg, random.Random(1)))
+        composable = sum(p.target == q.source for p in basis for q in basis)
+        assert 0 < composable < len(basis) ** 2
+        # both verdicts test t(p) = s(q) first, then both paths are non-zero
+        assert callers["bf_verify_perfect"] == 2 * composable
+        assert callers["is_perfect_pair"] == 2 * composable
+
     def test_rng_untouched_when_scanning(self):
         alg = FULL()
         assert len(alg.nontrivial_basis) <= FULL_PAIR_SCAN_LIMIT
@@ -268,6 +292,91 @@ class TestIndexReadsMatchScans:
 def _row(results, name):
     (row,) = [c for c in results if c.name == name]
     return row
+
+
+class TestWordScansMatchPathScans:
+    """The one-step closure row and the word-level overlap scan return what
+    the all-windows and Path-window scans did."""
+
+    def test_subpath_closure_row(self):
+        for alg in index_algebras():
+            row = _row(verify_algebra(alg, random.Random(0)), "basis-subpath-closed")
+            assert row.ok == scan_subpath_closed(alg)
+
+    @pytest.mark.parametrize("side", ["prefix", "suffix"])
+    def test_subpath_closure_sees_a_missing_divisor(self, side):
+        # the missing path extends to a basis path on one side only, so
+        # only the one-step check on that side can see it
+        doc = (FIXTURES / "lambda_star.json").read_text()
+        intact = parse_algebra(doc)
+        real, perfect = intact.basis, set(Analysis(intact).perfect.paths)
+        prefixes = {u.prefix(u.length - 1) for u in real if u.length > 1}
+        suffixes = {u.suffix(u.length - 1) for u in real if u.length > 1}
+        one_sided = prefixes - suffixes if side == "prefix" else suffixes - prefixes
+        missing = min(one_sided - perfect, key=Path.sort_key)
+        alg = parse_algebra(doc)
+        alg.basis = real - {missing}  # before any property built on it is read
+        assert not _row(verify_algebra(alg), "basis-subpath-closed").ok
+        assert not scan_subpath_closed(alg)
+
+    def test_detect_overlap(self):
+        kinds = Counter()
+        for alg in index_algebras():
+            paths = Analysis(alg).perfect.paths
+            for p in paths:
+                for q in paths:
+                    found = detect_overlap(alg, p, q)
+                    assert found == scan_overlap(alg, p, q)
+                    kinds[found and found.kind] += 1
+        # measured: 87 O1 and 2790 O2 overlaps among 9653 pairs
+        assert kinds["O1"] >= 80 and kinds["O2"] >= 2500
+
+
+class TestTiltingRow:
+    """tilting-orthogonality suspends each summand once per power and still
+    compares every (x, Sigma^i y)."""
+
+    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["lambda_star", "N(3,3)"])
+    def test_calls_per_class(self, make, monkeypatch):
+        events = []
+        watched = ("tau_periodicity_check", "suspend", "graded_stable_hom", "end_algebra")
+        for name in watched:
+
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                events.append((_name, args))
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        alg = make()
+        assert _row(verify_algebra(alg, random.Random(1)), "tilting-orthogonality").ok
+        # the row runs after the last tau-periodicity check, before end_algebra
+        names = [name for name, _ in events]
+        start = len(names) - names[::-1].index("tau_periodicity_check")
+        row = events[start : names.index("end_algebra")]
+        suspended = [args[1:] for name, args in row if name == "suspend"]
+        assert len(suspended) == len(set(suspended))
+
+        an = Analysis(alg)
+        calls = Counter(
+            (name, an.locate(args[1].path)[0].cycle_class.cycle) for name, args in row
+        )
+        expected = Counter()
+        for dec in an.decompositions:
+            n, powers = dec.m * dec.arrow_length, 2 * (dec.m + 1)
+            expected["suspend", dec.cycle_class.cycle] = n * powers
+            expected["graded_stable_hom", dec.cycle_class.cycle] = n * n * powers
+        assert calls == expected
+
+    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["lambda_star", "N(3,3)"])
+    def test_fails_on_a_shifted_suspension(self, make, monkeypatch):
+        real = oracle.suspend
+
+        def shifted(an, obj, power):
+            out = real(an, obj, power)
+            return StableObject(out.path, out.shift + 1)
+
+        monkeypatch.setattr(oracle, "suspend", shifted)
+        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
 
 
 class TestFailureDetails:
