@@ -49,5 +49,5 @@ rng = random.Random(7)
 sample = random_algebra(rng)
 print("\nrandom algebra:", sample)
 print("  relations:", [str(r) for r in sample.relations])
-bad = [c for c in verify_algebra(sample, rng) if not c.ok]
+bad = [c for c in verify_algebra(sample) if not c.ok]
 print("  failures:", bad or "none")

@@ -8,18 +8,19 @@ paths with a given left or right divisor, listed by the algebra's
 against the fast implementations and powers both the property-test suite
 and the ``verify`` CLI command; oracles may be exponential in path length
 and are meant for desk-scale inputs only.
+Perfectness has one test: the literal definition on every composable
+pair of non-trivial basis paths, each once, whose verdicts must equal the
+pipeline's pair map; no random numbers are drawn.
 The battery computes each brute-force quantity once per algebra (the
 perfectness verdicts, the overlap table and both Hom tables over the
 pairs of perfect paths) and every row that needs it reads that table.
-Work that cannot change a verdict is skipped: both perfectness tests
-reject a pair with t(p) != s(q) before any zero test, subpath closure is
-checked one step at a time (the prefix and suffix one arrow shorter of
-each basis path), and the tilting row suspends each summand once per power.
+Work that cannot change a verdict is skipped: subpath closure is checked
+one step at a time (the prefix and suffix one arrow shorter of each basis
+path), and the tilting row suspends each summand once per power.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,7 +33,7 @@ from .algebra import (
     Quiver,
 )
 from .analysis import Analysis
-from .perfect import detect_overlap, is_perfect_pair
+from .perfect import _successor_words, detect_overlap
 from .stable import (
     StableObject,
     ar_triangle,
@@ -44,7 +45,7 @@ from .stable import (
     ungraded_stable_hom,
 )
 
-FULL_PAIR_SCAN_LIMIT = 70  # basis size under which every pair is bf-checked
+FULL_PAIR_SCAN_LIMIT = 70  # only perfbench/workloads.py reads it; ROADMAP I retires it
 
 
 def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
@@ -161,22 +162,18 @@ class CheckResult:
     detail: str = ""
 
 
-def _relation_split_candidates(alg: MonomialAlgebra):
-    """All (prefix, suffix) splits of the minimal relations, both parts
-    non-zero; any perfect pair appears here because its product is a
-    relation."""
-    for r in alg.relations:
-        for cut in range(1, r.length):
-            yield r.prefix(cut), r.window(cut, r.length)
-
-
-def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
+def verify_algebra(
+    alg: MonomialAlgebra,
+    rng: random.Random | None = None,  # only perfbench/workloads.py passes it; ROADMAP I retires it
+):
     """Run the whole oracle battery on one algebra.
 
     Returns a list of :class:`CheckResult`; every closed form in the
-    package is compared with its brute-force counterpart.
+    package is compared with its brute-force counterpart.  Perfectness is
+    tested once, on every composable pair of non-trivial basis paths, and
+    the verdicts are compared with the pipeline's pair map.  The battery
+    draws no random numbers.
     """
-    rng = rng or random.Random(0)
     an = Analysis(alg)
     results: list[CheckResult] = []
 
@@ -220,37 +217,33 @@ def verify_algebra(alg: MonomialAlgebra, rng: random.Random | None = None):
     pairs = [(p, pset.successor[p]) for p in pset.paths]
 
     # --- perfect pairs against the literal definition ----------------------
-    if len(alg.nontrivial_basis) <= FULL_PAIR_SCAN_LIMIT:
-        candidates = list(
-            itertools.product(alg.nontrivial_basis, alg.nontrivial_basis)
-        )
-    else:
-        candidates = list(_relation_split_candidates(alg))
-        starts = alg.divisor_index.starts
-        pool = [
-            (p, q)
-            for p in alg.nontrivial_basis
-            for q in starts[p.target, ()]
-            if not q.is_trivial
-        ]
-        candidates += rng.sample(pool, min(60, len(pool)))
-        candidates += pairs
-    candidates = set(candidates)
-    bf_true = {(p, q) for p, q in candidates if bf_verify_perfect(alg, p, q)}
-    fast_true = {(p, q) for p, q in candidates if is_perfect_pair(alg, p, q)}
+    # Every composable pair of non-trivial basis paths, each once: p ends at
+    # the vertex where q starts.  The verdicts must be exactly the pairs of
+    # the pipeline's own pair map, not only its periodic points.
+    index = alg.divisor_index
+    bf_true = {
+        (p.arrows, q.arrows)
+        for v in alg.quiver.vertices
+        for p in index.ends[(), v]
+        if not p.is_trivial
+        for q in index.starts[v, ()]
+        if not q.is_trivial and bf_verify_perfect(alg, p, q)
+    }
+    sigma = set(_successor_words(alg).items())
+
+    def show(words):
+        return sorted(f"({'.'.join(p)}, {'.'.join(q)})" for p, q in words)[:3]
+
     check(
         "perfect-pairs-match-bruteforce",
-        bf_true == fast_true,
-        f"bf only: {sorted(map(str, bf_true - fast_true))[:3]}; "
-        f"fast only: {sorted(map(str, fast_true - bf_true))[:3]}",
+        bf_true == sigma,
+        f"bf only: {show(bf_true - sigma)}; pair map only: {show(sigma - bf_true)}",
     )
     # Perfect paths are the periodic points of the pair assignment, a
-    # strictly smaller set than the pairs themselves in general.  Every
-    # successor pair is a candidate (a pair of non-trivial basis paths, or
-    # added explicitly when sampling), so its verdict is already in bf_true.
+    # strictly smaller set than the pairs themselves in general.
     check(
         "perfect-paths-are-periodic-pairs",
-        set(pairs) <= bf_true,
+        {(p.arrows, q.arrows) for p, q in pairs} <= bf_true,
         "an enumerated successor pair fails the literal definition",
     )
 
@@ -530,8 +523,8 @@ def verify_suite(
 ) -> list[tuple[str, list[CheckResult]]]:
     """Verify one algebra plus ``random_count`` seeded random ones."""
     rng = random.Random(seed)
-    tables = [("input", verify_algebra(alg, rng))]
+    tables = [("input", verify_algebra(alg))]
     for k in range(random_count):
         sample = random_algebra(rng)
-        tables.append((f"random-{k}(seed={seed})", verify_algebra(sample, rng)))
+        tables.append((f"random-{k}(seed={seed})", verify_algebra(sample)))
     return tables

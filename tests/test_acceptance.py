@@ -141,7 +141,7 @@ def test_criterion_6_property_suite():
     failures = []
     with_perfect = 0
     for k, alg in enumerate(algebras):
-        results = verify_algebra(alg, rng)
+        results = verify_algebra(alg)
         bad = [c for c in results if not c.ok]
         if bad:
             failures.append((k, [str(r) for r in alg.relations], bad))

@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 from collections import Counter
@@ -12,7 +11,6 @@ from gpstable import fixtures, oracle
 from gpstable.algebra import MonomialAlgebra, Path, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import (
-    FULL_PAIR_SCAN_LIMIT,
     bf_factorizations,
     bf_ordinary_hom,
     bf_ses_dims,
@@ -135,14 +133,19 @@ class TestVerifySuite:
             assert all(c.ok for c in checks)
 
 
-# lambda_star is sampled (99 non-trivial basis paths), N(3,3) fully scanned.
-SAMPLED, FULL = fixtures.lambda_star, lambda: fixtures.nakayama(3, 3)
+STAR, NAK33 = fixtures.lambda_star, lambda: fixtures.nakayama(3, 3)
+
+
+def composable_pairs(alg):
+    """Every (p, q) of non-trivial basis paths with t(p) = s(q)."""
+    basis = alg.nontrivial_basis
+    return {(p, q) for p in basis for q in basis if p.target == q.source}
 
 
 class TestBatteryWork:
     """One verify_algebra call computes each brute-force table once."""
 
-    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["sampled", "full-scan"])
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_each_table_once(self, make, monkeypatch):
         alg = make()
         calls = Counter()
@@ -171,52 +174,18 @@ class TestBatteryWork:
 
         monkeypatch.setattr(oracle, "bf_verify_perfect", perfect)
         monkeypatch.setattr(Path, "__mul__", mul)
-        assert all(c.ok for c in verify_algebra(alg, random.Random(1)))
+        assert all(c.ok for c in verify_algebra(alg))
 
-        pset = Analysis(alg).perfect
-        n = len(pset.paths) ** 2
+        n = len(Analysis(alg).perfect.paths) ** 2
         assert calls == Counter(
             detect_overlap=n, ungraded_stable_hom=n, bf_stable_hom=n
         )
         assert len(checked) == len(set(checked)) and not products
-        basis = alg.nontrivial_basis
-        if len(basis) <= FULL_PAIR_SCAN_LIMIT:
-            assert set(checked) == set(itertools.product(basis, basis))
-        else:
-            assert set(pset.successor.items()) <= set(checked)
-
-    def test_rng_draws_one_sample_when_sampling(self, monkeypatch):
-        alg = SAMPLED()
-        assert len(alg.nontrivial_basis) > FULL_PAIR_SCAN_LIMIT
-        checked, real = [], oracle.bf_verify_perfect
-
-        def perfect(alg, p, q):
-            checked.append((p, q))
-            return real(alg, p, q)
-
-        monkeypatch.setattr(oracle, "bf_verify_perfect", perfect)
-        rng, ref = random.Random(5), random.Random(5)
-        verify_algebra(alg, rng)
-        basis = alg.nontrivial_basis
-        pool = [(p, q) for p in basis for q in basis if p.target == q.source]
-        sample = set(ref.sample(pool, min(60, len(pool))))
-        assert rng.getstate() == ref.getstate()
-        # the candidates are the relation splits, the sample drawn from the
-        # pool in this order and the successor pairs, each checked once
-        splits = {
-            (r.prefix(k), r.window(k, r.length))
-            for r in alg.relations
-            for k in range(1, r.length)
-        }
-        successor = set(Analysis(alg).perfect.successor.items())
-        assert sample - splits - successor
-        assert len(checked) == len(set(checked))
-        assert set(checked) == splits | sample | successor
+        assert set(checked) == composable_pairs(alg)
 
     def test_zero_tests_only_on_composable_pairs(self, monkeypatch):
-        alg = FULL()
+        alg = NAK33()
         basis = alg.nontrivial_basis
-        assert len(basis) <= FULL_PAIR_SCAN_LIMIT
         callers, real = Counter(), MonomialAlgebra.is_zero
 
         def is_zero(self, p):
@@ -224,19 +193,64 @@ class TestBatteryWork:
             return real(self, p)
 
         monkeypatch.setattr(MonomialAlgebra, "is_zero", is_zero)
-        assert all(c.ok for c in verify_algebra(alg, random.Random(1)))
-        composable = sum(p.target == q.source for p in basis for q in basis)
+        assert all(c.ok for c in verify_algebra(alg))
+        composable = len(composable_pairs(alg))
         assert 0 < composable < len(basis) ** 2
-        # both verdicts test t(p) = s(q) first, then both paths are non-zero
+        # the scan meets only composable pairs, whose paths are both non-zero
         assert callers["bf_verify_perfect"] == 2 * composable
-        assert callers["is_perfect_pair"] == 2 * composable
 
-    def test_rng_untouched_when_scanning(self):
-        alg = FULL()
-        assert len(alg.nontrivial_basis) <= FULL_PAIR_SCAN_LIMIT
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_rng_untouched_when_scanning(self, make):
         rng = random.Random(5)
-        verify_algebra(alg, rng)
+        verify_algebra(make(), rng)
         assert rng.getstate() == random.Random(5).getstate()
+
+
+class TestPerfectPairsRow:
+    """perfect-pairs-match-bruteforce compares the literal definition on
+    every composable pair with every pair of the pipeline's pair map."""
+
+    ROW = "perfect-pairs-match-bruteforce"
+
+    def test_fails_on_a_dropped_pair(self, monkeypatch):
+        real = oracle._successor_words
+        dropped = min(real(STAR()).items())
+
+        def without(alg):
+            sigma = real(alg)
+            del sigma[dropped[0]]
+            return sigma
+
+        monkeypatch.setattr(oracle, "_successor_words", without)
+        row = _row(verify_algebra(STAR()), self.ROW)
+        p, q = map(".".join, dropped)
+        assert not row.ok and f"bf only: ['({p}, {q})']" in row.detail
+
+    def test_fails_on_an_added_pair(self, monkeypatch):
+        alg, real = STAR(), oracle._successor_words
+        sigma = real(alg)
+        # a composable pair that is not perfect, with p outside the map
+        p, q = min((p, q) for p, q in composable_pairs(alg) if p.arrows not in sigma)
+        assert not bf_verify_perfect(alg, p, q)
+
+        def with_extra(alg):
+            return {**real(alg), p.arrows: q.arrows}
+
+        monkeypatch.setattr(oracle, "_successor_words", with_extra)
+        rows = verify_algebra(STAR())
+        row = _row(rows, self.ROW)
+        assert not row.ok and f"pair map only: ['({p}, {q})']" in row.detail
+        # the pipeline's own pair map is untouched, so every other row passes
+        assert [c.name for c in rows if not c.ok] == [self.ROW]
+
+    def test_passes_on_index_algebras(self):
+        composable = perfect = 0
+        for alg in index_algebras():
+            assert _row(verify_algebra(alg), self.ROW).ok
+            composable += len(composable_pairs(alg))
+            perfect += len(oracle._successor_words(alg))
+        # measured: 7297 composable pairs, 996 perfect pairs
+        assert composable >= 7000 and perfect >= 950
 
 
 def index_algebras():
@@ -300,7 +314,7 @@ class TestWordScansMatchPathScans:
 
     def test_subpath_closure_row(self):
         for alg in index_algebras():
-            row = _row(verify_algebra(alg, random.Random(0)), "basis-subpath-closed")
+            row = _row(verify_algebra(alg), "basis-subpath-closed")
             assert row.ok == scan_subpath_closed(alg)
 
     @pytest.mark.parametrize("side", ["prefix", "suffix"])
@@ -336,7 +350,7 @@ class TestTiltingRow:
     """tilting-orthogonality suspends each summand once per power and still
     compares every (x, Sigma^i y)."""
 
-    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["lambda_star", "N(3,3)"])
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_calls_per_class(self, make, monkeypatch):
         events = []
         watched = ("tau_periodicity_check", "suspend", "graded_stable_hom", "end_algebra")
@@ -348,7 +362,7 @@ class TestTiltingRow:
 
             monkeypatch.setattr(oracle, name, counted)
         alg = make()
-        assert _row(verify_algebra(alg, random.Random(1)), "tilting-orthogonality").ok
+        assert _row(verify_algebra(alg), "tilting-orthogonality").ok
         # the row runs after the last tau-periodicity check, before end_algebra
         names = [name for name, _ in events]
         start = len(names) - names[::-1].index("tau_periodicity_check")
@@ -367,7 +381,7 @@ class TestTiltingRow:
             expected["graded_stable_hom", dec.cycle_class.cycle] = n * n * powers
         assert calls == expected
 
-    @pytest.mark.parametrize("make", [SAMPLED, FULL], ids=["lambda_star", "N(3,3)"])
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_fails_on_a_shifted_suspension(self, make, monkeypatch):
         real = oracle.suspend
 
@@ -400,17 +414,15 @@ class TestFailureDetails:
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_random_algebra_battery(seed):
-    rng = random.Random(seed)
-    alg = random_algebra(rng)
-    failures = [c for c in verify_algebra(alg, rng) if not c.ok]
+    alg = random_algebra(random.Random(seed))
+    failures = [c for c in verify_algebra(alg) if not c.ok]
     assert not failures, (alg, [str(r) for r in alg.relations], failures)
 
 
 def test_random_algebra_factors_winding_twice():
     # seed 3684 plants perfect paths that tile the square of their cycle
-    rng = random.Random(3684)
-    alg = random_algebra(rng)
-    failures = [c for c in verify_algebra(alg, rng) if not c.ok]
+    alg = random_algebra(random.Random(3684))
+    failures = [c for c in verify_algebra(alg) if not c.ok]
     assert not failures, failures
 
 

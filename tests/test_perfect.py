@@ -144,16 +144,20 @@ class TestPerfectPairs:
     def test_star_nonpair_bridge(self, star):
         assert not is_perfect_pair(star, pp(star, "b2"), pp(star, "a4.a5"))
 
-    def test_pair_agrees_with_bruteforce(self, star):
-        pairs = [
-            ("a1.a2", "a3.a1.a2.a3.a1.a2"),
-            ("a3", "a1.a2.a3.a1.a2.a3"),
-            ("a1.a2", "a3"),
-            ("a4.a5.a4.a5", "a4.a5.a4.a5"),
-        ]
-        for a, b in pairs:
-            p, q = pp(star, a), pp(star, b)
-            assert is_perfect_pair(star, p, q) == bf_verify_perfect(star, p, q)
+    def test_pair_agrees_with_bruteforce(self):
+        pairs = perfect = 0
+        for alg in equivalence_algebras():
+            basis = alg.nontrivial_basis
+            for p in basis:
+                for q in basis:
+                    if p.target != q.source:
+                        continue
+                    verdict = is_perfect_pair(alg, p, q)
+                    assert verdict == bf_verify_perfect(alg, p, q), (p, q)
+                    pairs += 1
+                    perfect += verdict
+        # measured: 5302 composable pairs, 728 of them perfect
+        assert pairs >= 5000 and perfect >= 700
 
 
 EXPECTED_SEQUENCES = [
