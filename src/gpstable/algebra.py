@@ -397,7 +397,6 @@ class MonomialAlgebra:
         self,
         quiver: Quiver,
         relations: Sequence[Path],
-        arrow_degrees: Mapping[str, int] | None = None,
     ):
         self.quiver = quiver
         notes = []
@@ -438,19 +437,6 @@ class MonomialAlgebra:
         self.relations: tuple[Path, ...] = tuple(
             sorted(minimal, key=Path.sort_key)
         )
-
-        degrees = {a.id: 1 for a in quiver.arrows}
-        for aid, d in (arrow_degrees or {}).items():
-            if aid not in degrees:
-                raise InputError(f"arrow_degrees mentions unknown arrow {aid!r}")
-            if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-                raise InputError(
-                    f"arrow degree for {aid!r} must be a positive integer; "
-                    f"degree-0 arrows would leave the positively-graded "
-                    f"condition unverifiable"
-                )
-            degrees[aid] = d
-        self.arrow_degrees: dict[str, int] = degrees
 
         self.relation_words = frozenset(r.arrows for r in self.relations)
         self.automaton = relation_automaton(quiver, self.relations)
@@ -532,11 +518,11 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
 
         {"vertices": ["1", ...],
          "arrows": [{"id": "a1", "from": "1", "to": "2"}, ...],
-         "relations": [["a1", "a2"], ...],
-         "arrow_degrees": {"a1": 1, ...}}        # optional
+         "relations": [["a1", "a2"], ...]}
 
-    Arrow degrees default to 1 everywhere.  They are validated, but no
-    output reads them yet: every graded closed form shifts by arrow length.
+    Every arrow has degree 1: the graded closed forms shift by arrow
+    length, so a document that declares ``arrow_degrees`` is rejected,
+    not read as if every degree were 1.
     """
     if isinstance(doc, str):
         try:
@@ -550,6 +536,11 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     for key in ("vertices", "arrows", "relations"):
         if key not in data:
             raise InputError(f"input document missing {key!r}")
+    if "arrow_degrees" in data:
+        raise InputError(
+            "'arrow_degrees' is not supported: every graded closed form "
+            "shifts by arrow length, so each arrow has degree 1"
+        )
 
     vertices = data["vertices"]
     if not isinstance(vertices, (list, tuple)) or not vertices:
@@ -580,7 +571,4 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
         except InputError as exc:
             raise InputError(f"relation #{k} is not a valid path: {exc}") from None
 
-    degrees = data.get("arrow_degrees")
-    if degrees is not None and not isinstance(degrees, Mapping):
-        raise InputError("'arrow_degrees' must be an object")
-    return MonomialAlgebra(quiver, relations, degrees)
+    return MonomialAlgebra(quiver, relations)

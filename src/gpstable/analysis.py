@@ -27,7 +27,11 @@ class Analysis:
 
     Every derived structure (perfect paths, cycle classes, Hasse quivers,
     decompositions, bracket coordinates) is computed once and shared; the
-    underlying data is immutable throughout.
+    underlying data is immutable throughout.  The decompositions read each
+    class's bracket grid off the relations its perfect pairs cut, so the
+    closed forms never build a Hasse quiver: those, and the (co-)elementary
+    paths read off them, are an output view that the oracle checks against
+    the grid.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -71,7 +75,7 @@ class Analysis:
     @cached_property
     def decompositions(self) -> tuple[CycleDecomposition, ...]:
         return tuple(
-            decompose_cycle(self.algebra, cls, self.hasse_prec, self.perfect.successor)
+            decompose_cycle(self.algebra, cls, self.perfect.successor)
             for cls in self.classes
         )
 

@@ -33,6 +33,7 @@ from .algebra import (
     Quiver,
 )
 from .analysis import Analysis
+from .arquiver import ungraded_ar_quiver
 from .perfect import _successor_words, detect_overlap
 from .stable import (
     StableObject,
@@ -487,8 +488,6 @@ def verify_algebra(
     )
 
     # --- AR quiver shape ----------------------------------------------------------
-    from .arquiver import ungraded_ar_quiver  # local import to avoid a cycle
-
     quiver_ok = True
     for dec in an.decompositions:
         tq = ungraded_ar_quiver(an, dec)

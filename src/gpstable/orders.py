@@ -7,7 +7,8 @@ quivers decompose into linear A-type chains; their sources and sinks are
 the elementary and co-elementary paths, every perfect path factors
 uniquely into co-elementary ones, and each underlying cycle carries the
 invariants (number of factors, arrow length, chain length m) that drive
-all stable-category formulas.
+all stable-category formulas.  The decomposition reads them off the
+relations the perfect pairs cut; the Hasse quivers are an output view.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ class CycleDecomposition:
     cycle equal to their concatenation; ``size`` is n, ``m`` the number of
     perfect paths with r_1 as left divisor.  ``windows[i-1][span-1]`` is the
     class member (the object itself) that realizes r_i .. r_{i+span-1}, for
-    1 <= i <= n, 1 <= span <= m: row i is the prefix-order Hasse chain
-    above r_i, read bottom-up.
+    1 <= i <= n, 1 <= span <= m: row i is the set of perfect cuts of the
+    relation r_i .. r_{i+m}, sorted by length (the prefix-order Hasse chain
+    above r_i, read bottom-up, which the oracle checks).
     """
 
     cycle_class: UnderlyingCycleClass
@@ -172,30 +174,33 @@ class CycleDecomposition:
 def decompose_cycle(
     alg: MonomialAlgebra,
     cls: UnderlyingCycleClass,
-    hasse_prec: HasseQuiver,
     successor: Mapping[Path, Path],
 ) -> CycleDecomposition:
-    """Read one underlying cycle class off the prefix-order Hasse chains.
+    """Read one underlying cycle class off the relations its pairs cut.
 
-    Each chain of the class, read bottom-up, is one row [i, i], [i, i+1],
-    ..., [i, i+m-1] of the bracket grid: it starts at the co-elementary
-    factor r_i and each cover appends the next factor.  The successor of
-    r_i is [i+1, i+m], the top of the next row, which orders the rows
-    cyclically.  Co-elementary paths are prefix-free, so the periodic arrow
-    word factors uniquely and r_1 ... r_n is the least power c^d of the
-    primitive cycle that factors; the factors may wind around c more than
-    once (a3 and a1.a3.a1 on the 2-cycle a1.a3).  The anchor is the
-    rotation at a factor boundary whose arrows are lexicographically
-    smallest; this pins down all bracket coordinates.
+    Every perfect pair (p, successor(p)) multiplies to a minimal relation,
+    and the members that cut r_i ... r_{i+m}, sorted by length, are one row
+    [i, i], [i, i+1], ..., [i, i+m-1] of the bracket grid: it starts at
+    the co-elementary factor r_i and each step appends the next factor.
+    The successor of r_i is [i+1, i+m], the top of the next row, which
+    orders the rows cyclically.  Co-elementary paths are prefix-free, so
+    the periodic arrow word factors uniquely and r_1 ... r_n is the least
+    power c^d of the primitive cycle that factors; the factors may wind
+    around c more than once (a3 and a1.a3.a1 on the 2-cycle a1.a3).  The
+    anchor is the rotation at a factor boundary whose arrows are
+    lexicographically smallest; this pins down all bracket coordinates.
+    The prefix-order Hasse chains are the same rows read top-down; they
+    are an output view, and the oracle checks them against this grid.
     """
-    members = set(cls.members)
-    rows = [chain[::-1] for chain in hasse_prec.components if chain[-1] in members]
-    if sum(map(len, rows)) != len(members) or not all(
-        p in members for row in rows for p in row
-    ):
-        raise InternalConsistencyError(
-            f"the prefix-order chains of class {cls.cycle} do not partition it"
-        )
+    by_relation: dict[tuple[str, ...], list[Path]] = {}
+    for p in cls.members:
+        q = successor.get(p)
+        if q is None:
+            raise InternalConsistencyError(
+                f"perfect path {p} of class {cls.cycle} has no successor"
+            )
+        by_relation.setdefault(p.arrows + q.arrows, []).append(p)
+    rows = [tuple(sorted(row, key=Path.sort_key)) for row in by_relation.values()]
     n, m = len(rows), len(rows[0])
     if any(len(row) != m for row in rows):
         raise InternalConsistencyError(

@@ -206,14 +206,14 @@ class TestParsing:
             for s in range(len(pumped) - r.length + 1)
         )
 
-    def test_boolean_arrow_degree_rejected(self):
-        # bool is a subclass of int; true must not pass as degree 1
+    @pytest.mark.parametrize("degrees", [{"a": True}, {"a": 2}, {"a": 1}, {}])
+    def test_declared_arrow_degrees_rejected(self, degrees):
+        # every graded closed form shifts by arrow length; a declared degree,
+        # even the default 1, must not be read as if it were not there
         doc = fixtures.a2_document()
-        doc["arrow_degrees"] = {"a": True}
-        with pytest.raises(InputError, match="positive integer"):
+        doc["arrow_degrees"] = degrees
+        with pytest.raises(InputError, match="shifts by arrow length"):
             parse_algebra(doc)
-        doc["arrow_degrees"] = {"a": 2}
-        assert parse_algebra(doc).arrow_degrees == {"a": 2}
 
     def test_deeply_nested_json_is_input_error(self):
         with pytest.raises(InputError, match="malformed JSON document"):

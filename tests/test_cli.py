@@ -292,15 +292,17 @@ class TestErrors:
         assert exc.value.code == 2 and out.out == ""
         assert f"unrecognized arguments: {argv[-1]}" in out.err
 
-    def test_boolean_degree_exits_1(self, capsys, tmp_path):
+    def test_declared_degrees_exit_1(self, capsys, tmp_path):
         import gpstable.fixtures as fx
 
         doc = fx.a2_document()
-        doc["arrow_degrees"] = {"a": True}
-        f = tmp_path / "bool_degree.json"
+        doc["arrow_degrees"] = {"a": 2}
+        f = tmp_path / "degrees.json"
         f.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "analyze", str(f))
-        assert code == 1 and "positive integer" in err
+        for cmd in ("analyze", "classify"):
+            code, out, err = run(capsys, cmd, str(f))
+            assert code == 1 and out == ""
+            assert "arrow_degrees" in err and "shifts by arrow length" in err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         import gpstable.perfect as perfect

@@ -4,8 +4,9 @@ Hom, suspension and the AR data read one ``Analysis.locate`` per object.
 Here they are checked against the Path-keyed versions kept in
 ``reference_stable`` on every algebra of the shared family that has perfect
 paths, both with the path objects the analysis hands out and with equal
-paths parsed afresh.  The laziness tests make the basis enumeration raise
-and run the whole closed-form pipeline anyway.
+paths parsed afresh.  The laziness tests make the basis enumeration, or
+the Hasse quiver construction, raise and run the whole closed-form
+pipeline anyway.
 """
 
 import json
@@ -15,6 +16,7 @@ from pathlib import Path as FilePath
 import pytest
 
 import gpstable.algebra as algebra
+import gpstable.analysis as analysis
 import reference_stable as ref
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
@@ -228,15 +230,25 @@ def no_basis(monkeypatch):
     monkeypatch.setattr(algebra, "enumerate_nonzero_paths", refuse)
 
 
+@pytest.fixture
+def no_hasse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hasse quiver was built")
+
+    monkeypatch.setattr(analysis, "hasse_quiver", refuse)
+
+
 def run_closed_form_pipeline(an):
     report = classify(an)
-    an.hasse_prec, an.hasse_leq  # noqa: B018 - both Hasse quivers
     for p in an.perfect.paths:
         x = StableObject(p, 0)
         for q in an.perfect.paths:
             graded_stable_hom(an, x, StableObject(q, 1))
             ungraded_stable_hom(an, p, q)
         suspend(an, x, 3)
+        ar_triangle(an, x)
+    for dec in an.decompositions:
+        graded_ar_window(an, dec, -4, 4)
     return report, json.loads(emit(full_ungraded_ar_quiver(an), "json"))
 
 
@@ -252,6 +264,7 @@ class TestLazyBasis:
     def test_fixture_pipeline_without_basis(self, no_basis, fixture):
         an = Analysis(parse_algebra((FIXTURES / fixture).read_text()))
         report, quiver = run_closed_form_pipeline(an)
+        an.hasse_prec, an.hasse_leq  # noqa: B018 - both Hasse quivers
         assert report.cm_free == (not an.perfect.paths)
         assert len(quiver["vertices"]) == len(an.perfect.paths)
 
@@ -260,6 +273,7 @@ class TestLazyBasis:
         assert wide_tail_basis_size(k, w, n, m) > 4 * 10**6
         an = Analysis(parse_algebra(wide_tail_document(k, w, n, m)))
         report, quiver = run_closed_form_pipeline(an)
+        an.hasse_prec, an.hasse_leq  # noqa: B018 - both Hasse quivers
         ((graded,), (ungraded,)) = report.graded, report.ungraded
         assert (graded.typeA_size, graded.multiplicity) == (m, n)
         assert (ungraded.vertices, ungraded.radical_exponent) == (n, m + 1)
@@ -271,3 +285,32 @@ class TestLazyBasis:
         for k, w, n, m in ((3, 2, 2, 2), (4, 3, 3, 1), (5, 2, 1, 3)):
             alg = parse_algebra(wide_tail_document(k, w, n, m))
             assert alg.dim == wide_tail_basis_size(k, w, n, m)
+
+
+class TestNoHasse:
+    """classify, the stable queries and the AR quivers read each class's
+    bracket grid off the pair map; only ``hasse`` and ``analyze`` (the
+    elementary paths) and the oracle build a Hasse quiver."""
+
+    def test_patch_takes_effect(self, no_hasse):
+        an = Analysis(parse_algebra((FIXTURES / "lambda_star.json").read_text()))
+        with pytest.raises(AssertionError, match="Hasse quiver was built"):
+            an.hasse_prec  # noqa: B018
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(f.name for f in FIXTURES.glob("*.json"))
+    )
+    def test_fixture_pipeline_without_hasse(self, no_hasse, fixture):
+        an = Analysis(parse_algebra((FIXTURES / fixture).read_text()))
+        report, quiver = run_closed_form_pipeline(an)
+        assert report.cm_free == (not an.perfect.paths)
+        assert len(quiver["vertices"]) == len(an.perfect.paths)
+        assert "hasse_prec" not in an.__dict__
+
+    def test_wide_tail_pipeline_without_hasse(self, no_basis, no_hasse):
+        k, w, n, m = 20, 2, 3, 3
+        an = Analysis(parse_algebra(wide_tail_document(k, w, n, m)))
+        report, quiver = run_closed_form_pipeline(an)
+        assert [(f.typeA_size, f.multiplicity) for f in report.graded] == [(m, n)]
+        assert len(quiver["vertices"]) == n * m
+        assert "hasse_prec" not in an.__dict__

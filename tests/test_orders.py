@@ -22,7 +22,13 @@ from gpstable.orders import (
     hasse_quiver,
 )
 from gpstable.perfect import enumerate_perfect_paths
-from reference_scan import equivalence_algebras, reduction_hasse_arrows, rotation
+from reference_scan import (
+    FIXTURES,
+    equivalence_algebras,
+    reduction_hasse_arrows,
+    rotation,
+    trie_algebras,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +147,22 @@ class TestLinearHasseEquivalence:
 
 
 class TestFiltrationView:
-    """The prefix-order chain above p, read from the top down, is the end of
-    p's window row: [i, i+m-1] down to [i, i+span-1]."""
+    """The bracket grid is read off the relations the perfect pairs cut; the
+    prefix-order chain above p, read from the top down, is the end of p's
+    window row: [i, i+m-1] down to [i, i+span-1]."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[*sorted(f.name for f in FIXTURES.glob("*.json")), "trie_algebras"],
+    )
+    def analyses(self, request):
+        """One fixture document, or ``trie_algebras()``, the ``reference_scan``
+        family that contains ``equivalence_algebras()``."""
+        if request.param == "trie_algebras":
+            algs = trie_algebras()
+        else:
+            algs = (parse_algebra((FIXTURES / request.param).read_text()),)
+        return tuple(Analysis(alg) for alg in algs)
 
     @staticmethod
     def chain_above(an, p):
@@ -157,8 +177,6 @@ class TestFiltrationView:
             "a1.a2.a3.a1.a2",
             "a1.a2.a3",
         ]
-        # the rows are the prefix-order Hasse chains
-        assert any(c[: len(chain)] == chain for c in star_an.hasse_prec.components)
         # successive quotients along the chain are elementary perfect paths:
         # each covering complement recombines with the predecessor pair.
         for above, below in zip(chain, chain[1:]):
@@ -166,9 +184,29 @@ class TestFiltrationView:
             complement = above.window(below.length, above.length)
             assert complement in set(star_an.coelementary)
 
-    def test_top_of_chain_is_elementary(self, star_an):
-        for p in star_an.perfect.paths:
-            assert self.chain_above(star_an, p)[0] in set(star_an.elementary)
+    def test_rows_are_the_hasse_chains(self, analyses):
+        # every row of the grid is the reversed prefix-order Hasse
+        # component that starts at its factor, and every component is a row
+        for an in analyses:
+            by_bottom = {c[-1]: c[::-1] for c in an.hasse_prec.components}
+            rows = [row for dec in an.decompositions for row in dec.windows]
+            assert len(rows) == len(by_bottom)
+            for row in rows:
+                assert row == by_bottom[row[0]], an.algebra.relations
+
+    def test_class_sets_are_the_hasse_sources_and_sinks(self, analyses):
+        for an in analyses:
+            decs = an.decompositions
+            assert {x for dec in decs for x in dec.elementary} == set(an.elementary)
+            assert {r for dec in decs for r in dec.coelementary} == set(
+                an.coelementary
+            )
+
+    def test_top_of_chain_is_elementary(self, analyses):
+        for an in analyses:
+            elementary = set(an.elementary)
+            for p in an.perfect.paths:
+                assert self.chain_above(an, p)[0] in elementary
 
 
 class TestElementary:
@@ -410,11 +448,22 @@ class TestCyclePredicates:
 
 def test_decompose_names_a_closing_window_that_is_no_relation():
     an = Analysis(fixtures.loop(2))
-    (cls,), hasse, successor = an.classes, an.hasse_prec, an.perfect.successor
+    (cls,), successor = an.classes, an.perfect.successor
     alg = an.algebra
     alg.relation_words = frozenset()  # no relation left to close a row
     with pytest.raises(InternalConsistencyError, match=r"= x\.x\.x is not a minimal"):
-        decompose_cycle(alg, cls, hasse, successor)
+        decompose_cycle(alg, cls, successor)
+
+
+def test_decompose_names_a_member_without_successor():
+    # a broken pair map is an internal error that names the member, never
+    # a KeyError traceback
+    an = Analysis(fixtures.loop(2))
+    (cls,) = an.classes
+    successor = dict(an.perfect.successor)
+    del successor[pp(an, "x.x")]
+    with pytest.raises(InternalConsistencyError, match=r"x\.x of class .* no successor"):
+        decompose_cycle(an.algebra, cls, successor)
 
 
 def test_hasse_rejects_non_chain_posets():

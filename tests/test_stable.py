@@ -261,16 +261,13 @@ class TestClassification:
                 assert rep.ungraded[0].vertices == n
                 assert rep.ungraded[0].radical_exponent == m + 1
 
-    def test_declared_degrees_change_nothing(self):
-        # every graded closed form shifts by arrow length; no output reads
-        # the declared arrow degrees
+    def test_declared_degrees_rejected(self):
+        # every graded closed form shifts by arrow length, so no query may
+        # run on an algebra whose input declared other degrees
         doc = fixtures.lambda_star_document()
-        plain = Analysis(parse_algebra(doc))
         doc["arrow_degrees"] = {"a1": 2, "a4": 3}
-        weighted = Analysis(parse_algebra(doc))
-        assert weighted.algebra.arrow_degrees["a4"] == 3
-        for query in (classify, tilting_object, end_algebra):
-            assert query(weighted) == query(plain)
+        with pytest.raises(InputError, match="shifts by arrow length"):
+            parse_algebra(doc)
 
     def test_quadratic_all_a1(self):
         rep = classify(Analysis(fixtures.quadratic()))
