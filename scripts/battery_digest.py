@@ -11,7 +11,9 @@ The digest covers every (row, ok, detail) in order, so a change that
 leaves it unchanged gives the same verdicts and the same failure details.
 Run it at two commits to check that a change left everything the battery
 reports as it was.  Prints the digest, the row count and the failure
-count; exits 2 when a row fails.
+count; exits 2 when a row fails.  ``tests/test_battery_digest.py`` pins
+the three values, so a change that moves a row updates that pin in the
+same commit as ``tests/golden_cli.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ SEED = 2026
 DRAWS = 150
 
 
-def main() -> int:
+def battery_digest() -> tuple[str, int, int]:
+    """(SHA-256 hex digest, row count, failure count) of the battery on the
+    family."""
     rng = random.Random(SEED)
     family = [fixtures.lambda_star(), fixtures.nakayama(3, 3), fixtures.nakayama(4, 2)]
     digest = hashlib.sha256()
@@ -44,7 +48,12 @@ def main() -> int:
         feed(alg)
     for _ in range(DRAWS):
         feed(random_algebra(rng, 5, 8, 6))
-    print(f"{digest.hexdigest()}  rows={rows} failed={failed}")
+    return digest.hexdigest(), rows, failed
+
+
+def main() -> int:
+    hexdigest, rows, failed = battery_digest()
+    print(f"{hexdigest}  rows={rows} failed={failed}")
     return 2 if failed else 0
 
 

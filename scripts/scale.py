@@ -9,7 +9,7 @@ length n + 1 zero) it prints the parse time and then the parse-free stages
 of ``classify``, each cached on a fresh ``Analysis`` and timed once with
 ``perf_counter``; ``classify_total`` is their sum with the rest of
 ``classify``.  After it come the two Hasse quivers, which ``classify``
-does not build: they are output-only stages (``hasse``, ``analyze``).
+does not build: an output-only stage (``hasse``) that the oracle reads.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 

@@ -10,7 +10,6 @@ from .orders import (
     PREC,
     CycleDecomposition,
     HasseQuiver,
-    classify_elementary,
     decompose_cycle,
     hasse_quiver,
 )
@@ -28,10 +27,11 @@ class Analysis:
     Every derived structure (perfect paths, cycle classes, Hasse quivers,
     decompositions, bracket coordinates) is computed once and shared; the
     underlying data is immutable throughout.  The decompositions read each
-    class's bracket grid off the relations its perfect pairs cut, so the
-    closed forms never build a Hasse quiver: those, and the (co-)elementary
-    paths read off them, are an output view that the oracle checks against
-    the grid.
+    class's bracket grid off the relations its perfect pairs cut, and the
+    (co-)elementary paths are the tops of the grid's rows and its factors.
+    Only ``hasse_prec`` and ``hasse_leq`` build a Hasse quiver; they are an
+    output view, and the oracle reads the (co-)elementary paths off them
+    to check the grid.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -53,24 +53,17 @@ class Analysis:
     def hasse_leq(self) -> HasseQuiver:
         return hasse_quiver(self.perfect.paths, LEQ)
 
-    def hasse(self, order: str) -> HasseQuiver:
-        if order == PREC:
-            return self.hasse_prec
-        if order == LEQ:
-            return self.hasse_leq
-        raise InputError(f"unknown order {order!r}")
-
-    @cached_property
-    def _elementary_pair(self) -> tuple[tuple[Path, ...], tuple[Path, ...]]:
-        return classify_elementary(self.hasse_prec, self.hasse_leq)
-
     @property
     def elementary(self) -> tuple[Path, ...]:
-        return self._elementary_pair[0]
+        """The tops of the bracket grid's rows, over every class."""
+        tops = (x for dec in self.decompositions for x in dec.elementary)
+        return tuple(sorted(tops, key=Path.sort_key))
 
     @property
     def coelementary(self) -> tuple[Path, ...]:
-        return self._elementary_pair[1]
+        """The factors of the bracket grid, over every class."""
+        factors = (r for dec in self.decompositions for r in dec.coelementary)
+        return tuple(sorted(factors, key=Path.sort_key))
 
     @cached_property
     def decompositions(self) -> tuple[CycleDecomposition, ...]:

@@ -15,6 +15,7 @@ from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_
 from .analysis import Analysis
 from .arquiver import ar_quiver, dump_json, emit, full_ungraded_ar_quiver
 from .oracle import verify_suite
+from .orders import hasse_quiver
 from .stable import StableObject, classify, graded_stable_hom, ungraded_stable_hom
 
 
@@ -114,7 +115,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_hasse(args) -> int:
     an = _load(args.file)
-    _write(emit(an.hasse(args.order), "json" if args.json else "dot"), args.output)
+    h = hasse_quiver(an.perfect.paths, args.order)
+    _write(emit(h, "json" if args.json else "dot"), args.output)
     return 0
 
 

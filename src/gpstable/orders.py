@@ -8,7 +8,8 @@ the elementary and co-elementary paths, every perfect path factors
 uniquely into co-elementary ones, and each underlying cycle carries the
 invariants (number of factors, arrow length, chain length m) that drive
 all stable-category formulas.  The decomposition reads them off the
-relations the perfect pairs cut; the Hasse quivers are an output view.
+relations the perfect pairs cut, with the elementary paths atop its rows;
+the Hasse quivers are an output view and the oracle's route to both sets.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ class CycleDecomposition:
     class member (the object itself) that realizes r_i .. r_{i+span-1}, for
     1 <= i <= n, 1 <= span <= m: row i is the set of perfect cuts of the
     relation r_i .. r_{i+m}, sorted by length (the prefix-order Hasse chain
-    above r_i, read bottom-up, which the oracle checks).
+    above r_i, read bottom-up).  ``elementary`` holds the row tops and
+    ``coelementary`` the factors, each sorted by ``Path.sort_key``.
     """
 
     cycle_class: UnderlyingCycleClass
@@ -204,7 +206,8 @@ def decompose_cycle(
     n, m = len(rows), len(rows[0])
     if any(len(row) != m for row in rows):
         raise InternalConsistencyError(
-            f"the prefix-order chains of class {cls.cycle} differ in length"
+            f"the rows of class {cls.cycle} (a row: the members that cut one "
+            f"relation) differ in length"
         )
 
     row_by_top = {row[-1]: row for row in rows}
@@ -213,7 +216,8 @@ def decompose_cycle(
         nxt = row_by_top.get(successor.get(ring[-1][0]))
         if nxt is None:
             raise InternalConsistencyError(
-                f"the successor of {ring[-1][0]} tops no chain of class {cls.cycle}"
+                f"the successor of {ring[-1][0]} tops no row of class "
+                f"{cls.cycle} (a row: the members that cut one relation)"
             )
         if nxt is rows[0]:
             break

@@ -17,6 +17,7 @@ import pytest
 
 import gpstable.algebra as algebra
 import gpstable.analysis as analysis
+import gpstable.cli as cli
 import reference_stable as ref
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
@@ -288,9 +289,9 @@ class TestLazyBasis:
 
 
 class TestNoHasse:
-    """classify, the stable queries and the AR quivers read each class's
-    bracket grid off the pair map; only ``hasse`` and ``analyze`` (the
-    elementary paths) and the oracle build a Hasse quiver."""
+    """classify, the stable queries, the AR quivers and the ``analyze``
+    summary read each class's bracket grid off the pair map; only ``hasse``
+    and the oracle build a Hasse quiver."""
 
     def test_patch_takes_effect(self, no_hasse):
         an = Analysis(parse_algebra((FIXTURES / "lambda_star.json").read_text()))
@@ -305,6 +306,17 @@ class TestNoHasse:
         report, quiver = run_closed_form_pipeline(an)
         assert report.cm_free == (not an.perfect.paths)
         assert len(quiver["vertices"]) == len(an.perfect.paths)
+        assert "hasse_prec" not in an.__dict__
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(f.name for f in FIXTURES.glob("*.json"))
+    )
+    def test_analysis_summary_without_hasse(self, no_hasse, fixture):
+        an = Analysis(parse_algebra((FIXTURES / fixture).read_text()))
+        data = cli._analysis_summary(an)
+        assert len(data["elementary"]) == len(data["coelementary"]) == sum(
+            dec.size for dec in an.decompositions
+        )
         assert "hasse_prec" not in an.__dict__
 
     def test_wide_tail_pipeline_without_hasse(self, no_basis, no_hasse):

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -347,8 +348,8 @@ class TestWordScansMatchPathScans:
 
 
 class TestTiltingRow:
-    """tilting-orthogonality suspends each summand once per power and still
-    compares every (x, Sigma^i y)."""
+    """tilting-orthogonality suspends each summand once per power and reads
+    every Hom(x, Sigma^i y) off the brute-force table, not the closed form."""
 
     @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_calls_per_class(self, make, monkeypatch):
@@ -378,7 +379,7 @@ class TestTiltingRow:
         for dec in an.decompositions:
             n, powers = dec.m * dec.arrow_length, 2 * (dec.m + 1)
             expected["suspend", dec.cycle_class.cycle] = n * powers
-            expected["graded_stable_hom", dec.cycle_class.cycle] = n * n * powers
+        # no graded_stable_hom call: the row checks suspend against bf_hom
         assert calls == expected
 
     @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
@@ -391,6 +392,43 @@ class TestTiltingRow:
 
         monkeypatch.setattr(oracle, "suspend", shifted)
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+
+
+class TestGridRowsAgainstBruteForce:
+    """end-pattern-triangular and chain-shift-separation compare the closed
+    forms with the brute-force Hom table, so a wrong entry on either side
+    fails them."""
+
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_flipped_end_entry_is_named(self, make, monkeypatch):
+        real = oracle.end_algebra
+
+        def flipped(an):
+            first, *rest = real(an)
+            pattern = [list(row) for row in first.pattern]
+            pattern[0][1] = 1 - pattern[0][1]
+            rows = tuple(tuple(row) for row in pattern)
+            return (replace(first, pattern=rows), *rest)
+
+        monkeypatch.setattr(oracle, "end_algebra", flipped)
+        alg = make()
+        row = _row(verify_algebra(alg), "end-pattern-triangular")
+        cycle = Analysis(alg).decompositions[0].cycle_class.cycle
+        assert not row.ok
+        assert row.detail.startswith(f"End(T) entry (1,2) of class {cycle} is 1")
+
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_witness_off_the_period_fails_shift_separation(self, make, monkeypatch):
+        real = oracle.bf_stable_hom
+
+        def off_period(alg, p, q):
+            total, by_shift = real(alg, p, q)
+            return total + 1, {**by_shift, 1: (q,)}
+
+        monkeypatch.setattr(oracle, "bf_stable_hom", off_period)
+        alg = make()
+        assert all(dec.arrow_length > 1 for dec in Analysis(alg).decompositions)
+        assert not _row(verify_algebra(alg), "chain-shift-separation").ok
 
 
 class TestFailureDetails:

@@ -17,6 +17,7 @@ from gpstable.oracle import bf_factorizations
 from gpstable.orders import (
     LEQ,
     PREC,
+    classify_elementary,
     cycle_predicates,
     decompose_cycle,
     hasse_quiver,
@@ -195,12 +196,11 @@ class TestFiltrationView:
                 assert row == by_bottom[row[0]], an.algebra.relations
 
     def test_class_sets_are_the_hasse_sources_and_sinks(self, analyses):
+        # the grid's row tops and factors, in the order the Hasse quivers
+        # list their sources and sinks
         for an in analyses:
-            decs = an.decompositions
-            assert {x for dec in decs for x in dec.elementary} == set(an.elementary)
-            assert {r for dec in decs for r in dec.coelementary} == set(
-                an.coelementary
-            )
+            hasse_pair = classify_elementary(an.hasse_prec, an.hasse_leq)
+            assert (an.elementary, an.coelementary) == hasse_pair
 
     def test_top_of_chain_is_elementary(self, analyses):
         for an in analyses:
@@ -463,6 +463,32 @@ def test_decompose_names_a_member_without_successor():
     successor = dict(an.perfect.successor)
     del successor[pp(an, "x.x")]
     with pytest.raises(InternalConsistencyError, match=r"x\.x of class .* no successor"):
+        decompose_cycle(an.algebra, cls, successor)
+
+
+def test_decompose_names_rows_of_unequal_length():
+    # pair x with x, no perfect pair of loop(3): x alone cuts x.x, while
+    # x.x and x.x.x still cut x.x.x.x
+    an = Analysis(fixtures.loop(3))
+    (cls,) = an.classes
+    successor = {**an.perfect.successor, pp(an, "x"): pp(an, "x")}
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"rows of class x \(a row: the members that cut one relation\) differ",
+    ):
+        decompose_cycle(an.algebra, cls, successor)
+
+
+def test_decompose_names_a_successor_that_tops_no_row():
+    # pair x with x.x.x, no member of loop(2): no row of the class has it
+    # as its top
+    an = Analysis(fixtures.loop(2))
+    (cls,) = an.classes
+    x_cubed = an.algebra.quiver.path(["x"] * 3)
+    successor = {**an.perfect.successor, pp(an, "x"): x_cubed}
+    with pytest.raises(
+        InternalConsistencyError, match=r"successor of x(\.x)? tops no row of class x"
+    ):
         decompose_cycle(an.algebra, cls, successor)
 
 

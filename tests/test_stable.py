@@ -1,6 +1,6 @@
 import pytest
 
-from gpstable import fixtures
+from gpstable import fixtures, stable
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_ordinary_hom, bf_stable_hom
@@ -17,6 +17,7 @@ from gpstable.stable import (
     tilting_object,
     ungraded_stable_hom,
 )
+from reference_scan import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,26 @@ class TestTilting:
             for a in range(b.size):
                 for c in range(b.size):
                     assert b.pattern[a][c] == (1 if c <= a else 0)
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(f.name for f in FIXTURES.glob("*.json"))
+    )
+    def test_end_blocks_call_no_hom(self, fixture, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("End(T) asked for a Hom space")
+
+        monkeypatch.setattr(stable, "graded_stable_hom", refuse)
+        an = Analysis(parse_algebra((FIXTURES / fixture).read_text()))
+        blocks = end_algebra(an)
+        assert [(b.cycle, b.size, b.multiplicity) for b in blocks] == [
+            (dec.cycle_class.cycle, dec.m, dec.arrow_length)
+            for dec in an.decompositions
+        ]
+        for b in blocks:
+            assert b.pattern == tuple(
+                tuple(1 if c <= a else 0 for c in range(b.size))
+                for a in range(b.size)
+            )
 
     def test_orthogonality_window(self, star_an):
         for dec in star_an.decompositions:
