@@ -84,7 +84,8 @@ class Analysis:
 
     @cached_property
     def _by_identity(self) -> dict[int, tuple[CycleDecomposition, int, int]]:
-        # ``coordinates`` keeps its keys alive, so a hit here is the key itself
+        # ``coordinates`` keeps its keys alive, so a hit here is the key itself;
+        # graded_stable_hom reads it directly and calls ``locate`` only on a miss
         return {id(p): c for p, c in self.coordinates.items()}
 
     def locate(self, p: Path) -> tuple[CycleDecomposition, int, int]:

@@ -34,8 +34,10 @@ class HomDescription:
     """Dimension of a stable Hom space plus basis witnesses.
 
     Graded Hom spaces have dimension 0 or 1 and carry a single ``witness``
-    path; the ungraded dimension is the sum over shifts and ``by_shift``
-    lists the contributing ``(shift, witness)`` pairs.
+    path, the class member [i2, ja] that closes the one translate of the
+    source window fitting the target's; the ungraded dimension is the
+    number of graded pieces, and ``by_shift`` lists their ``(shift,
+    witness)`` pairs by increasing shift.
     """
 
     dimension: int
@@ -47,33 +49,36 @@ _NO_HOM = HomDescription(0)
 _NO_UNGRADED_HOM = HomDescription(0, by_shift=())
 
 
-def _hom_ends(dec: CycleDecomposition, i: int, span_p: int, i2: int, span_q: int):
-    """Ends ``ja`` of the translates ``[ia, ja]`` of the window ``[i, i+span_p-1]``
-    by |c| with ``i2 <= ia <= j2 <= ja < i2 + m``, by increasing ``ia``; each
-    spans the graded piece at shift ``l(r_i2 ... r_{ia-1})``, witness ``[i2, ja]``."""
-    j2 = i2 + span_q - 1
-    for ia in range(i2 + (i - i2) % dec.size, j2 + 1, dec.size):
-        ja = ia + span_p - 1
-        if j2 <= ja < i2 + dec.m:
-            yield ja
-
-
 def graded_stable_hom(
     an: Analysis, src: StableObject, dst: StableObject
 ) -> HomDescription:
     """Closed-form dimension of the degree-preserving stable Hom space.
 
-    Source and target are normalised so only the relative shift matters.
-    Cross-class Hom spaces vanish; within a class the bracket coordinates
-    decide existence, and the witness is the composite factor window.
+    Cross-class Hom spaces vanish.  Within a class, with ``src`` at
+    [i, i+span_p-1] and ``dst`` at [i2, j2], only the relative shift k
+    matters: the translate [ia, ja] of the source window by t|c| sits at
+    shift offset(i) - offset(i2) + t·l(c), so one ``divmod`` finds the
+    only t that can reach k.  Hom is then 1-dimensional iff
+    ``i2 <= ia <= j2 <= ja < i2 + m``, with witness [i2, ja].  Both
+    objects are looked up by identity; a path built elsewhere falls back
+    to :meth:`Analysis.locate`, which also rejects non-perfect paths.
     """
-    dec, i, span_p = an.locate(src.path)
-    dec_q, i2, span_q = an.locate(dst.path)
+    by_identity = an._by_identity
+    dec, i, span_p = by_identity.get(id(src.path)) or an.locate(src.path)
+    dec_q, i2, span_q = by_identity.get(id(dst.path)) or an.locate(dst.path)
     if dec is not dec_q:
         return _NO_HOM
-    for ja in _hom_ends(dec, i, span_p, i2, span_q):
-        if dec.length_between(i2, ja - span_p) == dst.shift - src.shift:
-            return HomDescription(1, witness=dec.realize(i2, ja))
+    # 1 <= i, i2 <= |c|, so offset(i) is prefix_lengths[i - 1]
+    lengths = dec.prefix_lengths
+    t, rem = divmod(
+        dst.shift - src.shift + lengths[i2 - 1] - lengths[i - 1], dec.arrow_length
+    )
+    if rem:
+        return _NO_HOM
+    ia = i + t * dec.size
+    ja = ia + span_p - 1
+    if i2 <= ia <= i2 + span_q - 1 <= ja < i2 + dec.m:
+        return HomDescription(1, witness=dec.realize(i2, ja))
     return _NO_HOM
 
 
@@ -81,15 +86,20 @@ def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
     """Stable Hom between ``pL`` and ``qL``: the sum of the graded pieces.
 
     Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
-    ``0 <= k < l(q)`` can contribute, one per translate of ``p``'s window.
+    ``0 <= k < l(q)`` can contribute, and of those only the ones that
+    :func:`graded_stable_hom` can solve for, one per period l(c) and so
+    one per translate of ``p``'s window.
     """
-    dec, i, span_p = an.locate(p)
-    dec_q, i2, span_q = an.locate(q)
+    dec, i, _ = an.locate(p)
+    dec_q, i2, _ = an.locate(q)
     if dec is not dec_q:
         return _NO_UNGRADED_HOM
+    x = StableObject(p)
+    first = (dec.offset(i) - dec.offset(i2)) % dec.arrow_length
     pieces = tuple(
-        (dec.length_between(i2, ja - span_p), dec.realize(i2, ja))
-        for ja in _hom_ends(dec, i, span_p, i2, span_q)
+        (k, h.witness)
+        for k in range(first, q.length, dec.arrow_length)
+        if (h := graded_stable_hom(an, x, StableObject(q, k))).dimension
     )
     if not pieces:
         return _NO_UNGRADED_HOM

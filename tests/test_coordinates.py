@@ -1,12 +1,15 @@
 """The coordinate index behind the stable closed forms, and the lazy basis.
 
-Hom, suspension and the AR data read one ``Analysis.locate`` per object.
-Here they are checked against the Path-keyed versions kept in
+Suspension and the AR data read one ``Analysis.locate`` per object; graded
+Hom reads both objects' coordinates by identity, calls ``locate`` only for
+a path built elsewhere, and solves for its one translate with a floor
+``divmod``.  Here they are checked against the Path-keyed versions kept in
 ``reference_stable`` on every algebra of the shared family that has perfect
 paths, both with the path objects the analysis hands out and with equal
-paths parsed afresh.  The laziness tests make the basis enumeration, or
-the Hasse quiver construction, raise and run the whole closed-form
-pipeline anyway.
+paths parsed afresh, graded Hom also at shifts several periods away and
+with ``locate`` calls counted.  The laziness tests make the basis
+enumeration, or the Hasse quiver construction, raise and run the whole
+closed-form pipeline anyway.
 """
 
 import json
@@ -147,6 +150,77 @@ class TestErrors:
         y = an.perfect.paths[0]
         got = self.error(stable, name, an, None, y)
         assert got == self.error(ref, name, an, None, y)
+
+
+# --- graded Hom as one solve ----------------------------------------------------
+
+
+class TestGradedSolve:
+    """graded_stable_hom solves for the one translate with a floor ``divmod``
+    and reads both objects' coordinates by identity."""
+
+    def test_far_shifts_match_reference(self):
+        # several periods l(c) away on both sides, negative shifts included
+        calls = 0
+        for an in analyses_with_perfect_paths():
+            for p in an.perfect.paths:
+                period = an.locate(p)[0].arrow_length
+                x = StableObject(p, 0)
+                for q in an.perfect.paths:
+                    for k in range(-2 * period - 2, q.length + 2 * period + 2):
+                        y = StableObject(q, k)
+                        want = ref.graded_stable_hom(an, x, y)
+                        assert graded_stable_hom(an, x, y) == want, (p, q, k)
+                        calls += 1
+        assert calls >= 100_000
+
+    @pytest.fixture
+    def locate_calls(self, monkeypatch):
+        calls = []
+        real = Analysis.locate
+
+        def counted(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(Analysis, "locate", counted)
+        return calls
+
+    def test_held_paths_make_no_locate_call(self, locate_calls):
+        for an in analyses_with_perfect_paths()[:40]:
+            for p in an.perfect.paths:
+                for q in an.perfect.paths:
+                    for k in range(-1, q.length + 1):
+                        graded_stable_hom(an, StableObject(p), StableObject(q, k))
+        assert locate_calls == []
+
+    def test_equal_paths_locate_once_each(self, locate_calls):
+        for an in analyses_with_perfect_paths()[:40]:
+            for p in an.perfect.paths:
+                for q in an.perfect.paths:
+                    want = graded_stable_hom(an, StableObject(p), StableObject(q))
+                    assert locate_calls == []
+                    pairs = ((fresh(an, p), q), (p, fresh(an, q)))
+                    for x, y in pairs:
+                        got = graded_stable_hom(an, StableObject(x), StableObject(y))
+                        assert got == want
+                        assert len(locate_calls) == 1
+                        locate_calls.clear()
+                    got = graded_stable_hom(
+                        an, StableObject(fresh(an, p)), StableObject(fresh(an, q))
+                    )
+                    assert got == want and len(locate_calls) == 2
+                    locate_calls.clear()
+
+    def test_non_perfect_path_raises(self, locate_calls):
+        for an in analyses_with_perfect_paths()[:40]:
+            y = StableObject(an.perfect.paths[0])
+            x = an.algebra.relations[0]
+            for src, dst in ((StableObject(x), y), (y, StableObject(x))):
+                with pytest.raises(InputError) as exc:
+                    graded_stable_hom(an, src, dst)
+                assert str(exc.value) == f"{x} is not a perfect path of this algebra"
+        assert locate_calls
 
 
 # --- no path hashing in the AR quiver -------------------------------------------
