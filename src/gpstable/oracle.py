@@ -14,7 +14,8 @@ pipeline's pair map; no random numbers are drawn.
 The battery computes each brute-force quantity once per algebra (the
 perfectness verdicts, the overlap table and both Hom tables over the
 pairs of perfect paths) and every row that needs it reads that table;
-the (co-)elementary paths come from the Hasse quivers, not the grid.
+the (co-)elementary paths come from the Hasse quivers, not the grid, and
+one row compares them with the grid's, which ``analyze`` prints.
 Work that cannot change a verdict is skipped: subpath closure is checked
 one step at a time (the prefix and suffix one arrow shorter of each basis
 path), and the tilting row suspends each summand once per power.
@@ -355,6 +356,18 @@ def verify_algebra(
             and len(dec.members) == dec.m * dec.size,
             f"X/Y size mismatch on {dec.cycle_class.cycle}",
         )
+    # ``analyze`` prints the (co-)elementary paths of the bracket grid; the
+    # Hasse quivers give the same tuples by another route.
+    grid_diff = ""
+    for name, grid, hasse in (
+        ("elementary", an.elementary, elementary),
+        ("co-elementary", an.coelementary, coelementary),
+    ):
+        if not grid_diff and grid != tuple(hasse):
+            only_grid = sorted(map(str, set(grid) - set(hasse)))[:3]
+            only_hasse = sorted(map(str, set(hasse) - set(grid)))[:3]
+            grid_diff = f"{name}: grid only {only_grid}, Hasse only {only_hasse}"
+    check("grid-elementary-matches-hasse", not grid_diff, grid_diff)
 
     # --- no-overlap three-way equivalence ------------------------------------
     no_overlap = all(ov is None for ov in overlaps.values())

@@ -11,8 +11,8 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "battery_digest.py"
 
-DIGEST = "9c685105d0c9086755e306d18695f04138c4506d19c8583932e4250fc5460d03"
-ROWS = 4184
+DIGEST = "853cfbb50d0ce15904394f89aa86a0b52a99fc0f965e064e4e9c8c717804d344"
+ROWS = 4337
 
 
 def test_battery_digest_is_pinned():

@@ -394,6 +394,33 @@ class TestTiltingRow:
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
 
 
+class TestGridElementaryRow:
+    """grid-elementary-matches-hasse compares the grid's (co-)elementary
+    tuples, which ``analyze`` prints, with the Hasse sources and sinks."""
+
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_passes(self, make):
+        assert _row(verify_algebra(make()), "grid-elementary-matches-hasse").ok
+
+    @pytest.mark.parametrize("attr", ["elementary", "coelementary"])
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_fails_on_a_dropped_path(self, make, attr, monkeypatch):
+        real = getattr(Analysis, attr)
+        dropped = []
+
+        def first_dropped(an):
+            paths = real.fget(an)
+            dropped.append(str(paths[0]))
+            return paths[1:]
+
+        monkeypatch.setattr(Analysis, attr, property(first_dropped))
+        results = verify_algebra(make())
+        row = _row(results, "grid-elementary-matches-hasse")
+        assert not row.ok
+        assert f"Hasse only ['{dropped[0]}']" in row.detail
+        assert [c.name for c in results if not c.ok] == [row.name]
+
+
 class TestGridRowsAgainstBruteForce:
     """end-pattern-triangular and chain-shift-separation compare the closed
     forms with the brute-force Hom table, so a wrong entry on either side
