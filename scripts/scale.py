@@ -10,6 +10,10 @@ of ``classify``, each cached on a fresh ``Analysis`` and timed once with
 ``perf_counter``; ``classify_total`` is their sum with the rest of
 ``classify``.  After it come the two Hasse quivers, which ``classify``
 does not build: an output-only stage (``hasse``) that the oracle reads.
+Last, ``graded_hom_sweep`` times graded Hom from the first perfect path to
+every perfect path over one period of shifts, 0 .. l(c) - 1 (P·l(c) calls,
+each building its target ``StableObject``), on the warm ``Analysis``;
+``graded_hom_calls_per_s`` is the call count over that time.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
@@ -21,7 +25,7 @@ from time import perf_counter
 from gpstable import fixtures
 from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
-from gpstable.stable import classify
+from gpstable.stable import StableObject, classify, graded_stable_hom
 
 NAKAYAMA = (60, 120)
 STAGES = ("perfect", "classes", "decompositions")
@@ -48,7 +52,21 @@ def run_once(doc: dict) -> dict[str, float]:
     times["classify_rest"] = perf_counter() - t0
     times["classify_total"] = perf_counter() - start
     time_stages(an, OUTPUT_STAGES, times)
+    calls = graded_hom_sweep(an, times)
+    times["graded_hom_calls_per_s"] = round(calls / times["graded_hom_sweep"])
     return times
+
+
+def graded_hom_sweep(an: Analysis, times: dict) -> int:
+    paths = an.perfect.paths
+    x = StableObject(paths[0])
+    period = an.locate(paths[0])[0].arrow_length
+    t0 = perf_counter()
+    for q in paths:
+        for k in range(period):
+            graded_stable_hom(an, x, StableObject(q, k))
+    times["graded_hom_sweep"] = perf_counter() - t0
+    return len(paths) * period
 
 
 def main() -> None:
