@@ -3,9 +3,14 @@
 The ungraded quiver of one cycle class is finite (its vertices are the
 class's perfect paths) and periodic under the translation; the graded
 quiver is infinite, so only a finite shift window is materialised, with
-boundary vertices flagged incomplete.  Arrows are exactly the irreducible
-maps read off the AR-triangle middle terms, with valuation (1,1)
-throughout.
+boundary vertices flagged incomplete.  Both are written down on the
+bracket grid of the class, ZA_m modulo tau^|c| (or its graded cover),
+with no stable object built: each vertex [i, span](j) names its translate
+and its at most two middle terms by coordinates, and the arrows are
+exactly the irreducible maps into and out of those middle terms, with
+valuation (1,1) throughout.  ``tests/reference_ar.py`` keeps the builder
+that read every vertex's AR triangle, and the two agree on every tested
+algebra.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Iterable
 from .algebra import InputError, Path
 from .analysis import Analysis
 from .orders import CycleDecomposition, HasseQuiver
-from .stable import StableObject, ar_triangle
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,16 @@ def ar_quiver(
     """The translation quiver of the given ``(decomposition, shifts)`` pieces.
 
     Shifts ``None`` give the ungraded quiver of the class, ZA_m modulo
-    tau^|c|; a range gives its graded vertices ``pL(j)``, j in the range,
-    flagged incomplete when the translate, the inverse translate (the vertex
-    whose triangle names this one as its translate) or a middle term falls
-    outside.  Every object a triangle names lies in the same class, so a
-    vertex is keyed by (piece, bracket, shift), read off ``an.locate``.
+    tau^|c|; a range gives its graded vertices ``pL(j)``, j in the range.
+    A vertex is keyed by its coordinates (piece, i, span, shift) on the
+    bracket grid, and the AR triangle of [i, span](j) is read off them:
+    its translate is [i+1, span](j - l(r_i)), with i+1 taken back into
+    1..|c|, and its middle terms are [i+1, span-1](j - l(r_i)) when
+    span > 1 and [i, span+1](j) when span < m.  A graded vertex is
+    flagged incomplete when the translate, the inverse translate (the
+    vertex whose triangle names this one as its translate) or a middle
+    term falls outside the window.  The path ``windows[i-1][span-1]`` is
+    read only to sort and label the vertex.
     """
     rows, arrows, tau, outside, notes = [], set(), set(), set(), []
     for k, (dec, shifts) in enumerate(pieces):
@@ -82,25 +91,26 @@ def ar_quiver(
             if graded
             else f"ZA{dec.m} / tau^{dec.size}"
         )
-
-        def key(obj: StableObject):
-            """The vertex of ``obj``; None when it falls outside the window."""
-            if graded and obj.shift not in shifts:
-                return None
-            return (k, *an.locate(obj.path)[1:], obj.shift if graded else None)
-
-        for p in dec.members:
-            for s in shifts if graded else (0,):
-                tri = ar_triangle(an, StableObject(p, s))
-                v, tv = key(tri.target), key(tri.tau_object)
-                mids = [key(mid) for mid in tri.middles]
-                rows.append((p, v))
-                if tv is None or None in mids:
-                    outside.add(v)
-                if tv is not None:
-                    tau.add((v, tv))
-                for mid in mids:
-                    if mid is not None:
+        m = dec.m
+        for i, row in enumerate(dec.windows, 1):
+            nxt, drop = i % dec.size + 1, dec.factor_length(i)
+            for span, p in enumerate(row, 1):
+                for s in shifts if graded else (None,):
+                    v = (k, i, span, s)
+                    rows.append((p, v))
+                    ts = s - drop if graded else None
+                    tv = None
+                    if graded and ts not in shifts:
+                        outside.add(v)
+                    else:
+                        tv = (k, nxt, span, ts)
+                        tau.add((v, tv))
+                    mids = []
+                    if span > 1 and tv is not None:
+                        mids.append((k, nxt, span - 1, ts))
+                    if span < m:
+                        mids.append((k, i, span + 1, s))
+                    for mid in mids:
                         arrows.add((mid, v))
                         if tv is not None:
                             arrows.add((tv, mid))
@@ -182,6 +192,7 @@ def translation_quiver_dot(tq: TranslationQuiver) -> str:
 
 
 def translation_quiver_json(tq: TranslationQuiver) -> str:
+    ids = [_node_id(v) for v in tq.vertices]
     data = {
         "kind": "ar_quiver",
         "valuation": tq.valuation,
@@ -195,8 +206,8 @@ def translation_quiver_json(tq: TranslationQuiver) -> str:
             }
             for v in tq.vertices
         ],
-        "arrows": [[_node_id(a), _node_id(b)] for a, b in tq.arrow_pairs()],
-        "tau": [[_node_id(a), _node_id(b)] for a, b in tq.tau_pairs()],
+        "arrows": [[ids[a], ids[b]] for a, b in tq.arrows],
+        "tau": [[ids[a], ids[b]] for a, b in tq.tau],
     }
     return dump_json(data)
 

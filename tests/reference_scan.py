@@ -11,7 +11,8 @@ perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
 ``Path`` for every candidate middle, as the oracle did before it took one
-step at a time and compared words.
+step at a time and compared words.  The shared families of algebras, and
+a planted document with three classes of different m, live here too.
 """
 
 import importlib.util
@@ -218,6 +219,24 @@ def path_cycle_classes(pset):
         (canon, tuple(sorted(members, key=Path.sort_key)))
         for canon, members in sorted(grouped.items(), key=lambda kv: kv[0].sort_key())
     )
+
+
+def planted_multi_class_document():
+    """Nakayama cycles N(3, 2), N(2, 3) and N(1, 4) joined by bridge arrows
+    that lie on no relation: three classes with different m."""
+    arrows, relations = [], []
+    for name, n, m in (("c", 3, 2), ("d", 2, 3), ("e", 1, 4)):
+        arrows += [
+            {"id": f"{name}{j}", "from": f"{name}{j}", "to": f"{name}{(j + 1) % n}"}
+            for j in range(n)
+        ]
+        relations += [[f"{name}{(j + t) % n}" for t in range(m + 1)] for j in range(n)]
+    arrows += [
+        {"id": "b0", "from": "c1", "to": "d0"},
+        {"id": "b1", "from": "e0", "to": "d1"},
+    ]
+    vertices = sorted({a["from"] for a in arrows} | {a["to"] for a in arrows})
+    return {"vertices": vertices, "arrows": arrows, "relations": relations}
 
 
 @lru_cache(maxsize=None)

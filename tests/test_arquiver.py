@@ -1,22 +1,27 @@
 import json
+import random
 
 import pytest
 
+import gpstable.stable as stable
 from gpstable import fixtures
-from gpstable.algebra import InputError, parse_path_string
+from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.arquiver import (
+    ar_quiver,
     emit,
     full_ungraded_ar_quiver,
     graded_ar_window,
     ungraded_ar_quiver,
 )
+from gpstable.oracle import random_algebra
 from gpstable.stable import (
     StableObject,
     ar_translate,
     ar_translate_inverse,
     ar_triangle,
 )
+from reference_scan import planted_multi_class_document, trie_algebras
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +34,12 @@ def pp(an, text):
 
 
 # Frozen edge sets live in reference_ar so the acceptance suite shares them.
-from reference_ar import THREE_CYCLE_ARROWS, THREE_CYCLE_TAU, TWO_CYCLE_ARROWS
+from reference_ar import (
+    THREE_CYCLE_ARROWS,
+    THREE_CYCLE_TAU,
+    TWO_CYCLE_ARROWS,
+    quiver_from_triangles,
+)
 
 
 def arrow_paths(tq):
@@ -149,26 +159,15 @@ class TestGradedWindow:
             }
             assert proj == arrow_paths(ungraded)
 
-    def test_one_triangle_per_vertex(self, star_an, monkeypatch):
-        import gpstable.arquiver as arquiver
-
-        calls = []
-
-        def counted(an, obj):
-            calls.append(obj)
-            return ar_triangle(an, obj)
-
-        monkeypatch.setattr(arquiver, "ar_triangle", counted)
+    def test_window_has_one_vertex_per_member_and_shift(self, star_an):
         for dec in star_an.decompositions:
-            calls.clear()
             tq = graded_ar_window(star_an, dec, -3, 3)
-            assert len(calls) == len(tq.vertices) == 7 * len(dec.members)
+            assert len(tq.vertices) == 7 * len(dec.members)
 
     def test_no_inverse_translate_calls(self, star_an, monkeypatch):
         # incomplete means: tau, tau^-1 or a middle term leaves the window;
-        # the window reads tau^-1 off the triangles, never calls it
+        # the window reads tau^-1 off the translates it names, never calls it
         import gpstable.arquiver as arquiver
-        import gpstable.stable as stable
 
         ans = [star_an, Analysis(fixtures.nakayama(3, 4)), Analysis(fixtures.loop(2))]
         windows = [
@@ -247,3 +246,101 @@ class TestEmission:
     def test_unknown_format(self, star_an):
         with pytest.raises(InputError):
             emit(star_an.hasse_prec, "svg")
+
+
+# --- the coordinate builder against the triangles --------------------------------
+
+
+def coordinate_family():
+    """``trie_algebras()`` (the fixtures, loop(2) and N(1, 3) among them),
+    the planted multi-class document and 200 further draws of
+    ``random_algebra`` at larger sizes, each with perfect paths."""
+    algs = list(trie_algebras())
+    algs.append(parse_algebra(planted_multi_class_document()))
+    rng = random.Random(20)
+    algs += [
+        random_algebra(rng, max_vertices=5, max_arrows=8, max_relations=6)
+        for _ in range(200)
+    ]
+    ans = (Analysis(alg) for alg in algs)
+    return [an for an in ans if an.decompositions]
+
+
+def piece_lists(an):
+    """The ungraded quiver of every class and of each one, the graded windows
+    [-3, 3], [0, 0] and [-l(c), l(c)] of each class, and the CLI's graded
+    call over every class (its default window and ``--window 2``)."""
+    decs = an.decompositions
+    out = [[(dec, None) for dec in decs]]
+    for dec in decs:
+        out.append([(dec, None)])
+        for lo, hi in ((-3, 3), (0, 0), (-dec.arrow_length, dec.arrow_length)):
+            out.append([(dec, range(lo, hi + 1))])
+    out.append([(dec, range(-dec.arrow_length, dec.arrow_length + 1)) for dec in decs])
+    out.append([(dec, range(-2, 3)) for dec in decs])
+    return out
+
+
+class TestCoordinateBuilder:
+    """``ar_quiver`` reads each vertex's translate and middle terms off its
+    bracket coordinates; ``reference_ar.quiver_from_triangles`` builds the
+    same quiver from every vertex's ``ar_triangle``."""
+
+    def test_equals_the_triangle_builder(self):
+        ans = coordinate_family()
+        quivers = period_one = multi = 0
+        for an in ans:
+            for pieces in piece_lists(an):
+                got = ar_quiver(an, pieces)
+                assert got == quiver_from_triangles(an, pieces), (
+                    an.algebra.relations,
+                    [(dec.cycle_class.cycle, shifts) for dec, shifts in pieces],
+                )
+                quivers += 1
+            period_one += any(dec.size == 1 for dec in an.decompositions)
+            multi += len(an.decompositions) >= 2
+        assert len(ans) >= 1000 and quivers >= 7000
+        assert period_one >= 500 and multi >= 50
+
+    @pytest.mark.parametrize(
+        "make", [lambda: fixtures.loop(2), lambda: fixtures.nakayama(1, 3)],
+        ids=["loop2", "nakayama1_3"],
+    )
+    def test_period_one_class(self, make):
+        # with |c| = 1 the translate of a vertex is the vertex itself at
+        # shift j - l(c), and arrows into and out of a middle term coincide
+        an = Analysis(make())
+        (dec,) = an.decompositions
+        for shifts in (None, range(-3, 4)):
+            tq = ar_quiver(an, [(dec, shifts)])
+            assert tq == quiver_from_triangles(an, [(dec, shifts)])
+        tq = ungraded_ar_quiver(an, dec)
+        assert tq.tau == tuple((n, n) for n in range(dec.m))
+        assert len(tq.arrows) == 2 * (dec.m - 1)
+
+    @pytest.fixture
+    def no_stable_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the AR quiver built a stable object")
+
+        monkeypatch.setattr(stable, "ar_triangle", refuse)
+        monkeypatch.setattr(StableObject, "__init__", refuse)
+        monkeypatch.setattr(Analysis, "locate", refuse)
+
+    def test_patch_takes_effect(self, star_an, no_stable_objects):
+        p = star_an.perfect.paths[0]
+        for call in (
+            lambda: StableObject(p, 0),
+            lambda: stable.ar_triangle(star_an, None),
+            lambda: star_an.locate(p),
+        ):
+            with pytest.raises(AssertionError, match="built a stable object"):
+                call()
+
+    def test_no_triangle_object_or_locate(self, no_stable_objects):
+        for an in coordinate_family()[:60] + [Analysis(fixtures.lambda_star())]:
+            assert len(full_ungraded_ar_quiver(an).vertices) == len(an.perfect.paths)
+            for dec in an.decompositions:
+                for lo, hi in ((-3, 3), (0, 0)):
+                    tq = graded_ar_window(an, dec, lo, hi)
+                    assert len(tq.vertices) == (hi - lo + 1) * len(dec.members)

@@ -35,7 +35,7 @@ from gpstable.stable import (
     suspend,
     ungraded_stable_hom,
 )
-from reference_scan import equivalence_algebras
+from reference_scan import equivalence_algebras, planted_multi_class_document
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 
@@ -224,24 +224,6 @@ class TestGradedSolve:
 
 
 # --- no path hashing in the AR quiver -------------------------------------------
-
-
-def planted_multi_class_document():
-    """Nakayama cycles N(3, 2), N(2, 3) and N(1, 4) joined by bridge arrows
-    that lie on no relation: three classes with different m."""
-    arrows, relations = [], []
-    for name, n, m in (("c", 3, 2), ("d", 2, 3), ("e", 1, 4)):
-        arrows += [
-            {"id": f"{name}{j}", "from": f"{name}{j}", "to": f"{name}{(j + 1) % n}"}
-            for j in range(n)
-        ]
-        relations += [[f"{name}{(j + t) % n}" for t in range(m + 1)] for j in range(n)]
-    arrows += [
-        {"id": "b0", "from": "c1", "to": "d0"},
-        {"id": "b1", "from": "e0", "to": "d1"},
-    ]
-    vertices = sorted({a["from"] for a in arrows} | {a["to"] for a in arrows})
-    return {"vertices": vertices, "arrows": arrows, "relations": relations}
 
 
 @pytest.mark.parametrize(
