@@ -146,6 +146,13 @@ def _successor_words(alg: MonomialAlgebra) -> dict[tuple[str, ...], tuple[str, .
     return sigma
 
 
+def _word_path(alg: MonomialAlgebra, word: tuple[str, ...]) -> Path:
+    """The path of a non-empty arrow word known to compose (a cut of a
+    relation, or a cycle along one), without ``Quiver.path``'s checks."""
+    arrow = alg.quiver.arrow_by_id
+    return Path(word, (arrow[word[0]].source, *(arrow[a].target for a in word)))
+
+
 def _cycles_of_partial_injection(sigma: dict[tuple, tuple]) -> list[list[tuple]]:
     """Cycles of an injective partial self-map, each from its smallest member.
 
@@ -179,7 +186,7 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     cycles = _cycles_of_partial_injection(sigma)
     words = sorted((w for c in cycles for w in c), key=_word_key)
     # one object per perfect path, shared by every structure built from them
-    path = {w: alg.quiver.path(w) for w in words}
+    path = {w: _word_path(alg, w) for w in words}
     if len(path) != len(words):
         raise InternalConsistencyError("successor cycles are not disjoint")
     return PerfectPathSet(
@@ -227,7 +234,7 @@ def underlying_cycle_classes(
         grouped.setdefault(root[s:] + root[:s], []).extend(seq)
     return tuple(
         UnderlyingCycleClass(
-            cycle=alg.quiver.path(canon),
+            cycle=_word_path(alg, canon),
             members=tuple(sorted(members, key=Path.sort_key)),
         )
         for canon, members in sorted(grouped.items(), key=lambda kv: _word_key(kv[0]))

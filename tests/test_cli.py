@@ -242,6 +242,28 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "input document must be a JSON object"),
+            (
+                '{"vertices": ["1", "2"], "arrows": [["a", "1", "2"]], "relations": []}',
+                "arrow #0 must be an object with 'id', 'from' and 'to'",
+            ),
+            (
+                '{"vertices": ["1"], "arrows": [{"id": "a", "from": "1"}], '
+                '"relations": []}',
+                "arrow #0 must be an object with 'id', 'from' and 'to'",
+            ),
+        ],
+        ids=["document", "arrow-entry", "arrow-keys"],
+    )
+    def test_non_object_exits_1(self, capsys, tmp_path, text, message):
+        f = tmp_path / "not_object.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "analyze", str(f))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("arrow_id", ["a.b", "", " x", "x ", "x\\"])
     def test_arrow_id_outside_path_strings_exits_1(self, capsys, tmp_path, arrow_id):
         # with arrow a.b, `hom --from a.b` used to read the arrows a and b;

@@ -1,7 +1,9 @@
+from pathlib import Path as FilePath
+
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import InputError, parse_path_string
+from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_verify_perfect
 from gpstable.perfect import (
@@ -206,6 +208,20 @@ class TestEnumeration:
             ["d", "g", "i"],
             ["f"],
         ]
+
+    def test_paths_are_the_validated_paths(self):
+        # perfect words and class cycles are built from the arrows' ends,
+        # with no Quiver.path check; they equal the checked paths
+        root = FilePath(__file__).resolve().parent.parent / "fixtures"
+        algs = [parse_algebra(f.read_text()) for f in sorted(root.glob("*.json"))]
+        built = 0
+        for alg in algs + list(trie_algebras()):
+            pset = enumerate_perfect_paths(alg)
+            classes = underlying_cycle_classes(alg, pset)
+            for p in (*pset.paths, *(c.cycle for c in classes)):
+                assert p == alg.quiver.path(p.arrows), alg.relations
+                built += 1
+        assert built >= 4000
 
     def test_sigma_injective(self, star):
         pset = enumerate_perfect_paths(star)
