@@ -13,7 +13,10 @@ does not build: an output-only stage (``hasse``) that the oracle reads.
 Last, ``graded_hom_sweep`` times graded Hom from the first perfect path to
 every perfect path over one period of shifts, 0 .. l(c) - 1 (P·l(c) calls,
 each building its target ``StableObject``), on the warm ``Analysis``;
-``graded_hom_calls_per_s`` is the call count over that time.
+``graded_hom_calls_per_s`` is the call count over that time.  Two more
+output-only stages close the run: ``ar_quiver`` builds the ungraded AR
+quiver of every class (``full_ungraded_ar_quiver``) and ``ar_quiver_json``
+emits it with ``emit(..., "json")``.  No stage is gated.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
@@ -25,6 +28,7 @@ from time import perf_counter
 from gpstable import fixtures
 from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
+from gpstable.arquiver import emit, full_ungraded_ar_quiver
 from gpstable.stable import StableObject, classify, graded_stable_hom
 
 NAKAYAMA = (60, 120)
@@ -54,6 +58,12 @@ def run_once(doc: dict) -> dict[str, float]:
     time_stages(an, OUTPUT_STAGES, times)
     calls = graded_hom_sweep(an, times)
     times["graded_hom_calls_per_s"] = round(calls / times["graded_hom_sweep"])
+    t0 = perf_counter()
+    quiver = full_ungraded_ar_quiver(an)
+    times["ar_quiver"] = perf_counter() - t0
+    t0 = perf_counter()
+    emit(quiver, "json")
+    times["ar_quiver_json"] = perf_counter() - t0
     return times
 
 
