@@ -13,10 +13,11 @@ does not build: an output-only stage (``hasse``) that the oracle reads.
 Last, ``graded_hom_sweep`` times graded Hom from the first perfect path to
 every perfect path over one period of shifts, 0 .. l(c) - 1 (P·l(c) calls,
 each building its target ``StableObject``), on the warm ``Analysis``;
-``graded_hom_calls_per_s`` is the call count over that time.  Two more
+``graded_hom_calls_per_s`` is the call count over that time.  Three more
 output-only stages close the run: ``ar_quiver`` builds the ungraded AR
-quiver of every class (``full_ungraded_ar_quiver``) and ``ar_quiver_json``
-emits it with ``emit(..., "json")``.  No stage is gated.
+quiver of every class (``full_ungraded_ar_quiver``), ``ar_quiver_json``
+emits it with ``emit(..., "json")`` and ``ar_quiver_dot`` with
+``emit(..., "dot")``.  No stage is gated.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
@@ -64,6 +65,9 @@ def run_once(doc: dict) -> dict[str, float]:
     t0 = perf_counter()
     emit(quiver, "json")
     times["ar_quiver_json"] = perf_counter() - t0
+    t0 = perf_counter()
+    emit(quiver, "dot")
+    times["ar_quiver_dot"] = perf_counter() - t0
     return times
 
 

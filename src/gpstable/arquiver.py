@@ -5,12 +5,13 @@ class's perfect paths) and periodic under the translation; the graded
 quiver is infinite, so only a finite shift window is materialised, with
 boundary vertices flagged incomplete.  Both are written down on the
 bracket grid of the class, ZA_m modulo tau^|c| (or its graded cover),
-with no stable object built: each vertex [i, span](j) names its translate
-and its at most two middle terms by coordinates, and the arrows are
-exactly the irreducible maps into and out of those middle terms, with
-valuation (1,1) throughout.  ``tests/reference_ar.py`` keeps the builder
-that read every vertex's AR triangle, and the two agree on every tested
-algebra.
+with no stable object built: :meth:`CycleDecomposition.mesh`, the one
+statement of the AR rule, names each vertex's translate and middle terms
+by coordinates, and the arrows are exactly the irreducible maps into and
+out of those middle terms, with valuation (1,1) throughout.
+``tests/reference_ar.py`` keeps a builder that reads every vertex's AR
+triangle off the path-keyed reference closed forms, and the two agree on
+every tested algebra.
 """
 
 from __future__ import annotations
@@ -72,14 +73,11 @@ def ar_quiver(
     Shifts ``None`` give the ungraded quiver of the class, ZA_m modulo
     tau^|c|; a range gives its graded vertices ``pL(j)``, j in the range.
     A vertex is keyed by its coordinates (piece, i, span, shift) on the
-    bracket grid, and the AR triangle of [i, span](j) is read off them:
-    its translate is [i+1, span](j - l(r_i)), with i+1 taken back into
-    1..|c|, and its middle terms are [i+1, span-1](j - l(r_i)) when
-    span > 1 and [i, span+1](j) when span < m.  A graded vertex is
-    flagged incomplete when the translate, the inverse translate (the
-    vertex whose triangle names this one as its translate) or a middle
-    term falls outside the window.  The path ``windows[i-1][span-1]`` is
-    read only to sort and label the vertex.
+    bracket grid, and :meth:`CycleDecomposition.mesh` names its translate
+    and middle terms.  A graded vertex is flagged incomplete when one of
+    them, or the inverse translate (the vertex whose mesh names this one
+    as its translate), falls outside the window.  The path
+    ``windows[i-1][span-1]`` is read only to sort and label the vertex.
     """
     rows, arrows, tau, outside, notes = [], set(), set(), set(), []
     for k, (dec, shifts) in enumerate(pieces):
@@ -91,26 +89,23 @@ def ar_quiver(
             if graded
             else f"ZA{dec.m} / tau^{dec.size}"
         )
-        m = dec.m
         for i, row in enumerate(dec.windows, 1):
-            nxt, drop = i % dec.size + 1, dec.factor_length(i)
             for span, p in enumerate(row, 1):
+                (ti, tspan, tdrop), middles = dec.mesh(i, span)
                 for s in shifts if graded else (None,):
                     v = (k, i, span, s)
                     rows.append((p, v))
-                    ts = s - drop if graded else None
                     tv = None
-                    if graded and ts not in shifts:
+                    if graded and s - tdrop not in shifts:
                         outside.add(v)
                     else:
-                        tv = (k, nxt, span, ts)
+                        tv = (k, ti, tspan, s - tdrop if graded else None)
                         tau.add((v, tv))
-                    mids = []
-                    if span > 1 and tv is not None:
-                        mids.append((k, nxt, span - 1, ts))
-                    if span < m:
-                        mids.append((k, i, span + 1, s))
-                    for mid in mids:
+                    for mi, mspan, mdrop in middles:
+                        if graded and s - mdrop not in shifts:
+                            outside.add(v)
+                            continue
+                        mid = (k, mi, mspan, s - mdrop if graded else None)
                         arrows.add((mid, v))
                         if tv is not None:
                             arrows.add((tv, mid))
@@ -168,23 +163,21 @@ def translation_quiver_dot(tq: TranslationQuiver) -> str:
     """Graphviz rendering: solid irreducible maps, dashed undirected
     tau-edges, vertices ranked by bracket span."""
     lines = ["digraph ar_quiver {", "  rankdir=LR;", "  node [shape=box];"]
-    for v in tq.vertices:
+    ids = [_quote(_node_id(v)) for v in tq.vertices]
+    ranks: dict[int, list[str]] = {}
+    for v, vid in zip(tq.vertices, ids):
         attrs = [f"label={_quote(v.label)}", f"path={_quote(str(v.path))}"]
         if v.incomplete:
             attrs.append("style=dotted")
-        lines.append(f"  {_quote(_node_id(v))} [{', '.join(attrs)}];")
-    spans = sorted({v.bracket[1] for v in tq.vertices})
-    for span in spans:
-        group = [v for v in tq.vertices if v.bracket[1] == span]
-        ids = " ".join(_quote(_node_id(v)) for v in group)
-        lines.append(f"  {{ rank=same; {ids} }}")
-    for a, b in tq.arrow_pairs():
-        lines.append(f"  {_quote(_node_id(a))} -> {_quote(_node_id(b))};")
-    for c, tc in tq.tau_pairs():
-        lines.append(
-            f"  {_quote(_node_id(c))} -> {_quote(_node_id(tc))} "
-            f"[style=dashed, dir=none, constraint=false];"
-        )
+        lines.append(f"  {vid} [{', '.join(attrs)}];")
+        ranks.setdefault(v.bracket[1], []).append(vid)
+    for span in sorted(ranks):
+        lines.append(f"  {{ rank=same; {' '.join(ranks[span])} }}")
+    lines += [f"  {ids[a]} -> {ids[b]};" for a, b in tq.arrows]
+    lines += [
+        f"  {ids[a]} -> {ids[b]} [style=dashed, dir=none, constraint=false];"
+        for a, b in tq.tau
+    ]
     if tq.identification:
         lines.append(f"  label={_quote(tq.identification)};")
     lines.append("}")

@@ -153,6 +153,22 @@ class CycleDecomposition:
     def factor_length(self, i: int) -> int:
         return self.factor(i).length
 
+    def mesh(self, i: int, span: int):
+        """The AR mesh ending at [i, span](j): ``(translate, middles)``.
+
+        Every term is an ``(i', span', drop)`` triple naming the object
+        [i', span'](j - drop), with i' in 1..|c|.  The translate is
+        [i+1, span](j - l(r_i)); the middle terms are [i+1, span-1](j -
+        l(r_i)) when span > 1 and [i, span+1](j) when span < m.  This is
+        the one statement of the AR rule: the triangles, both translates
+        and the AR quivers read it.
+        """
+        nxt, drop = i % self.size + 1, self.factor_length(i)
+        middles = ((nxt, span - 1, drop),) if span > 1 else ()
+        if span < self.m:
+            middles += ((i, span + 1, 0),)
+        return (nxt, span, drop), middles
+
     def realize(self, i: int, j: int) -> Path:
         """The class member that realizes r_i r_{i+1} ... r_j, for
         ``0 <= j - i < m``; any other window is an input error."""

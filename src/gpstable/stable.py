@@ -149,19 +149,27 @@ def suspension_closed_form(
     return StableObject(dec.realize(a, b), d)
 
 
-def _tau(dec: CycleDecomposition, i: int, span: int, shift: int) -> StableObject:
-    return StableObject(dec.realize(i + 1, i + span), shift - dec.factor_length(i))
+def _term(
+    dec: CycleDecomposition, i: int, span: int, drop: int, shift: int
+) -> StableObject:
+    """The object [i, span](shift - drop) that a mesh triple names."""
+    return StableObject(dec.realize(i, i + span - 1), shift - drop)
 
 
 def ar_translate(an: Analysis, obj: StableObject) -> StableObject:
-    """tau of ``[i, i+m-1]L(j)`` is ``[i+1, i+m]L(j - l(r_i))``."""
-    return _tau(*an.locate(obj.path), obj.shift)
+    """tau of ``obj``, the translate its :meth:`CycleDecomposition.mesh`
+    names."""
+    dec, i, span = an.locate(obj.path)
+    return _term(dec, *dec.mesh(i, span)[0], obj.shift)
 
 
 def ar_translate_inverse(an: Analysis, obj: StableObject) -> StableObject:
+    """The object whose translate is ``obj``, read off the mesh of the
+    previous index."""
     dec, i, span = an.locate(obj.path)
-    shift = obj.shift + dec.factor_length(i - 1)
-    return StableObject(dec.realize(i - 1, i + span - 2), shift)
+    prev = (i - 2) % dec.size + 1
+    _, _, drop = dec.mesh(prev, span)[0]
+    return _term(dec, prev, span, -drop, obj.shift)
 
 
 @dataclass(frozen=True)
@@ -181,21 +189,14 @@ class ARTriangle:
 
 
 def ar_triangle(an: Analysis, obj: StableObject) -> ARTriangle:
+    """The triangle of ``obj`` as :meth:`CycleDecomposition.mesh` names it."""
     dec, i, span = an.locate(obj.path)
-    tau_obj = _tau(dec, i, span, obj.shift)
-    middles = []
-    if span > 1:
-        middles.append(
-            StableObject(dec.realize(i + 1, i + span - 1), tau_obj.shift)
-        )
-    if span < dec.m:
-        middles.append(StableObject(dec.realize(i, i + span), obj.shift))
-    witness = dec.realize(i + span - dec.m, i + span - 1)
+    translate, middles = dec.mesh(i, span)
     return ARTriangle(
-        tau_object=tau_obj,
-        middles=tuple(middles),
+        tau_object=_term(dec, *translate, obj.shift),
+        middles=tuple([_term(dec, *mid, obj.shift) for mid in middles]),
         target=obj,
-        connecting_witness=witness,
+        connecting_witness=dec.realize(i + span - dec.m, i + span - 1),
     )
 
 

@@ -1,12 +1,17 @@
-"""Frozen edge sets for the fixture algebra's stable AR quiver, and the
-triangle-by-triangle builder that ``ar_quiver`` replaced.
+"""Frozen edge sets for the fixture algebra's stable AR quiver, the
+triangle-by-triangle builder that ``ar_quiver`` replaced, and the DOT
+writer that ``translation_quiver_dot`` replaced.
 
 Vertices of the edge sets are written as underlying paths rather than
 bracket labels so the comparison does not depend on the rotation anchor of
-the cycle.  ``quiver_from_triangles`` is the former ``ar_quiver`` kept
-verbatim: it builds every vertex's ``ar_triangle`` and keys each named
-object through ``Analysis.locate``, so the coordinate builder is checked
-against the triangles themselves.
+the cycle.  ``quiver_from_triangles`` is the former ``ar_quiver``: it
+builds every vertex's AR triangle and keys each named object through
+``Analysis.locate``.  The triangles come from the path-keyed
+``reference_stable.ar_triangle``, which does not read
+``CycleDecomposition.mesh``, so the coordinate builder is checked against
+an independent statement of the AR rule rather than against itself.
+``dot_from_pairs`` is the former DOT writer kept verbatim, vertex ids
+recomputed at every arrow end and one scan of the vertices per rank.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from gpstable.algebra import InputError
 from gpstable.analysis import Analysis
 from gpstable.arquiver import TQVertex, TranslationQuiver
 from gpstable.orders import CycleDecomposition
-from gpstable.stable import StableObject, ar_triangle
+from gpstable.stable import StableObject
+from reference_stable import ar_triangle
 
 THREE_CYCLE_ARROWS = {
     ("a1.a2.a3.a1.a2.a3", "a1.a2.a3.a1.a2"),
@@ -112,3 +118,40 @@ def quiver_from_triangles(
         tau=tuple(sorted((index[a], index[b]) for a, b in tau)),
         identification="; ".join(notes) or None,
     )
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace('"', r"\"") + '"'
+
+
+def _node_id(v: TQVertex) -> str:
+    if v.shift is None:
+        return str(v.path)
+    return f"{v.path}@{v.shift}"
+
+
+def dot_from_pairs(tq: TranslationQuiver) -> str:
+    """Graphviz rendering: solid irreducible maps, dashed undirected
+    tau-edges, vertices ranked by bracket span."""
+    lines = ["digraph ar_quiver {", "  rankdir=LR;", "  node [shape=box];"]
+    for v in tq.vertices:
+        attrs = [f"label={_quote(v.label)}", f"path={_quote(str(v.path))}"]
+        if v.incomplete:
+            attrs.append("style=dotted")
+        lines.append(f"  {_quote(_node_id(v))} [{', '.join(attrs)}];")
+    spans = sorted({v.bracket[1] for v in tq.vertices})
+    for span in spans:
+        group = [v for v in tq.vertices if v.bracket[1] == span]
+        ids = " ".join(_quote(_node_id(v)) for v in group)
+        lines.append(f"  {{ rank=same; {ids} }}")
+    for a, b in tq.arrow_pairs():
+        lines.append(f"  {_quote(_node_id(a))} -> {_quote(_node_id(b))};")
+    for c, tc in tq.tau_pairs():
+        lines.append(
+            f"  {_quote(_node_id(c))} -> {_quote(_node_id(tc))} "
+            f"[style=dashed, dir=none, constraint=false];"
+        )
+    if tq.identification:
+        lines.append(f"  label={_quote(tq.identification)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

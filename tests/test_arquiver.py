@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gpstable.stable as stable
+import reference_stable
 from gpstable import fixtures
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
@@ -15,6 +16,7 @@ from gpstable.arquiver import (
     ungraded_ar_quiver,
 )
 from gpstable.oracle import random_algebra
+from gpstable.orders import CycleDecomposition
 from gpstable.stable import (
     StableObject,
     ar_translate,
@@ -38,6 +40,7 @@ from reference_ar import (
     THREE_CYCLE_ARROWS,
     THREE_CYCLE_TAU,
     TWO_CYCLE_ARROWS,
+    dot_from_pairs,
     quiver_from_triangles,
 )
 
@@ -344,3 +347,78 @@ class TestCoordinateBuilder:
                 for lo, hi in ((-3, 3), (0, 0)):
                     tq = graded_ar_window(an, dec, lo, hi)
                     assert len(tq.vertices) == (hi - lo + 1) * len(dec.members)
+
+
+class TestDotWriter:
+    """``translation_quiver_dot`` quotes each vertex id once and ranks the
+    vertices in one pass; ``reference_ar.dot_from_pairs`` is the writer it
+    replaced, and the bytes must not change."""
+
+    def test_same_bytes_as_the_pair_writer(self):
+        quivers = 0
+        for an in coordinate_family():
+            tqs = [full_ungraded_ar_quiver(an)]
+            tqs += [graded_ar_window(an, dec, -3, 3) for dec in an.decompositions]
+            for tq in tqs:
+                assert emit(tq, "dot") == dot_from_pairs(tq), an.algebra.relations
+                quivers += 1
+        assert quivers >= 2000
+
+
+# --- mutants of the one AR rule ---------------------------------------------------
+
+_MESH = CycleDecomposition.mesh
+
+
+def _middle_from_i(dec, i, span):
+    """The middle term [i, span-1] in place of [i+1, span-1]."""
+    translate, middles = _MESH(dec, i, span)
+    return translate, tuple(
+        (i, s, d) if s < span else (j, s, d) for j, s, d in middles
+    )
+
+
+def _drop_of_next(dec, i, span):
+    """The drop l(r_{i+1}) in place of l(r_i)."""
+    (j, s, _), middles = _MESH(dec, i, span)
+    drop = dec.factor(i + 1).length
+    return (j, s, drop), tuple(
+        (jm, sm, drop if sm < span else dm) for jm, sm, dm in middles
+    )
+
+
+def _translate_at_i(dec, i, span):
+    """The translate index i in place of i+1."""
+    (_, s, d), middles = _MESH(dec, i, span)
+    return (i, s, d), middles
+
+
+class TestOneRule:
+    """``CycleDecomposition.mesh`` is the one statement of the AR rule: a
+    mutant of it changes both the triangles and the AR quiver, and each
+    then disagrees with the path-keyed references."""
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [_middle_from_i, _drop_of_next, _translate_at_i],
+        ids=["middle-index", "drop", "translate-index"],
+    )
+    def test_mutant_changes_both(self, star_an, monkeypatch, mutant):
+        objs = [StableObject(p, s) for p in star_an.perfect.paths for s in (-1, 0, 2)]
+        pieces = [(dec, range(-3, 4)) for dec in star_an.decompositions]
+        triangles = [ar_triangle(star_an, x) for x in objs]
+        quiver = ar_quiver(star_an, pieces)
+        monkeypatch.setattr(CycleDecomposition, "mesh", mutant)
+        mutated = [ar_triangle(star_an, x) for x in objs]
+        assert mutated != triangles
+        assert mutated != [reference_stable.ar_triangle(star_an, x) for x in objs]
+        mutated_quiver = ar_quiver(star_an, pieces)
+        assert mutated_quiver != quiver
+        assert mutated_quiver != quiver_from_triangles(star_an, pieces)
+
+    def test_translates_read_the_mesh(self, star_an, monkeypatch):
+        x = StableObject(star_an.perfect.paths[0], 0)
+        before = (ar_translate(star_an, x), ar_translate_inverse(star_an, x))
+        monkeypatch.setattr(CycleDecomposition, "mesh", _drop_of_next)
+        after = (ar_translate(star_an, x), ar_translate_inverse(star_an, x))
+        assert all(a != b for a, b in zip(before, after))
