@@ -40,6 +40,7 @@ from .orders import classify_elementary
 from .perfect import _successor_words, detect_overlap
 from .stable import (
     StableObject,
+    ar_translate,
     ar_triangle,
     graded_stable_hom,
     suspend,
@@ -458,6 +459,19 @@ def verify_algebra(
         if alg.is_zero(tri.connecting_witness):
             ar_ok = False
     check("ar-dimension-identity", ar_ok, "middle terms do not add up")
+    # Serre duality: Hom(X, Sigma tau X) is one-dimensional, and the
+    # basis quotient places it at the shift the translate's drop names.
+    serre = ""  # names the first object whose Serre piece is off
+    for p in pset.paths:
+        s = suspend(an, ar_translate(an, StableObject(p, 0)), 1)
+        found = len(bf_hom[p, s.path].get(s.shift, ()))
+        if found != 1:
+            serre = (
+                f"Hom({p}, Sigma tau {p} = {s}) has {found} witnesses "
+                f"at shift {s.shift}"
+            )
+            break
+    check("ar-serre-duality", not serre, serre)
     check(
         "tau-periodicity",
         all(tau_periodicity_check(an, dec) for dec in an.decompositions),

@@ -10,15 +10,20 @@ and must agree with everything here on small inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import InputError, Path
 from .analysis import Analysis
 from .orders import CycleDecomposition
 
 
-@dataclass(frozen=True)
-class StableObject:
-    """A labelled indecomposable ``pL(shift)``."""
+class StableObject(NamedTuple):
+    """A labelled indecomposable ``pL(shift)``.
+
+    A value: two objects are equal, and hash alike, when their fields are
+    equal; one unpacks as ``path, shift = obj`` and equals the plain tuple
+    ``(path, shift)``.
+    """
 
     path: Path
     shift: int = 0
@@ -29,15 +34,16 @@ class StableObject:
         return f"{self.path}"
 
 
-@dataclass(frozen=True)
-class HomDescription:
+class HomDescription(NamedTuple):
     """Dimension of a stable Hom space plus basis witnesses.
 
     Graded Hom spaces have dimension 0 or 1 and carry a single ``witness``
     path, the class member [i2, ja] that closes the one translate of the
     source window fitting the target's; the ungraded dimension is the
     number of graded pieces, and ``by_shift`` lists their ``(shift,
-    witness)`` pairs by increasing shift.
+    witness)`` pairs by increasing shift.  A value like
+    :class:`StableObject`; every empty Hom is one of two shared zero
+    objects.
     """
 
     dimension: int
@@ -49,30 +55,19 @@ _NO_HOM = HomDescription(0)
 _NO_UNGRADED_HOM = HomDescription(0, by_shift=())
 
 
-def graded_stable_hom(
-    an: Analysis, src: StableObject, dst: StableObject
+def _solve(
+    dec: CycleDecomposition, i: int, span_p: int, i2: int, span_q: int, k: int
 ) -> HomDescription:
-    """Closed-form dimension of the degree-preserving stable Hom space.
+    """Hom([i, span_p](0), [i2, span_q](k)) between two objects of one class.
 
-    Cross-class Hom spaces vanish.  Within a class, with ``src`` at
-    [i, i+span_p-1] and ``dst`` at [i2, j2], only the relative shift k
-    matters: the translate [ia, ja] of the source window by t|c| sits at
-    shift offset(i) - offset(i2) + t·l(c), so one ``divmod`` finds the
-    only t that can reach k.  Hom is then 1-dimensional iff
-    ``i2 <= ia <= j2 <= ja < i2 + m``, with witness [i2, ja].  Both
-    objects are looked up by identity; a path built elsewhere falls back
-    to :meth:`Analysis.locate`, which also rejects non-perfect paths.
+    The translate [ia, ja] of the source window by t|c| sits at shift
+    offset(i) - offset(i2) + t·l(c), so one ``divmod`` finds the only t
+    that can reach k.  Hom is then 1-dimensional iff ``i2 <= ia <= j2 <=
+    ja < i2 + m``, with j2 = i2 + span_q - 1 and witness [i2, ja].
     """
-    by_identity = an._by_identity
-    dec, i, span_p = by_identity.get(id(src.path)) or an.locate(src.path)
-    dec_q, i2, span_q = by_identity.get(id(dst.path)) or an.locate(dst.path)
-    if dec is not dec_q:
-        return _NO_HOM
     # 1 <= i, i2 <= |c|, so offset(i) is prefix_lengths[i - 1]
     lengths = dec.prefix_lengths
-    t, rem = divmod(
-        dst.shift - src.shift + lengths[i2 - 1] - lengths[i - 1], dec.arrow_length
-    )
+    t, rem = divmod(k + lengths[i2 - 1] - lengths[i - 1], dec.arrow_length)
     if rem:
         return _NO_HOM
     ia = i + t * dec.size
@@ -82,24 +77,43 @@ def graded_stable_hom(
     return _NO_HOM
 
 
+def graded_stable_hom(
+    an: Analysis, src: StableObject, dst: StableObject
+) -> HomDescription:
+    """Closed-form dimension of the degree-preserving stable Hom space.
+
+    Cross-class Hom spaces vanish.  Within a class only the relative shift
+    matters, and :func:`_solve` finds the one translate of the source
+    window that can fit the target's.  Both objects are looked up by
+    identity; a path built elsewhere falls back to
+    :meth:`Analysis.locate`, which also rejects non-perfect paths.
+    """
+    by_identity = an._by_identity
+    dec, i, span_p = by_identity.get(id(src.path)) or an.locate(src.path)
+    dec_q, i2, span_q = by_identity.get(id(dst.path)) or an.locate(dst.path)
+    if dec is not dec_q:
+        return _NO_HOM
+    return _solve(dec, i, span_p, i2, span_q, dst.shift - src.shift)
+
+
 def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
     """Stable Hom between ``pL`` and ``qL``: the sum of the graded pieces.
 
     Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
     ``0 <= k < l(q)`` can contribute, and of those only the ones that
-    :func:`graded_stable_hom` can solve for, one per period l(c) and so
-    one per translate of ``p``'s window.
+    :func:`_solve` can solve for, one per period l(c) and so one per
+    translate of ``p``'s window.  Each path is located once, and no
+    :class:`StableObject` is built per shift.
     """
-    dec, i, _ = an.locate(p)
-    dec_q, i2, _ = an.locate(q)
+    dec, i, span_p = an.locate(p)
+    dec_q, i2, span_q = an.locate(q)
     if dec is not dec_q:
         return _NO_UNGRADED_HOM
-    x = StableObject(p)
     first = (dec.offset(i) - dec.offset(i2)) % dec.arrow_length
     pieces = tuple(
         (k, h.witness)
         for k in range(first, q.length, dec.arrow_length)
-        if (h := graded_stable_hom(an, x, StableObject(q, k))).dimension
+        if (h := _solve(dec, i, span_p, i2, span_q, k)).dimension
     )
     if not pieces:
         return _NO_UNGRADED_HOM

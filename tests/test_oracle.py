@@ -21,6 +21,7 @@ from gpstable.oracle import (
     verify_algebra,
     verify_suite,
 )
+from gpstable.orders import CycleDecomposition
 from gpstable.perfect import detect_overlap
 from gpstable.stable import StableObject
 
@@ -392,6 +393,36 @@ class TestTiltingRow:
 
         monkeypatch.setattr(oracle, "suspend", shifted)
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+
+
+class TestSerreDualityRow:
+    """ar-serre-duality requires Hom(X, Sigma tau X) to be one-dimensional at
+    the shift ar_translate names, read off the brute-force Hom table."""
+
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_passes(self, make):
+        assert _row(verify_algebra(make()), "ar-serre-duality").ok
+
+    def test_fails_on_a_drop_of_the_next_factor(self, monkeypatch):
+        real = CycleDecomposition.mesh
+
+        def drop_of_next(dec, i, span):
+            # drop = l(r_{i+1}) in place of l(r_i), on the translate and the
+            # middle term that shares it
+            (nxt, s, _), middles = real(dec, i, span)
+            drop = dec.factor_length(nxt)
+            return (nxt, s, drop), tuple(
+                (j, sm, drop if sm < span else dm) for j, sm, dm in middles
+            )
+
+        monkeypatch.setattr(CycleDecomposition, "mesh", drop_of_next)
+        results = verify_algebra(fixtures.lambda_star())
+        row = _row(results, "ar-serre-duality")
+        assert not row.ok
+        assert row.detail.startswith("Hom(") and "witnesses at shift" in row.detail
+        # the other AR rows miss this mutant
+        assert _row(results, "ar-dimension-identity").ok
+        assert _row(results, "tau-periodicity").ok
 
 
 class TestGridElementaryRow:

@@ -5,6 +5,7 @@ from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_ordinary_hom, bf_stable_hom
 from gpstable.stable import (
+    HomDescription,
     StableObject,
     ar_translate,
     ar_triangle,
@@ -31,6 +32,63 @@ def pp(an, text):
 
 def obj(an, text, shift=0):
     return StableObject(pp(an, text), shift)
+
+
+class TestValueSemantics:
+    """StableObject and HomDescription are immutable values: compared and
+    hashed by their fields, printed as before."""
+
+    def test_equal_fields_equal_objects(self, star_an):
+        p = pp(star_an, "a1.a2.a3")
+        a, b = StableObject(p, 2), StableObject(pp(star_an, "a1.a2.a3"), 2)
+        assert a == b and hash(a) == hash(b)
+        assert StableObject(p) == StableObject(p, 0)
+        assert a != StableObject(p, 3)
+        assert len({a, b, StableObject(p, 3)}) == 2
+
+    def test_unpacks_and_equals_its_tuple(self, star_an):
+        p = pp(star_an, "a1.a2.a3")
+        path, shift = StableObject(p, 2)
+        assert (path, shift) == (p, 2) == StableObject(p, 2)
+        h = HomDescription(1, witness=p)
+        assert h == (1, p, None)
+
+    @pytest.mark.parametrize("field", ["path", "shift"])
+    def test_object_fields_are_read_only(self, star_an, field):
+        x = obj(star_an, "a1.a2.a3", 2)
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+
+    @pytest.mark.parametrize("field", ["dimension", "witness", "by_shift"])
+    def test_hom_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(HomDescription(0), field, None)
+
+    def test_repr_and_str(self, star_an):
+        p = pp(star_an, "a1.a2.a3")
+        assert repr(StableObject(p, 2)) == f"StableObject(path={p!r}, shift=2)"
+        assert repr(p).startswith("Path(")
+        assert str(StableObject(p, 2)) == "a1.a2.a3(2)"
+        assert str(StableObject(p, -1)) == "a1.a2.a3(-1)"
+        assert str(StableObject(p)) == "a1.a2.a3"
+
+    def test_hom_defaults(self):
+        h = HomDescription(0)
+        assert (h.dimension, h.witness, h.by_shift) == (0, None, None)
+        assert repr(h) == "HomDescription(dimension=0, witness=None, by_shift=None)"
+
+    def test_empty_homs_are_shared(self, star_an):
+        a, b = pp(star_an, "a1.a2"), pp(star_an, "a4.a5")
+        # across classes, and inside one class at a shift no translate fits
+        for h in (
+            graded_stable_hom(star_an, StableObject(a), StableObject(b)),
+            graded_stable_hom(star_an, StableObject(a), StableObject(a, 1)),
+        ):
+            assert h is stable._NO_HOM
+        for p, q in ((a, b), (a, pp(star_an, "a3"))):
+            assert ungraded_stable_hom(star_an, p, q) is stable._NO_UNGRADED_HOM
+        assert stable._NO_HOM == HomDescription(0)
+        assert stable._NO_UNGRADED_HOM == HomDescription(0, by_shift=())
 
 
 class TestGradedHom:
