@@ -11,8 +11,8 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "battery_digest.py"
 
-DIGEST = "853cfbb50d0ce15904394f89aa86a0b52a99fc0f965e064e4e9c8c717804d344"
-ROWS = 4337
+DIGEST = "378bd5c5140267a6b04f428700c0ab9461d67a8edcf37636500124b83940c803"
+ROWS = 4490
 
 
 def test_battery_digest_is_pinned():
