@@ -13,7 +13,10 @@ does not build: an output-only stage (``hasse``) that the oracle reads.
 Last, ``graded_hom_sweep`` times graded Hom from the first perfect path to
 every perfect path over one period of shifts, 0 .. l(c) - 1 (P·l(c) calls,
 each building its target ``StableObject``), on the warm ``Analysis``;
-``graded_hom_calls_per_s`` is the call count over that time.  Three more
+``graded_hom_calls_per_s`` is the call count over that time.  Then
+``ungraded_hom_sweep`` times ungraded Hom from the first perfect path to
+every perfect path (P calls, no ``StableObject`` built by the caller), and
+``ungraded_hom_calls_per_s`` is its call count over that time.  Three more
 output-only stages close the run: ``ar_quiver`` builds the ungraded AR
 quiver of every class (``full_ungraded_ar_quiver``), ``ar_quiver_json``
 emits it with ``emit(..., "json")`` and ``ar_quiver_dot`` with
@@ -30,7 +33,12 @@ from gpstable import fixtures
 from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
 from gpstable.arquiver import emit, full_ungraded_ar_quiver
-from gpstable.stable import StableObject, classify, graded_stable_hom
+from gpstable.stable import (
+    StableObject,
+    classify,
+    graded_stable_hom,
+    ungraded_stable_hom,
+)
 
 NAKAYAMA = (60, 120)
 STAGES = ("perfect", "classes", "decompositions")
@@ -59,6 +67,8 @@ def run_once(doc: dict) -> dict[str, float]:
     time_stages(an, OUTPUT_STAGES, times)
     calls = graded_hom_sweep(an, times)
     times["graded_hom_calls_per_s"] = round(calls / times["graded_hom_sweep"])
+    calls = ungraded_hom_sweep(an, times)
+    times["ungraded_hom_calls_per_s"] = round(calls / times["ungraded_hom_sweep"])
     t0 = perf_counter()
     quiver = full_ungraded_ar_quiver(an)
     times["ar_quiver"] = perf_counter() - t0
@@ -81,6 +91,15 @@ def graded_hom_sweep(an: Analysis, times: dict) -> int:
             graded_stable_hom(an, x, StableObject(q, k))
     times["graded_hom_sweep"] = perf_counter() - t0
     return len(paths) * period
+
+
+def ungraded_hom_sweep(an: Analysis, times: dict) -> int:
+    paths = an.perfect.paths
+    t0 = perf_counter()
+    for q in paths:
+        ungraded_stable_hom(an, paths[0], q)
+    times["ungraded_hom_sweep"] = perf_counter() - t0
+    return len(paths)
 
 
 def main() -> None:

@@ -3,8 +3,11 @@
 Objects are labels ``(perfect path, shift)`` rather than realized modules;
 morphism dimensions, suspensions, Auslander-Reiten translates and the
 tilting/classification data are all evaluated in closed form on bracket
-coordinates.  The brute-force counterparts live in :mod:`gpstable.oracle`
-and must agree with everything here on small inputs.
+coordinates.  Objects and Hom results are named tuples, values that
+compare and hash by their fields.  Graded and ungraded Hom share one
+solve on the coordinates.  The brute-force counterparts live in
+:mod:`gpstable.oracle` and must agree with everything here on small
+inputs.
 """
 
 from __future__ import annotations
