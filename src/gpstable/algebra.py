@@ -258,50 +258,53 @@ class RelationAutomaton(NamedTuple):
 def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:
     """Build the :class:`RelationAutomaton` of a minimal relation set.
 
-    States are built breadth first with failure links: the failure of a
-    state is its longest proper suffix that is a state.  A move is dead when
-    it completes a relation, or when the failure state's move on the same
-    arrow is dead; otherwise it extends the prefix, or falls back to the
-    failure state's move.  Each relation is then read along its states.
+    The relations are inserted, sorted, into a trie of nested dicts rooted at
+    their source vertices; by minimality a relation ends exactly at a node
+    with no children.  States are then built breadth first with failure
+    links: the failure of a state is its longest proper suffix that is a
+    state.  A move into a non-empty node is a new state and one into an
+    empty node is dead; any other move falls back to the failure state's
+    move on the same arrow.  Each relation is then read along its states.
     """
-    source = {r.arrows: r.source for r in relations}
-    prefixes = {w[:k] for w in source for k in range(1, len(w))}
+    rels = sorted(relations, key=lambda r: r.arrows)
     start = {v: k for k, v in enumerate(quiver.vertices)}
     vertex = list(quiver.vertices)
-    word: list[tuple[str, ...]] = [()] * len(vertex)
+    node: list[dict] = [{} for _ in vertex]  # each state's trie node
+    for r in rels:
+        child = node[start[r.source]]
+        for a in r.arrows:
+            child = child.setdefault(a, {})
     fail: list[int | None] = [None] * len(vertex)
+    depth = [0] * len(vertex)
     moves: list[dict[str, int]] = []
-    tops: dict[tuple[str, ...], int] = {}
     for s, v in enumerate(vertex):  # grows while it runs: breadth first
         out = {}
         for a in quiver.arrows_from[v]:
-            w = word[s] + (a.id,)
+            child = node[s].get(a.id)
             back = start[a.target] if fail[s] is None else moves[fail[s]].get(a.id)
-            if w in source:
-                tops[w] = back
-            if w in source or back is None:
-                continue
-            if w in prefixes:
+            if child:
                 out[a.id] = len(vertex)
                 vertex.append(a.target)
-                word.append(w)
+                node.append(child)
                 fail.append(back)
-            else:
+                depth.append(depth[s] + 1)
+            elif child is None and back is not None:
                 out[a.id] = back
         moves.append(out)
-    words = sorted(source)
     leaves = [0] * len(vertex)
-    paths = []
-    for w in words:
-        path = [start[source[w]]]
-        for a in w[:-1]:
+    paths, tops = [], []
+    for r in rels:
+        path = [start[r.source]]
+        for a in r.arrows[:-1]:
             path.append(moves[path[-1]][a])
         for s in path:
             leaves[s] += 1
         paths.append(tuple(path))
+        f = fail[path[-1]]
+        tops.append(start[r.target] if f is None else moves[f].get(r.arrows[-1]))
     return RelationAutomaton(
-        start, tuple(vertex), tuple(moves), tuple(fail), tuple(map(len, word)),
-        tuple(leaves), tuple(words), tuple(paths), tuple(tops[w] for w in words),
+        start, tuple(vertex), tuple(moves), tuple(fail), tuple(depth),
+        tuple(leaves), tuple(r.arrows for r in rels), tuple(paths), tuple(tops),
     )
 
 

@@ -189,6 +189,8 @@ def _cmd_hom(args) -> int:
 def _cmd_ar_quiver(args) -> int:
     if args.window is not None and not args.graded:
         raise InputError("--window requires --graded")
+    if args.window is not None and args.window < 0:
+        raise InputError(f"--window must be non-negative, got {args.window}")
     an = _load(args.file)
     if args.graded:
         pieces = []

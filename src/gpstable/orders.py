@@ -54,48 +54,45 @@ def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
 
     Whatever lies below ``q`` in the prefix order, or above ``p`` in the
     suffix order, is a proper prefix (suffix) of it, and those form a chain;
-    so each vertex is joined to its longest proper prefix (suffix) among the
-    vertices, the trivial path included.  That is O(P·L) instead of a
-    transitive reduction.
+    so each vertex is joined to its cover, its longest proper prefix
+    (suffix) among the vertices, the trivial path included.  That is O(P·L)
+    instead of a transitive reduction.  Each vertex has at most one cover,
+    so the quiver is a union of chains exactly when no two share one.
     """
     if order not in (PREC, LEQ):
         raise InputError(f"unknown order {order!r}; use {PREC!r} or {LEQ!r}")
+    prec = order == PREC
     verts = tuple(sorted(set(perfect_paths), key=Path.sort_key))
-    # the vertex objects themselves, so the chains hold the caller's paths
-    present = {v: v for v in verts}
-    arrows = []
+    # keyed by the end shared with every prefix (suffix), so trivial paths
+    # are found; the values are the caller's objects, so the chains hold them
+    present = {(v.source if prec else v.target, v.arrows): v for v in verts}
+    cover: dict[Path, Path] = {}
+    covered: dict[Path, Path] = {}  # the inverse of ``cover``
     for v in verts:
-        for k in range(v.length - 1, -1, -1):
-            w = present.get(v.prefix(k) if order == PREC else v.suffix(k))
-            if w is not None:
-                arrows.append((v, w) if order == PREC else (w, v))
+        end, w, n = v.source if prec else v.target, v.arrows, v.length
+        for k in range(n - 1, -1, -1):
+            c = present.get((end, w[:k] if prec else w[n - k :]))
+            if c is not None:
+                if covered.setdefault(c, v) is not v:
+                    raise InternalConsistencyError(
+                        f"Hasse quiver of order {order!r} is not a union of "
+                        f"chains at {c}"
+                    )
+                cover[v] = c
                 break
-    arrows.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
-
-    outgoing: dict[Path, list[Path]] = {}
-    incoming: dict[Path, list[Path]] = {}
-    for a, b in arrows:
-        outgoing.setdefault(a, []).append(b)
-        incoming.setdefault(b, []).append(a)
-    for v in verts:
-        if len(outgoing.get(v, ())) > 1 or len(incoming.get(v, ())) > 1:
-            raise InternalConsistencyError(
-                f"Hasse quiver of order {order!r} is not a union of chains "
-                f"at {v}"
-            )
-
+    # arrows run down: from v to its cover (prec), from a cover to v (leq)
+    down, up = (cover, covered) if prec else (covered, cover)
     components = []
-    heads = [v for v in verts if v not in incoming]
-    for head in heads:
-        chain = [head]
-        while chain[-1] in outgoing:
-            chain.append(outgoing[chain[-1]][0])
-        components.append(tuple(chain))
-    components.sort(key=lambda c: c[0].sort_key())
+    for v in verts:
+        if v not in up:
+            chain = [v]
+            while chain[-1] in down:
+                chain.append(down[chain[-1]])
+            components.append(tuple(chain))
     return HasseQuiver(
         order=order,
         vertices=verts,
-        arrows=tuple(arrows),
+        arrows=tuple((v, down[v]) for v in verts if v in down),
         components=tuple(components),
     )
 

@@ -6,7 +6,10 @@ reduction, and the cycle classes are grouped on ``Path`` products: O(B²),
 O(P³) and path-level readings of the definitions, kept only to pin the fast
 versions down on a shared family of algebras.  The split reference below is
 the relation-cut index the trie replaced: it slices and looks up every
-suffix of every relation prefix, O(|F|·L³).  The brute-force Hom,
+suffix of every relation prefix, O(|F|·L³).  The word-set automaton is
+the relation automaton's builder before the trie was built by insertion:
+it keeps a set of every relation prefix and one arrow word per state,
+Θ(Σ|r|²) tuple elements.  The brute-force Hom,
 perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
@@ -18,11 +21,12 @@ a planted document with three classes of different m, live here too.
 import importlib.util
 import random
 import sys
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 from pathlib import Path as FilePath
 
 from gpstable import fixtures
-from gpstable.algebra import Path, parse_algebra
+from gpstable.algebra import Arrow, Path, Quiver, RelationAutomaton, parse_algebra
 from gpstable.oracle import random_algebra
 from gpstable.perfect import Overlap
 from gpstable.orders import PREC
@@ -176,6 +180,67 @@ def split_successor_map(alg):
         if len(right) == 1 and split_killers(splits, right[0], False) == [p]:
             sigma[p] = right[0]
     return sigma
+
+
+def word_set_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:
+    """Build the :class:`RelationAutomaton` of a minimal relation set.
+
+    States are built breadth first with failure links: the failure of a
+    state is its longest proper suffix that is a state.  A move is dead when
+    it completes a relation, or when the failure state's move on the same
+    arrow is dead; otherwise it extends the prefix, or falls back to the
+    failure state's move.  Each relation is then read along its states.
+    """
+    source = {r.arrows: r.source for r in relations}
+    prefixes = {w[:k] for w in source for k in range(1, len(w))}
+    start = {v: k for k, v in enumerate(quiver.vertices)}
+    vertex = list(quiver.vertices)
+    word: list[tuple[str, ...]] = [()] * len(vertex)
+    fail: list[int | None] = [None] * len(vertex)
+    moves: list[dict[str, int]] = []
+    tops: dict[tuple[str, ...], int] = {}
+    for s, v in enumerate(vertex):  # grows while it runs: breadth first
+        out = {}
+        for a in quiver.arrows_from[v]:
+            w = word[s] + (a.id,)
+            back = start[a.target] if fail[s] is None else moves[fail[s]].get(a.id)
+            if w in source:
+                tops[w] = back
+            if w in source or back is None:
+                continue
+            if w in prefixes:
+                out[a.id] = len(vertex)
+                vertex.append(a.target)
+                word.append(w)
+                fail.append(back)
+            else:
+                out[a.id] = back
+        moves.append(out)
+    words = sorted(source)
+    leaves = [0] * len(vertex)
+    paths = []
+    for w in words:
+        path = [start[source[w]]]
+        for a in w[:-1]:
+            path.append(moves[path[-1]][a])
+        for s in path:
+            leaves[s] += 1
+        paths.append(tuple(path))
+    return RelationAutomaton(
+        start, tuple(vertex), tuple(moves), tuple(fail), tuple(map(len, word)),
+        tuple(leaves), tuple(words), tuple(paths), tuple(tops[w] for w in words),
+    )
+
+
+def word_set_opposite_automaton(alg):
+    """``word_set_automaton`` on the reversed arrows that relations use and
+    the reversed relations."""
+    used = {a for r in alg.relations for a in r.arrows}
+    arrows = tuple(
+        Arrow(a.id, a.target, a.source) for a in alg.quiver.arrows if a.id in used
+    )
+    reverse = [Path(r.arrows[::-1], r.vertices[::-1]) for r in alg.relations]
+    return word_set_automaton(Quiver(alg.quiver.vertices, arrows), reverse)
 
 
 def reduction_hasse_arrows(paths, order):

@@ -21,7 +21,12 @@ from gpstable.algebra import (
 from gpstable.analysis import analyze
 from gpstable.stable import classify
 
-from reference_scan import equivalence_algebras
+from reference_scan import (
+    equivalence_algebras,
+    trie_algebras,
+    word_set_automaton,
+    word_set_opposite_automaton,
+)
 
 
 def occurrences_in(part, whole):
@@ -318,6 +323,19 @@ def zero_test_algebras():
     yield from equivalence_algebras()
     for seed in range(300):
         yield random_algebra(random.Random(seed))
+
+
+def test_trie_automata_match_word_set_builder():
+    # NamedTuple equality: every field, state ids included
+    algs = list(trie_algebras())
+    algs += [fixtures.nakayama(n, m) for n in range(1, 9) for m in range(1, 9)]
+    for alg in algs:
+        assert alg.automaton == word_set_automaton(alg.quiver, alg.relations), (
+            alg.relations
+        )
+        assert alg.opposite_automaton == word_set_opposite_automaton(alg), (
+            alg.relations
+        )
 
 
 def test_zero_tests_agree_with_subpath_scan():

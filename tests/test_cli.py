@@ -139,6 +139,15 @@ class TestArQuiver:
         assert (code, out) == (1, "")
         assert err == "error: --window requires --graded\n"
 
+    @pytest.mark.parametrize("fixture", [A2, STAR])
+    def test_negative_window_rejected(self, capsys, fixture):
+        # a2 is CM-free, so the check must not wait for ar_quiver
+        code, out, err = run(
+            capsys, "ar-quiver", fixture, "--graded", "--window=-1", "--json"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --window must be non-negative, got -1\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "quiver.dot"
         code, out, _ = run(capsys, "ar-quiver", STAR, "--output", str(target))
