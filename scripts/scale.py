@@ -4,7 +4,15 @@ Usage::
 
     PYTHONPATH=src python scripts/scale.py
 
-For N(60, 60) and N(120, 120) (cyclic quiver on n vertices, paths of
+The first stage, ``import``, is the package's cold import: a child
+``sys.executable`` run with ``PYTHONDONTWRITEBYTECODE=1`` times
+``import gpstable, gpstable.oracle`` around itself, and the best of 3
+children is printed, as ``{"import": seconds}`` on a line of its own.
+It times the import from source only while ``src/`` holds no
+``__pycache__``, so run the script itself with
+``PYTHONDONTWRITEBYTECODE=1`` too (its own imports would write one);
+otherwise the cached bytecode is timed.
+Then, for N(60, 60) and N(120, 120) (cyclic quiver on n vertices, paths of
 length n + 1 zero) it prints the parse time and then the parse-free stages
 of ``classify``, each cached on a fresh ``Analysis`` and timed once with
 ``perf_counter``.  The first is the algebra's ``opposite_automaton``,
@@ -29,6 +37,9 @@ emits it with ``emit(..., "json")`` and ``ar_quiver_dot`` with
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 from gpstable import fixtures
@@ -43,8 +54,26 @@ from gpstable.stable import (
 )
 
 NAKAYAMA = (60, 120)
+IMPORT_TIMER = (
+    "from time import perf_counter\n"
+    "t0 = perf_counter()\n"
+    "import gpstable, gpstable.oracle\n"
+    "print(perf_counter() - t0)\n"
+)
 STAGES = ("perfect", "classes", "decompositions")
 OUTPUT_STAGES = ("hasse_prec", "hasse_leq")
+
+
+def import_time() -> float:
+    """Best of 3 cold imports, each in a fresh child interpreter."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    return min(
+        float(subprocess.run(
+            [sys.executable, "-c", IMPORT_TIMER],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+        for _ in range(3)
+    )
 
 
 def time_stages(obj: object, stages: tuple[str, ...], times: dict) -> None:
@@ -106,6 +135,7 @@ def ungraded_hom_sweep(an: Analysis, times: dict) -> int:
 
 
 def main() -> None:
+    print(json.dumps({"import": round(import_time(), 4)}))
     for n in NAKAYAMA:
         times = run_once(fixtures.nakayama_document(n, n))
         rounded = {key: round(t, 4) for key, t in times.items()}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -41,14 +40,15 @@ class InternalConsistencyError(RuntimeError):
     """A structural guarantee failed.  Indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A walk in a quiver, possibly trivial at a vertex.
 
     ``arrows`` is the sequence of arrow ids and ``vertices`` the sequence of
     visited vertices; ``len(vertices) == len(arrows) + 1`` always holds.
     Paths are immutable value objects; the total order used as a global
-    tie-breaker everywhere is ``(length, arrows, start vertex)``.
+    tie-breaker everywhere is ``(length, arrows, start vertex)``.  A named
+    tuple: it compares equal and hashes as ``(arrows, vertices)``, and all
+    four order comparisons read :meth:`sort_key`, not the tuple order.
     """
 
     arrows: tuple[str, ...]
@@ -75,6 +75,15 @@ class Path:
 
     def __lt__(self, other: "Path") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __gt__(self, other: "Path") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __le__(self, other: "Path") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __ge__(self, other: "Path") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __mul__(self, other: "Path") -> "Path":
         """Concatenation; raises when the endpoints do not meet."""
@@ -132,21 +141,26 @@ class Arrow(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """A finite quiver: vertex ids plus arrows with declared endpoints."""
-
+class _QuiverFields(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
-    def __post_init__(self):
-        if not self.vertices:
+
+class Quiver(_QuiverFields):
+    """A finite quiver: vertex ids plus arrows with declared endpoints.
+
+    A named tuple validated on construction; unlike its fields base it has
+    an instance dict, which holds the cached arrow maps.
+    """
+
+    def __new__(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        if not vertices:
             raise InputError("a quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertex ids")
         seen = set()
-        vset = set(self.vertices)
-        for a in self.arrows:
+        vset = set(vertices)
+        for a in arrows:
             if not a.id or "." in a.id or "\\" in a.id or a.id != a.id.strip():
                 raise InputError(
                     f"arrow id {a.id!r} must be non-empty, free of '.' (it joins "
@@ -161,6 +175,12 @@ class Quiver:
                     f"arrow {a.id!r} has undeclared endpoint "
                     f"({a.source!r} -> {a.target!r})"
                 )
+        return super().__new__(cls, vertices, arrows)
+
+    @classmethod
+    def _make(cls, iterable) -> "Quiver":
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
 
     @cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:

@@ -17,16 +17,14 @@ every tested algebra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import InputError, Path
 from .analysis import Analysis
 from .orders import CycleDecomposition, HasseQuiver
 
 
-@dataclass(frozen=True)
-class TQVertex:
+class TQVertex(NamedTuple):
     path: Path
     shift: int | None
     bracket: tuple[int, int]
@@ -44,8 +42,7 @@ class TQVertex:
         return (self.path.sort_key(), -1 if self.shift is None else self.shift)
 
 
-@dataclass(frozen=True)
-class TranslationQuiver:
+class TranslationQuiver(NamedTuple):
     """A finite (piece of a) translation quiver.
 
     ``arrows`` and ``tau`` are index pairs into ``vertices``; ``tau`` maps

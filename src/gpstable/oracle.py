@@ -24,8 +24,7 @@ path), and the tilting row suspends each summand once per power.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import (
     Arrow,
@@ -160,8 +159,7 @@ def random_algebra(
     raise RuntimeError("could not draw an admissible algebra")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -387,14 +385,13 @@ def verify_algebra(
     ungraded = {}
     bf_hom = {}  # (p, q) -> the brute-force graded pieces {shift: witnesses}
     for p in pset.paths:
+        source = StableObject(p, 0)
         for q in pset.paths:
             total, by_shift = bf_stable_hom(alg, p, q)
             bf_hom[p, q] = by_shift
             for k in range(-2, q.length + 2):
                 bf_wit = by_shift.get(k, ())
-                h = graded_stable_hom(
-                    an, StableObject(p, 0), StableObject(q, k)
-                )
+                h = graded_stable_hom(an, source, StableObject(q, k))
                 if h.dimension != len(bf_wit) or len(bf_wit) > 1:
                     hom_ok = False
                 elif bf_wit and h.witness != bf_wit[0]:

@@ -15,8 +15,7 @@ the Hasse quivers are an output view and the oracle's route to both sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import InternalConsistencyError, InputError, MonomialAlgebra, Path
 from .perfect import UnderlyingCycleClass
@@ -25,8 +24,7 @@ PREC = "prec"  # p below q iff p is a left divisor of q
 LEQ = "leq"  # p below q iff q is a right divisor of p
 
 
-@dataclass(frozen=True)
-class HasseQuiver:
+class HasseQuiver(NamedTuple):
     """Covering relations of one of the two orders.
 
     Arrows run from the greater element to the one it covers, so every
@@ -113,7 +111,6 @@ def classify_elementary(
     return elementary, coelementary
 
 
-@dataclass(frozen=True)
 class CycleDecomposition:
     """An underlying cycle rotated to a co-elementary boundary.
 
@@ -125,7 +122,17 @@ class CycleDecomposition:
     relation r_i .. r_{i+m}, sorted by length (the prefix-order Hasse chain
     above r_i, read bottom-up).  ``elementary`` holds the row tops and
     ``coelementary`` the factors, each sorted by ``Path.sort_key``.
+
+    Unlike the other records it is a ``__slots__`` class, not a named tuple:
+    every closed-form query reads its fields, and a slot is read faster
+    than a named-tuple field.  :func:`decompose_cycle` builds one per class
+    and nothing changes it afterwards; it compares by identity.
     """
+
+    __slots__ = (
+        "cycle_class", "anchored_cycle", "factors", "size", "arrow_length", "m",
+        "chain", "elementary", "coelementary", "windows", "prefix_lengths",
+    )
 
     cycle_class: UnderlyingCycleClass
     anchored_cycle: Path
@@ -136,9 +143,25 @@ class CycleDecomposition:
     chain: tuple[Path, ...]
     elementary: tuple[Path, ...]
     coelementary: tuple[Path, ...]
-    windows: tuple[tuple[Path, ...], ...] = field(compare=False)
+    windows: tuple[tuple[Path, ...], ...]
     # partial sums of the factor lengths: prefix_lengths[t] = l(r_1 ... r_t)
-    prefix_lengths: tuple[int, ...] = field(compare=False, repr=False)
+    prefix_lengths: tuple[int, ...]
+
+    def __init__(
+        self, cycle_class, anchored_cycle, factors, size, arrow_length, m,
+        chain, elementary, coelementary, windows, prefix_lengths,
+    ):
+        self.cycle_class = cycle_class
+        self.anchored_cycle = anchored_cycle
+        self.factors = factors
+        self.size = size
+        self.arrow_length = arrow_length
+        self.m = m
+        self.chain = chain
+        self.elementary = elementary
+        self.coelementary = coelementary
+        self.windows = windows
+        self.prefix_lengths = prefix_lengths
 
     @property
     def members(self) -> tuple[Path, ...]:
@@ -283,8 +306,7 @@ def decompose_cycle(
     )
 
 
-@dataclass(frozen=True)
-class CyclePredicates:
+class CyclePredicates(NamedTuple):
     all_arrows_perfect: bool
     repetition_free: bool
     relation_length: int | None

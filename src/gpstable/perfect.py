@@ -29,7 +29,7 @@ arrow words and builds one path per perfect word.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
 from .algebra import RelationAutomaton
@@ -94,8 +94,7 @@ def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
     return right_annihilators(alg, p) == (q,) and left_annihilators(alg, q) == (p,)
 
 
-@dataclass(frozen=True)
-class PerfectPathSet:
+class PerfectPathSet(NamedTuple):
     """All perfect paths of an algebra, organised as successor cycles."""
 
     paths: tuple[Path, ...]
@@ -208,8 +207,7 @@ def _least_rotation(word: tuple[str, ...]) -> int:
     return min(range(len(word)), key=lambda s: word[s:] + word[:s])
 
 
-@dataclass(frozen=True)
-class UnderlyingCycleClass:
+class UnderlyingCycleClass(NamedTuple):
     """An equivalence class of underlying cycles, up to rotation.
 
     ``cycle`` is the canonical representative (smallest rotation) and
@@ -241,8 +239,7 @@ def underlying_cycle_classes(
     )
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(NamedTuple):
     """An overlap witness: ``p = left * middle`` and ``q = middle * right``
     with ``left * middle * right`` non-zero."""
 

@@ -12,7 +12,6 @@ inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import InputError, Path
@@ -189,8 +188,7 @@ def ar_translate_inverse(an: Analysis, obj: StableObject) -> StableObject:
     return _term(dec, prev, span, -drop, obj.shift)
 
 
-@dataclass(frozen=True)
-class ARTriangle:
+class ARTriangle(NamedTuple):
     """An Auslander-Reiten triangle ``tau C -> B -> C -> Sigma tau C``.
 
     ``middles`` lists the non-zero summands of B; a middle term whose
@@ -239,8 +237,7 @@ def tilting_object(an: Analysis) -> tuple[StableObject, ...]:
     return tuple(summands)
 
 
-@dataclass(frozen=True)
-class EndBlock:
+class EndBlock(NamedTuple):
     """Per-class endomorphism data of the tilting object.
 
     ``pattern[a][b]`` is the Hom dimension from the chain object of length
@@ -273,22 +270,19 @@ def end_algebra(an: Analysis) -> tuple[EndBlock, ...]:
     )
 
 
-@dataclass(frozen=True)
-class GradedFactor:
+class GradedFactor(NamedTuple):
     cycle: Path
     typeA_size: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class NakayamaFactor:
+class NakayamaFactor(NamedTuple):
     cycle: Path
     vertices: int
     radical_exponent: int
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """The two classification outputs, one factor per underlying cycle.
 
     The graded stable category is a product of derived categories of

@@ -141,6 +141,25 @@ class TestParsing:
         with pytest.raises(InputError, match=message):
             parse_algebra(doc)
 
+    @pytest.mark.parametrize(
+        "vertices, arrows, message",
+        [
+            ((), (), "a quiver needs at least one vertex"),
+            (("1", "1"), (), "duplicate vertex ids"),
+            (("1",), (Arrow("x", "1", "1"),) * 2, "duplicate arrow id 'x'"),
+            (
+                ("1",), (Arrow("x", "1", "2"),),
+                "arrow 'x' has undeclared endpoint ('1' -> '2')",
+            ),
+        ],
+    )
+    def test_quiver_validates_when_built_or_replaced(self, vertices, arrows, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(InputError, match=exact):
+            Quiver(vertices, arrows)
+        with pytest.raises(InputError, match=exact):
+            Quiver(("1",), ())._replace(vertices=vertices, arrows=arrows)
+
     def test_short_relation_rejected(self):
         doc = fixtures.loop_document(1)
         doc["relations"] = [["x"]]
@@ -435,6 +454,41 @@ class TestPathOps:
             q.path(["a3"]),
             q.path(["a1", "a2"]),
         ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [fixtures.lambda_star, fixtures.a2, fixtures.quadratic,
+         lambda: fixtures.loop(3), lambda: fixtures.nakayama(3, 3)],
+        ids=["lambda_star", "a2", "quadratic", "loop_3", "N(3,3)"],
+    )
+    def test_value_semantics_follow_sort_key(self, make):
+        """All four comparisons, and so ``sorted``, ``max`` and ``min``,
+        read ``sort_key`` (a3 before a1.a2, not the tuple order of the
+        fields); the hash is that of ``(arrows, vertices)``; a field cannot
+        be set; ``str`` and ``repr`` keep their forms."""
+        alg = make()
+        paths = [*alg.basis_sorted[::-1], *analyze(alg).perfect.paths]
+        key = Path.sort_key
+        for a in paths:
+            for b in paths:
+                ka, kb = key(a), key(b)
+                assert (a < b, a > b, a <= b, a >= b) == (
+                    ka < kb, ka > kb, ka <= kb, ka >= kb
+                )
+        assert sorted(paths) == sorted(paths, key=key)
+        assert max(paths) == max(paths, key=key)
+        assert min(paths) == min(paths, key=key)
+        for p in paths:
+            assert hash(p) == hash((p.arrows, p.vertices))
+            with pytest.raises(AttributeError):
+                p.arrows = ()
+            text = f"e({p.source})" if p.is_trivial else ".".join(p.arrows)
+            assert (str(p), repr(p)) == (text, f"Path({text})")
+        q = fixtures.lambda_star().quiver
+        short, long = q.path(["a3"]), q.path(["a1", "a2"])
+        assert short < long and long > short and (long.arrows, long.vertices) < (
+            short.arrows, short.vertices
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,8 @@
 A plain ``ast`` scan: every name an import binds must be read somewhere in
 the same module, appear in a string annotation, or be listed in
 ``__all__``.  Package ``__init__.py`` files are skipped, since importing
-there is how the public names are re-exported.
+there is how the public names are re-exported.  A second scan keeps
+``dataclasses`` out of every module of the package.
 """
 
 import ast
@@ -16,6 +17,7 @@ SCANNED = sorted(
     for p in d.rglob("*.py")
     if p.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "gpstable").rglob("*.py"))
 
 
 def _bound_names(tree: ast.AST):
@@ -93,3 +95,32 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level package of every module an ``import`` statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scanner_sees_every_import_form():
+    source = "import dataclasses.x\nfrom dataclasses import field\nfrom . import y\n"
+    assert imported_modules(source) == {"dataclasses"}
+
+
+def test_package_never_imports_dataclasses():
+    """The records are named tuples or slots classes: ``dataclasses`` (and
+    the ``inspect`` it pulls in) would add to the import time of every CLI
+    command."""
+    assert any(p.name == "__init__.py" for p in PACKAGE)
+    found = [
+        str(path.relative_to(ROOT))
+        for path in PACKAGE
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "imports dataclasses:\n" + "\n".join(found)

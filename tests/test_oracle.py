@@ -1,7 +1,6 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -466,7 +465,7 @@ class TestGridRowsAgainstBruteForce:
             pattern = [list(row) for row in first.pattern]
             pattern[0][1] = 1 - pattern[0][1]
             rows = tuple(tuple(row) for row in pattern)
-            return (replace(first, pattern=rows), *rest)
+            return (first._replace(pattern=rows), *rest)
 
         monkeypatch.setattr(oracle, "end_algebra", flipped)
         alg = make()
