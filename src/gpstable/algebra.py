@@ -231,7 +231,7 @@ def parse_path_string(quiver: Quiver, text: str) -> Path:
     text = text.strip()
     if not text:
         raise InputError("empty path string")
-    return quiver.path(tuple(part for part in text.split(".")))
+    return quiver.path(tuple(text.split(".")))
 
 
 class RelationAutomaton(NamedTuple):
@@ -324,7 +324,7 @@ def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAut
         tops.append(start[r.target] if f is None else moves[f].get(r.arrows[-1]))
     return RelationAutomaton(
         start, tuple(vertex), tuple(moves), tuple(fail), tuple(depth),
-        tuple(leaves), tuple(r.arrows for r in rels), tuple(paths), tuple(tops),
+        tuple(leaves), tuple([r.arrows for r in rels]), tuple(paths), tuple(tops),
     )
 
 
@@ -489,7 +489,7 @@ class MonomialAlgebra:
 
     @cached_property
     def nontrivial_basis(self) -> tuple[Path, ...]:
-        return tuple(p for p in self.basis_sorted if not p.is_trivial)
+        return tuple([p for p in self.basis_sorted if not p.is_trivial])
 
     @cached_property
     def divisor_index(self) -> DivisorIndex:
@@ -582,7 +582,7 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
         arrows.append(
             Arrow(str(entry["id"]), str(entry["from"]), str(entry["to"]))
         )
-    quiver = Quiver(tuple(str(v) for v in vertices), tuple(arrows))
+    quiver = Quiver(tuple([str(v) for v in vertices]), tuple(arrows))
 
     if not isinstance(data["relations"], (list, tuple)):
         raise InputError("'relations' must be a list of arrow id lists")
@@ -591,7 +591,7 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
         if not isinstance(ids, (list, tuple)):
             raise InputError(f"relation #{k} must be a list of arrow ids")
         try:
-            relations.append(quiver.path(tuple(str(a) for a in ids)))
+            relations.append(quiver.path(tuple([str(a) for a in ids])))
         except InputError as exc:
             raise InputError(f"relation #{k} is not a valid path: {exc}") from None
 

@@ -67,10 +67,10 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[CycleDecomposition, ...]:
-        return tuple(
+        return tuple([
             decompose_cycle(self.algebra, cls, self.perfect.successor)
             for cls in self.classes
-        )
+        ])
 
     @cached_property
     def coordinates(self) -> dict[Path, tuple[CycleDecomposition, int, int]]:

@@ -12,11 +12,17 @@ out of those middle terms, with valuation (1,1) throughout.
 ``tests/reference_ar.py`` keeps a builder that reads every vertex's AR
 triangle off the path-keyed reference closed forms, and the two agree on
 every tested algebra.
+
+:func:`dump_json` writes every ``--json`` document itself, in the bytes of
+``json.dumps(data, indent=2, sort_keys=True)``.  It does not call that:
+``indent`` forces ``json``'s pure-Python encoder, which took about a third
+of a ``classify-cycles`` benchmark operation, and whose closures form a
+reference cycle on every call that only the cyclic collector frees.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, NamedTuple
 
 from .algebra import InputError, Path
@@ -56,10 +62,10 @@ class TranslationQuiver(NamedTuple):
     identification: str | None = None
 
     def arrow_pairs(self) -> tuple[tuple[TQVertex, TQVertex], ...]:
-        return tuple((self.vertices[a], self.vertices[b]) for a, b in self.arrows)
+        return tuple([(self.vertices[a], self.vertices[b]) for a, b in self.arrows])
 
     def tau_pairs(self) -> tuple[tuple[TQVertex, TQVertex], ...]:
-        return tuple((self.vertices[a], self.vertices[b]) for a, b in self.tau)
+        return tuple([(self.vertices[a], self.vertices[b]) for a, b in self.tau])
 
 
 def ar_quiver(
@@ -116,7 +122,7 @@ def ar_quiver(
     )
     index = {v: n for n, (_, v) in enumerate(rows)}
     return TranslationQuiver(
-        vertices=tuple(vertex for vertex, _ in rows),
+        vertices=tuple([vertex for vertex, _ in rows]),
         arrows=tuple(sorted((index[a], index[b]) for a, b in arrows)),
         tau=tuple(sorted((index[a], index[b]) for a, b in tau)),
         identification="; ".join(notes) or None,
@@ -142,8 +148,65 @@ def graded_ar_window(
 
 def dump_json(data) -> str:
     """The one JSON serializer of every ``--json`` output: two-space
-    indent, sorted keys, a closing newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    indent, sorted keys, a closing newline.
+
+    The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\n"``
+    byte for byte, for values built of ``dict`` (with ``str`` keys),
+    ``list``, ``tuple``, ``str``, ``int``, ``bool`` and ``None``; any other
+    type raises ``TypeError``.  It does not call ``json.dumps``: ``indent``
+    sends that to the pure-Python encoder, which is slow, and each call
+    leaves behind a reference cycle of closures and generators that only
+    the cyclic collector frees.  The writer below is one recursive function
+    with no closure and no generator, so it leaves no cyclic garbage.
+    """
+    out: list[str] = []
+    _write_json(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], pad: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``pad`` is a newline
+    plus the indent of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            if type(item) is str:
+                out.append(_encode_str(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(pad + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            sep = "," + inner
+            out.append(_encode_str(key) + ": ")
+            _write_json(value[key], out, inner)
+        out.append(pad + "}")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _quote(text: str) -> str:

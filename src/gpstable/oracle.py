@@ -74,7 +74,7 @@ def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
 def bf_ordinary_hom(alg: MonomialAlgebra, p: Path, q: Path):
     """Dimension/basis of the ordinary Hom(pL, qL) = qL ∩ Lp."""
     starts = alg.divisor_index.starts.get((q.source, q.arrows), ())
-    hits = tuple(u for u in starts if p.right_divides(u))
+    hits = tuple([u for u in starts if p.right_divides(u)])
     return len(hits), hits
 
 
@@ -106,17 +106,20 @@ def bf_factorizations(
 ) -> tuple[tuple[Path, ...], ...]:
     """All factorizations of ``p`` into co-elementary paths, by cut search."""
     coel = tuple(sorted(set(coelementary), key=Path.sort_key))
+    return tuple([*_factorizations(p, coel)])
 
-    def rec(rest: Path):
-        if rest.is_trivial:
-            yield ()
-            return
-        for r in coel:
-            if r.left_divides(rest):
-                for tail in rec(rest.window(r.length, rest.length)):
-                    yield (r, *tail)
 
-    return tuple(rec(p))
+def _factorizations(rest: Path, coel: tuple[Path, ...]):
+    """The factorizations of ``rest`` into the paths ``coel``, in the
+    order of ``coel`` at each cut.  A module-level generator rather than a
+    closure, so a call leaves no reference cycle behind."""
+    if rest.is_trivial:
+        yield ()
+        return
+    for r in coel:
+        if r.left_divides(rest):
+            for tail in _factorizations(rest.window(r.length, rest.length), coel):
+                yield (r, *tail)
 
 
 RANDOM_MAX_RELATION_LENGTH = 5
@@ -133,12 +136,12 @@ def random_algebra(
     discarded rather than repaired."""
     for _ in range(RANDOM_MAX_ATTEMPTS):
         nv = rng.randint(1, max_vertices)
-        vertices = tuple(f"v{k}" for k in range(1, nv + 1))
+        vertices = tuple([f"v{k}" for k in range(1, nv + 1)])
         na = rng.randint(1, max_arrows)
-        arrows = tuple(
+        arrows = tuple([
             Arrow(f"a{k}", rng.choice(vertices), rng.choice(vertices))
             for k in range(1, na + 1)
-        )
+        ])
         quiver = Quiver(vertices, arrows)
         relations = []
         for _ in range(rng.randint(0, max_relations)):
@@ -151,7 +154,7 @@ def random_algebra(
                     break
                 walk.append(rng.choice(nxt))
             if len(walk) == length:
-                relations.append(quiver.path(tuple(a.id for a in walk)))
+                relations.append(quiver.path(tuple([a.id for a in walk])))
         try:
             return MonomialAlgebra(quiver, relations)
         except NonAdmissibleError:
@@ -299,7 +302,7 @@ def verify_algebra(
     for p in pset.paths:
         facs = bf_factorizations(p, coelementary)
         dec, i, span = an.locate(p)
-        greedy = tuple(dec.factor(t) for t in range(i, i + span))
+        greedy = tuple([dec.factor(t) for t in range(i, i + span)])
         if len(facs) != 1 or facs[0] != greedy:
             factor_ok = False
     check(

@@ -40,11 +40,11 @@ class HasseQuiver(NamedTuple):
 
     def sources(self) -> tuple[Path, ...]:
         targets = {b for _, b in self.arrows}
-        return tuple(v for v in self.vertices if v not in targets)
+        return tuple([v for v in self.vertices if v not in targets])
 
     def sinks(self) -> tuple[Path, ...]:
         tails = {a for a, _ in self.arrows}
-        return tuple(v for v in self.vertices if v not in tails)
+        return tuple([v for v in self.vertices if v not in tails])
 
 
 def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
@@ -90,7 +90,7 @@ def hasse_quiver(perfect_paths: Iterable[Path], order: str) -> HasseQuiver:
     return HasseQuiver(
         order=order,
         vertices=verts,
-        arrows=tuple((v, down[v]) for v in verts if v in down),
+        arrows=tuple([(v, down[v]) for v in verts if v in down]),
         components=tuple(components),
     )
 
@@ -262,12 +262,12 @@ def decompose_cycle(
         raise InternalConsistencyError(
             f"the co-elementary factors of class {cls.cycle} form no single cycle"
         )
-    word = tuple(a for row in ring for a in row[0].arrows)
+    word = tuple([a for row in ring for a in row[0].arrows])
     cuts = (0, *itertools.accumulate(row[0].length for row in ring[:-1]))
     doubled = word + word
     t = min(range(n), key=lambda k: doubled[cuts[k] : cuts[k] + len(word)])
     windows = tuple(ring[t:] + ring[:t])
-    factors = tuple(row[0] for row in windows)
+    factors = tuple([row[0] for row in windows])
     anchored = alg.quiver.path(word[cuts[t] :] + word[: cuts[t]])
 
     for i, row in enumerate(windows):
@@ -302,7 +302,7 @@ def decompose_cycle(
         elementary=elementary,
         coelementary=tuple(sorted(factors, key=Path.sort_key)),
         windows=windows,
-        prefix_lengths=tuple(itertools.accumulate([0] + [r.length for r in factors])),
+        prefix_lengths=tuple([*itertools.accumulate([0] + [r.length for r in factors])]),
     )
 
 

@@ -73,7 +73,7 @@ def right_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
     """R(p): left-minimal non-zero q with t(p) = s(q) and pq = 0, sorted."""
     _require_nonzero_nontrivial(alg, p)
     killers = _killers(alg.automaton, p.arrows, p.vertices)
-    return tuple(map(alg.quiver.path, sorted(killers, key=_word_key)))
+    return tuple([*map(alg.quiver.path, sorted(killers, key=_word_key))])
 
 
 def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
@@ -82,7 +82,7 @@ def left_annihilators(alg: MonomialAlgebra, p: Path) -> tuple[Path, ...]:
     _require_nonzero_nontrivial(alg, p)
     killers = _killers(alg.opposite_automaton, p.arrows[::-1], p.vertices[::-1])
     killers = sorted((q[::-1] for q in killers), key=_word_key)
-    return tuple(map(alg.quiver.path, killers))
+    return tuple([*map(alg.quiver.path, killers)])
 
 
 def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
@@ -189,8 +189,8 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     if len(path) != len(words):
         raise InternalConsistencyError("successor cycles are not disjoint")
     return PerfectPathSet(
-        paths=tuple(path[w] for w in words),
-        sequences=tuple(tuple(path[w] for w in c) for c in cycles),
+        paths=tuple([path[w] for w in words]),
+        sequences=tuple([tuple([path[w] for w in c]) for c in cycles]),
         successor={path[w]: path[sigma[w]] for w in words},
         cm_free=not words,
     )
@@ -225,18 +225,18 @@ def underlying_cycle_classes(
     of their product, taken on arrow words; one path is built per class."""
     grouped: dict[tuple[str, ...], list[Path]] = {}
     for seq in pset.sequences:
-        word = tuple(a for p in seq for a in p.arrows)
+        word = tuple([a for p in seq for a in p.arrows])
         root = word[: _root_length(word)]
         s = _least_rotation(root)
         # the successor cycles are disjoint
         grouped.setdefault(root[s:] + root[:s], []).extend(seq)
-    return tuple(
+    return tuple([
         UnderlyingCycleClass(
             cycle=_word_path(alg, canon),
             members=tuple(sorted(members, key=Path.sort_key)),
         )
         for canon, members in sorted(grouped.items(), key=lambda kv: _word_key(kv[0]))
-    )
+    ])
 
 
 class Overlap(NamedTuple):

@@ -112,11 +112,11 @@ def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
     if dec is not dec_q:
         return _NO_UNGRADED_HOM
     first = (dec.offset(i) - dec.offset(i2)) % dec.arrow_length
-    pieces = tuple(
+    pieces = tuple([
         (k, h.witness)
         for k in range(first, q.length, dec.arrow_length)
         if (h := _solve(dec, i, span_p, i2, span_q, k)).dimension
-    )
+    ])
     if not pieces:
         return _NO_UNGRADED_HOM
     return HomDescription(len(pieces), by_shift=pieces)
@@ -256,18 +256,18 @@ def end_algebra(an: Analysis) -> tuple[EndBlock, ...]:
     """End(T) in closed form: [1, a]L maps to [1, b]L at shift 0 iff [1, b]
     left-divides [1, a], so each block is the lower triangle of size m_c,
     once per shift 0 .. l(c)-1.  The oracle checks it by brute force."""
-    return tuple(
+    return tuple([
         EndBlock(
             cycle=dec.cycle_class.cycle,
             size=dec.m,
             multiplicity=dec.arrow_length,
-            pattern=tuple(
-                tuple(1 if b <= a else 0 for b in range(dec.m))
+            pattern=tuple([
+                tuple([1 if b <= a else 0 for b in range(dec.m)])
                 for a in range(dec.m)
-            ),
+            ]),
         )
         for dec in an.decompositions
-    )
+    ])
 
 
 class GradedFactor(NamedTuple):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpstable.stable as stable
 import reference_stable
@@ -10,6 +12,7 @@ from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.arquiver import (
     ar_quiver,
+    dump_json,
     emit,
     full_ungraded_ar_quiver,
     graded_ar_window,
@@ -249,6 +252,45 @@ class TestEmission:
     def test_unknown_format(self, star_an):
         with pytest.raises(InputError):
             emit(star_an.hasse_prec, "svg")
+
+
+# --- the JSON writer against json.dumps ---------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_SPECIAL_CHARS = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u00e9\u2028\u4e2d\U0001f600\U00010348'
+_TEXT = st.text(alphabet=st.sampled_from(_SPECIAL_CHARS) | st.characters(), max_size=12)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_edge_values(self):
+        for value in ([], {}, [[]], {"": {}}, ((),), [None, True, False, -0, 2**100]):
+            assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [1.5, [0.0], {"a": {"b": float("nan")}}, {1: "a"}, {"a": {None: 1}}]
+    )
+    def test_float_or_non_str_key_raises(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
 
 
 # --- the coordinate builder against the triangles --------------------------------

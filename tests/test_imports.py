@@ -4,7 +4,8 @@ A plain ``ast`` scan: every name an import binds must be read somewhere in
 the same module, appear in a string annotation, or be listed in
 ``__all__``.  Package ``__init__.py`` files are skipped, since importing
 there is how the public names are re-exported.  A second scan keeps
-``dataclasses`` out of every module of the package.
+``dataclasses`` out of every module of the package, and a third requires
+that the package builds every tuple at its exact size.
 """
 
 import ast
@@ -124,3 +125,59 @@ def test_package_never_imports_dataclasses():
         if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
     ]
     assert not found, "imports dataclasses:\n" + "\n".join(found)
+
+
+GUESSED_LENGTH_CALLS = {"map", "filter", "zip", "accumulate"}
+
+
+def guessed_size_tuples(source: str) -> list[int]:
+    """Lines of the ``tuple(...)`` calls over a generator expression or over
+    a ``map``, ``filter``, ``zip`` or ``accumulate`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and node.args
+        ):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.GeneratorExp):
+            found.append(node.lineno)
+        elif isinstance(arg, ast.Call):
+            func = arg.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in GUESSED_LENGTH_CALLS:
+                found.append(node.lineno)
+    return found
+
+
+def test_tuple_scanner_flags_and_honours():
+    source = (
+        "a = tuple(x for x in y)\n"
+        "b = tuple(map(f, y))\n"
+        "c = tuple(itertools.accumulate(y))\n"
+        "d = tuple([x for x in y])\n"
+        "e = tuple(sorted(x for x in y))\n"
+        "f = tuple(zip(y, z))\n"
+        "g = tuple(s.split('.'))\n"
+    )
+    assert guessed_size_tuples(source) == [1, 2, 3, 6]
+
+
+def test_package_builds_tuples_at_exact_size():
+    """``tuple()`` over an iterator of unknown length allocates a tuple at a
+    guessed length (10 slots by default) and shrinks it in place at the end,
+    so every such call moves a tuple from CPython's 10-slot free list to a
+    smaller one.  The small free lists then fill to their cap, and they are
+    emptied only by a full (generation 2) collection.  Since the pipeline
+    leaves no cyclic garbage (``tests/test_cyclic_garbage.py``), such
+    collections are rare, and the filled free lists showed as a higher peak
+    RSS.  A list has its exact length, so ``tuple([...])`` allocates exactly."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        for line in guessed_size_tuples(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "tuple() of an iterator, build a list first:\n" + "\n".join(found)
