@@ -13,11 +13,13 @@ out of those middle terms, with valuation (1,1) throughout.
 triangle off the path-keyed reference closed forms, and the two agree on
 every tested algebra.
 
-:func:`dump_json` writes every ``--json`` document itself, in the bytes of
-``json.dumps(data, indent=2, sort_keys=True)``.  It does not call that:
-``indent`` forces ``json``'s pure-Python encoder, which took about a third
-of a ``classify-cycles`` benchmark operation, and whose closures form a
-reference cycle on every call that only the cyclic collector frees.
+Every ``--json`` document has the bytes of ``json.dumps(data, indent=2,
+sort_keys=True)``, without a call to it: ``indent`` forces ``json``'s
+pure-Python encoder, which took about a third of a ``classify-cycles``
+benchmark operation, and whose closures form a reference cycle on every
+call that only the cyclic collector frees.  The AR-quiver document, the one
+large output, has its own row writer, :func:`translation_quiver_json`;
+:func:`dump_json` writes the rest.
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ class TranslationQuiver(NamedTuple):
     tau: tuple[tuple[int, int], ...]
     valuation: str = "(1,1)"
     identification: str | None = None
-
-    def arrow_pairs(self) -> tuple[tuple[TQVertex, TQVertex], ...]:
-        return tuple([(self.vertices[a], self.vertices[b]) for a, b in self.arrows])
-
-    def tau_pairs(self) -> tuple[tuple[TQVertex, TQVertex], ...]:
-        return tuple([(self.vertices[a], self.vertices[b]) for a, b in self.tau])
 
 
 def ar_quiver(
@@ -147,8 +143,8 @@ def graded_ar_window(
 
 
 def dump_json(data) -> str:
-    """The one JSON serializer of every ``--json`` output: two-space
-    indent, sorted keys, a closing newline.
+    """The JSON serializer of every ``--json`` output but the AR quiver's:
+    two-space indent, sorted keys, a closing newline.
 
     The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\n"``
     byte for byte, for values built of ``dict`` (with ``str`` keys),
@@ -245,24 +241,39 @@ def translation_quiver_dot(tq: TranslationQuiver) -> str:
 
 
 def translation_quiver_json(tq: TranslationQuiver) -> str:
-    ids = [_node_id(v) for v in tq.vertices]
-    data = {
-        "kind": "ar_quiver",
-        "valuation": tq.valuation,
-        "identification": tq.identification,
-        "vertices": [
-            {
-                "path": str(v.path),
-                "shift": v.shift,
-                "bracket": list(v.bracket),
-                "incomplete": v.incomplete,
-            }
-            for v in tq.vertices
-        ],
-        "arrows": [[ids[a], ids[b]] for a, b in tq.arrows],
-        "tau": [[ids[a], ids[b]] for a, b in tq.tau],
-    }
-    return dump_json(data)
+    """The bytes :func:`dump_json` would write for the quiver's dict (kept as
+    ``json_from_pairs`` in ``tests/reference_ar.py``), written row by row:
+    keys in sorted order, one template per vertex record and per pair, each
+    vertex id encoded once.  An ungraded vertex's id is its path."""
+    ids = [_encode_str(_node_id(v)) for v in tq.vertices]
+    ident = "null" if tq.identification is None else _encode_str(tq.identification)
+    out = ['{\n  "arrows": ']
+    _write_pairs(tq.arrows, ids, out)
+    out.append(f',\n  "identification": {ident},\n  "kind": "ar_quiver",\n  "tau": ')
+    _write_pairs(tq.tau, ids, out)
+    out.append(f',\n  "valuation": {_encode_str(tq.valuation)},\n  "vertices": [')
+    sep = "\n    {"
+    for v, vid in zip(tq.vertices, ids):
+        i, span = v.bracket
+        path = vid if v.shift is None else _encode_str(str(v.path))
+        shift = "null" if v.shift is None else v.shift
+        out.append(
+            f'{sep}\n      "bracket": [\n        {i},\n        {span}\n      ],'
+            f'\n      "incomplete": {"true" if v.incomplete else "false"},'
+            f'\n      "path": {path},\n      "shift": {shift}\n    }}'
+        )
+        sep = ",\n    {"
+    out.append("\n  ]\n}\n" if tq.vertices else "]\n}\n")
+    return "".join(out)
+
+
+def _write_pairs(pairs, ids: list[str], out: list[str]) -> None:
+    """Append the list of ``[id, id]`` pairs at the document's second level."""
+    sep = "[\n    [\n      "
+    for a, b in pairs:
+        out.append(f"{sep}{ids[a]},\n      {ids[b]}\n    ]")
+        sep = ",\n    [\n      "
+    out.append("\n  ]" if pairs else "[]")
 
 
 def hasse_dot(h: HasseQuiver) -> str:

@@ -1,6 +1,7 @@
 """Frozen edge sets for the fixture algebra's stable AR quiver, the
-triangle-by-triangle builder that ``ar_quiver`` replaced, and the DOT
-writer that ``translation_quiver_dot`` replaced.
+triangle-by-triangle builder that ``ar_quiver`` replaced, and the DOT and
+JSON writers that ``translation_quiver_dot`` and
+``translation_quiver_json`` replaced.
 
 Vertices of the edge sets are written as underlying paths rather than
 bracket labels so the comparison does not depend on the rotation anchor of
@@ -12,10 +13,15 @@ builds every vertex's AR triangle and keys each named object through
 an independent statement of the AR rule rather than against itself.
 ``dot_from_pairs`` is the former DOT writer kept verbatim, vertex ids
 recomputed at every arrow end and one scan of the vertices per rank.
+``json_from_pairs`` is the former JSON writer: one dict of the whole
+document, written by ``json.dumps(indent=2, sort_keys=True)``.
+``vertex_pairs`` turns the index pairs of ``arrows`` or ``tau`` into
+vertex pairs.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable
 
 from gpstable.algebra import InputError
@@ -120,6 +126,14 @@ def quiver_from_triangles(
     )
 
 
+def vertex_pairs(
+    tq: TranslationQuiver, pairs: Iterable[tuple[int, int]]
+) -> list[tuple[TQVertex, TQVertex]]:
+    """The vertices at both ends of each index pair of ``tq.arrows`` or
+    ``tq.tau``."""
+    return [(tq.vertices[a], tq.vertices[b]) for a, b in pairs]
+
+
 def _quote(text: str) -> str:
     return '"' + text.replace('"', r"\"") + '"'
 
@@ -144,9 +158,9 @@ def dot_from_pairs(tq: TranslationQuiver) -> str:
         group = [v for v in tq.vertices if v.bracket[1] == span]
         ids = " ".join(_quote(_node_id(v)) for v in group)
         lines.append(f"  {{ rank=same; {ids} }}")
-    for a, b in tq.arrow_pairs():
+    for a, b in vertex_pairs(tq, tq.arrows):
         lines.append(f"  {_quote(_node_id(a))} -> {_quote(_node_id(b))};")
-    for c, tc in tq.tau_pairs():
+    for c, tc in vertex_pairs(tq, tq.tau):
         lines.append(
             f"  {_quote(_node_id(c))} -> {_quote(_node_id(tc))} "
             f"[style=dashed, dir=none, constraint=false];"
@@ -155,3 +169,25 @@ def dot_from_pairs(tq: TranslationQuiver) -> str:
         lines.append(f"  label={_quote(tq.identification)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def json_from_pairs(tq: TranslationQuiver) -> str:
+    """The ``--json`` document of a translation quiver, built as one dict."""
+    ids = [_node_id(v) for v in tq.vertices]
+    data = {
+        "kind": "ar_quiver",
+        "valuation": tq.valuation,
+        "identification": tq.identification,
+        "vertices": [
+            {
+                "path": str(v.path),
+                "shift": v.shift,
+                "bracket": list(v.bracket),
+                "incomplete": v.incomplete,
+            }
+            for v in tq.vertices
+        ],
+        "arrows": [[ids[a], ids[b]] for a, b in tq.arrows],
+        "tau": [[ids[a], ids[b]] for a, b in tq.tau],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

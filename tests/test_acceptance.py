@@ -97,13 +97,18 @@ def test_criterion_4_classification(star_an):
 
 
 def test_criterion_5_ungraded_ar_quiver(star_an):
-    from reference_ar import THREE_CYCLE_ARROWS, THREE_CYCLE_TAU, TWO_CYCLE_ARROWS
+    from reference_ar import (
+        THREE_CYCLE_ARROWS,
+        THREE_CYCLE_TAU,
+        TWO_CYCLE_ARROWS,
+        vertex_pairs,
+    )
 
     ok = True
     for dec in star_an.decompositions:
         tq = ungraded_ar_quiver(star_an, dec)
-        arrows = {(str(a.path), str(b.path)) for a, b in tq.arrow_pairs()}
-        tau = {(str(a.path), str(b.path)) for a, b in tq.tau_pairs()}
+        arrows = {(str(a.path), str(b.path)) for a, b in vertex_pairs(tq, tq.arrows)}
+        tau = {(str(a.path), str(b.path)) for a, b in vertex_pairs(tq, tq.tau)}
         tau_map = dict(tq.tau)
         periods = set()
         for start in range(len(tq.vertices)):

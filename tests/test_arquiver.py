@@ -44,16 +44,18 @@ from reference_ar import (
     THREE_CYCLE_TAU,
     TWO_CYCLE_ARROWS,
     dot_from_pairs,
+    json_from_pairs,
     quiver_from_triangles,
+    vertex_pairs,
 )
 
 
 def arrow_paths(tq):
-    return {(str(a.path), str(b.path)) for a, b in tq.arrow_pairs()}
+    return {(str(a.path), str(b.path)) for a, b in vertex_pairs(tq, tq.arrows)}
 
 
 def tau_paths(tq):
-    return {(str(a.path), str(b.path)) for a, b in tq.tau_pairs()}
+    return {(str(a.path), str(b.path)) for a, b in vertex_pairs(tq, tq.tau)}
 
 
 class TestUngraded:
@@ -95,7 +97,8 @@ class TestUngraded:
     def test_tau_is_the_translate(self, star_an):
         # N(3, 2) has |c| = 3, so a reversed tau edge shows
         for an in (star_an, Analysis(fixtures.nakayama(3, 2))):
-            pairs = full_ungraded_ar_quiver(an).tau_pairs()
+            tq = full_ungraded_ar_quiver(an)
+            pairs = vertex_pairs(tq, tq.tau)
             assert len(pairs) == len(an.perfect.paths)
             for a, b in pairs:
                 assert ar_translate(an, StableObject(a.path, 0)).path == b.path
@@ -160,10 +163,7 @@ class TestGradedWindow:
         for dec in star_an.decompositions:
             graded = graded_ar_window(star_an, dec, -4, 4)
             ungraded = ungraded_ar_quiver(star_an, dec)
-            proj = {
-                (str(a.path), str(b.path)) for a, b in graded.arrow_pairs()
-            }
-            assert proj == arrow_paths(ungraded)
+            assert arrow_paths(graded) == arrow_paths(ungraded)
 
     def test_window_has_one_vertex_per_member_and_shift(self, star_an):
         for dec in star_an.decompositions:
@@ -405,6 +405,72 @@ class TestDotWriter:
                 assert emit(tq, "dot") == dot_from_pairs(tq), an.algebra.relations
                 quivers += 1
         assert quivers >= 2000
+
+
+def window_quivers(an):
+    """The full ungraded quiver and each class's graded windows at the
+    CLI's ``--window`` 0, l(c) and l(c) + 3; the last reaches shift -3."""
+    tqs = [full_ungraded_ar_quiver(an)]
+    for dec in an.decompositions:
+        for w in (0, dec.arrow_length, dec.arrow_length + 3):
+            tqs.append(graded_ar_window(an, dec, -w, w))
+    return tqs
+
+
+def relabelled_lambda_star():
+    """``lambda_star`` with arrow ids that hold a quote, an ``@`` and
+    non-ASCII characters, so every id goes through the string escaper."""
+    names = {"a1": 'a"1', "a2": "a@2", "a3": "α₃", "a4": "\U0001d44e4"}
+    doc = fixtures.lambda_star_document()
+    for arrow in doc["arrows"]:
+        arrow["id"] = names.get(arrow["id"], arrow["id"])
+    doc["relations"] = [[names.get(a, a) for a in rel] for rel in doc["relations"]]
+    return parse_algebra(doc)
+
+
+class TestJsonRowWriter:
+    """``translation_quiver_json`` writes the fixed document row by row;
+    ``reference_ar.json_from_pairs`` builds the whole dict and writes it with
+    ``json.dumps``, as the writer it replaced did, and the bytes must not
+    change."""
+
+    def test_same_bytes_as_the_dict_writer(self):
+        quivers = negative = incomplete = 0
+        for an in coordinate_family():
+            for tq in window_quivers(an):
+                text = emit(tq, "json")
+                assert text == json_from_pairs(tq), an.algebra.relations
+                quivers += 1
+                negative += '@-3"' in text
+                incomplete += '"incomplete": true' in text
+        assert quivers >= 4000 and negative >= 1000 and incomplete >= 1000
+
+    def test_cm_free_document(self):
+        tq = full_ungraded_ar_quiver(Analysis(fixtures.a2()))
+        text = emit(tq, "json")
+        assert text == json_from_pairs(tq)
+        assert '"arrows": [],' in text and '"identification": null,' in text
+
+    def test_escaped_ids(self):
+        an = Analysis(relabelled_lambda_star())
+        texts = []
+        for tq in window_quivers(an):
+            texts.append(emit(tq, "json"))
+            assert texts[-1] == json_from_pairs(tq)
+        joined = "".join(texts)
+        # ensure_ascii: the astral character is a surrogate pair
+        for escaped in (r'"a\"1.', ".a@2@-3", r"\u03b1\u2083", r"\ud835\udc4e4"):
+            assert escaped in joined
+
+    def test_random_draws(self):
+        # most draws are CM-free; 76 of these 200 have a cycle class
+        rng = random.Random(2026)
+        quivers = 0
+        for _ in range(200):
+            for tq in window_quivers(Analysis(random_algebra(rng))):
+                assert emit(tq, "json") == json_from_pairs(tq)
+                quivers += 1
+        assert quivers >= 400
 
 
 # --- mutants of the one AR rule ---------------------------------------------------
