@@ -27,10 +27,15 @@ each building its target ``StableObject``), on the warm ``Analysis``;
 ``ungraded_hom_sweep`` times ungraded Hom from the first perfect path to
 every perfect path (P calls, no ``StableObject`` built by the caller), and
 ``ungraded_hom_calls_per_s`` is its call count over that time.  Three more
-output-only stages close the run: ``ar_quiver`` builds the ungraded AR
+output-only stages follow: ``ar_quiver`` builds the ungraded AR
 quiver of every class (``full_ungraded_ar_quiver``), ``ar_quiver_json``
 emits it with ``emit(..., "json")`` and ``ar_quiver_dot`` with
-``emit(..., "dot")``.  No stage is gated.
+``emit(..., "dot")``.
+After the two Nakayama lines comes one for the wide tail W(17, 2; 3, 3)
+(a chain of 18 vertices with 2 parallel arrows per step, beside N(3, 3);
+524 280 non-zero paths): its ``parse`` time and ``analyze_summary``, the
+summary that ``gpstable analyze`` prints (basis size and nilpotency bound
+included), on a fresh ``Analysis``.  No stage is gated.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
@@ -46,6 +51,7 @@ from gpstable import fixtures
 from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
 from gpstable.arquiver import emit, full_ungraded_ar_quiver
+from gpstable.cli import _analysis_summary
 from gpstable.stable import (
     StableObject,
     classify,
@@ -54,6 +60,7 @@ from gpstable.stable import (
 )
 
 NAKAYAMA = (60, 120)
+WIDE_TAIL = (17, 2, 3, 3)
 IMPORT_TIMER = (
     "from time import perf_counter\n"
     "t0 = perf_counter()\n"
@@ -134,12 +141,45 @@ def ungraded_hom_sweep(an: Analysis, times: dict) -> int:
     return len(paths)
 
 
+def wide_tail_document(k: int, w: int, n: int, m: int) -> dict:
+    """W(k, w; n, m): a chain t0 -> ... -> tk with ``w`` parallel arrows per
+    step, beside the Nakayama cycle N(n, m)."""
+    arrows = [
+        {"id": f"x{j}_{c}", "from": f"t{j}", "to": f"t{j + 1}"}
+        for j in range(k)
+        for c in range(w)
+    ]
+    arrows += [
+        {"id": f"a{j}", "from": f"c{j}", "to": f"c{(j + 1) % n}"} for j in range(n)
+    ]
+    return {
+        "vertices": [f"t{j}" for j in range(k + 1)] + [f"c{j}" for j in range(n)],
+        "arrows": arrows,
+        "relations": [[f"a{(j + t) % n}" for t in range(m + 1)] for j in range(n)],
+    }
+
+
+def time_analyze_summary(doc: dict) -> dict[str, float]:
+    times = {}
+    t0 = perf_counter()
+    alg = parse_algebra(doc)
+    times["parse"] = perf_counter() - t0
+    t0 = perf_counter()
+    _analysis_summary(Analysis(alg))
+    times["analyze_summary"] = perf_counter() - t0
+    return times
+
+
 def main() -> None:
     print(json.dumps({"import": round(import_time(), 4)}))
     for n in NAKAYAMA:
         times = run_once(fixtures.nakayama_document(n, n))
         rounded = {key: round(t, 4) for key, t in times.items()}
         print(json.dumps({"algebra": f"N({n},{n})", **rounded}))
+    k, w, n, m = WIDE_TAIL
+    times = time_analyze_summary(wide_tail_document(k, w, n, m))
+    rounded = {key: round(t, 4) for key, t in times.items()}
+    print(json.dumps({"algebra": f"W({k},{w};{n},{m})", **rounded}))
 
 
 if __name__ == "__main__":

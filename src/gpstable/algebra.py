@@ -8,8 +8,8 @@ module provides the value types (:class:`Path`, :class:`Quiver`,
 :class:`MonomialAlgebra`), the input-document parser, and the divisibility
 predicates everything else is built on.  One relation automaton, built at
 parse, answers every zero question: the admissibility check is a cycle
-search in it, the basis is a walk through it, and the zero tests run a
-word through it.
+search in it, the basis is a walk through it and its size a count of the
+walks, and the zero tests run a word through it.
 """
 
 from __future__ import annotations
@@ -480,7 +480,14 @@ class MonomialAlgebra:
 
     @cached_property
     def basis(self) -> frozenset[Path]:
-        """The non-zero paths, enumerated on first use (the closed forms never do)."""
+        """The non-zero paths, enumerated on first use; only the oracle
+        reads them, directly and through the divisor index.
+
+        The automaton is acyclic by admissibility, and the walks from
+        ``start[v]`` are exactly the non-zero paths from v, so this is one
+        path per walk; :attr:`dim` and :attr:`nilpotency` count the walks
+        instead of listing them.
+        """
         return enumerate_nonzero_paths(self.quiver, self.automaton)
 
     @cached_property
@@ -502,15 +509,52 @@ class MonomialAlgebra:
                 ends.setdefault((w[k:], target), []).append(u)
         return DivisorIndex(starts, ends)
 
+    @cached_property
+    def walks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per automaton state s, the number of walks from s (the empty one
+        included) and the length of the longest: count(s) = 1 + Σ count(t)
+        and longest(s) = max(0, 1 + longest(t)) over the moves s → t.
+
+        The automaton is acyclic by admissibility, so one post-order pass
+        finishes every state after the states it moves to.  The pass keeps
+        its own stack: a walk can pass every state, |Q0| + Σ(|r|−1) of them.
+        """
+        moves = self.automaton.moves
+        count, longest = [0] * len(moves), [0] * len(moves)
+        stack = list(self.automaton.start.values())
+        while stack:
+            s = stack[-1]
+            if count[s]:  # pushed twice, finished the first time
+                stack.pop()
+                continue
+            todo = [t for t in moves[s].values() if not count[t]]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            for t in moves[s].values():
+                count[s] += count[t]
+                longest[s] = max(longest[s], longest[t] + 1)
+            count[s] += 1
+        return tuple(count), tuple(longest)
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        """The number of non-zero paths, trivial ones included, counted
+        without listing them: the automaton is acyclic by admissibility,
+        and the walks from ``start[v]`` are exactly the non-zero paths from
+        v, so ``dim`` sums :attr:`walks` over the start states."""
+        count = self.walks[0]
+        return sum(count[s] for s in self.automaton.start.values())
 
-    @cached_property
+    @property
     def nilpotency(self) -> int:
-        """Smallest N such that every path of length N is zero."""
-        longest = max((p.length for p in self.basis), default=0)
-        return longest + 1
+        """Smallest N such that every path of length N is zero.  The walks
+        from ``start[v]`` are exactly the non-zero paths from v, and the
+        automaton is acyclic by admissibility, so this is one more than
+        the longest walk from a start state (:attr:`walks`)."""
+        longest = self.walks[1]
+        return 1 + max(longest[s] for s in self.automaton.start.values())
 
     def is_zero(self, p: Path) -> bool:
         """True iff some relation occurs in ``p`` as a consecutive factor."""

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,31 @@ class TestParsing:
         assert alg.dim == 2 * 3
 
 
+FIXTURE_FILES = sorted(
+    (FilePath(__file__).resolve().parent.parent / "fixtures").glob("*.json")
+)
+
+
+def walk_count_algebras():
+    """``(algebra, drawn)``: every fixture, N(n, m) for n, m <= 6, and 320
+    draws of ``random_algebra`` (``drawn`` true), 80 for each of two seeds
+    and two shapes."""
+    import random
+
+    from gpstable.oracle import random_algebra
+
+    for f in FIXTURE_FILES:
+        yield parse_algebra(f.read_text()), False
+    for n in range(1, 7):
+        for m in range(1, 7):
+            yield fixtures.nakayama(n, m), False
+    for seed in (2027, 2028):
+        rng = random.Random(seed)
+        for shape in ({}, {"max_vertices": 5, "max_arrows": 8, "max_relations": 6}):
+            for _ in range(80):
+                yield random_algebra(rng, **shape), True
+
+
 class TestBasis:
     def test_loop_counts(self):
         for m in range(1, 5):
@@ -266,6 +292,35 @@ class TestBasis:
         assert alg.dim == 104
         assert max(p.length for p in alg.basis) == 15
         assert alg.nilpotency == 16
+
+    def test_walk_counts_equal_the_enumerated_basis(self):
+        draws = 0
+        for alg, drawn in walk_count_algebras():
+            basis = alg.basis
+            assert alg.dim == len(basis), alg.relations
+            assert alg.nilpotency == 1 + max(p.length for p in basis), alg.relations
+            draws += drawn
+        assert draws >= 300
+
+    @pytest.mark.parametrize(
+        "make, dim, nilpotency",
+        [
+            # walks 240 states deep; the loop's 3000 pass the default
+            # recursion limit, so only an iterative count gets through
+            (lambda: fixtures.nakayama(240, 240), 240 * 241, 241),
+            (lambda: fixtures.loop(3000), 3001, 3001),
+        ],
+        ids=["N(240,240)", "loop(3000)"],
+    )
+    def test_deep_automata_are_counted(self, monkeypatch, make, dim, nilpotency):
+        import gpstable.algebra as algebra
+
+        def refuse(*args):
+            raise AssertionError("the path basis was enumerated")
+
+        monkeypatch.setattr(algebra, "enumerate_nonzero_paths", refuse)
+        alg = make()
+        assert (alg.dim, alg.nilpotency) == (dim, nilpotency)
 
     def test_lambda_star_zero_paths(self):
         alg = fixtures.lambda_star()

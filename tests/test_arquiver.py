@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -296,19 +297,28 @@ class TestJsonWriter:
 # --- the coordinate builder against the triangles --------------------------------
 
 
-def coordinate_family():
+def coordinate_algebras():
     """``trie_algebras()`` (the fixtures, loop(2) and N(1, 3) among them),
     the planted multi-class document and 200 further draws of
-    ``random_algebra`` at larger sizes, each with perfect paths."""
-    algs = list(trie_algebras())
-    algs.append(parse_algebra(planted_multi_class_document()))
+    ``random_algebra`` at larger sizes."""
+    yield from trie_algebras()
+    yield parse_algebra(planted_multi_class_document())
     rng = random.Random(20)
-    algs += [
-        random_algebra(rng, max_vertices=5, max_arrows=8, max_relations=6)
-        for _ in range(200)
-    ]
-    ans = (Analysis(alg) for alg in algs)
-    return [an for an in ans if an.decompositions]
+    for _ in range(200):
+        yield random_algebra(rng, max_vertices=5, max_arrows=8, max_relations=6)
+
+
+def analyses_with_classes():
+    """Fresh analyses of the ``coordinate_algebras()`` with perfect paths,
+    built lazily."""
+    return (an for an in map(Analysis, coordinate_algebras()) if an.decompositions)
+
+
+@pytest.fixture(scope="module")
+def coordinate_family():
+    """``analyses_with_classes()``, built once for the tests that only
+    read them."""
+    return list(analyses_with_classes())
 
 
 def piece_lists(an):
@@ -331,10 +341,9 @@ class TestCoordinateBuilder:
     bracket coordinates; ``reference_ar.quiver_from_triangles`` builds the
     same quiver from every vertex's ``ar_triangle``."""
 
-    def test_equals_the_triangle_builder(self):
-        ans = coordinate_family()
+    def test_equals_the_triangle_builder(self, coordinate_family):
         quivers = period_one = multi = 0
-        for an in ans:
+        for an in coordinate_family:
             for pieces in piece_lists(an):
                 got = ar_quiver(an, pieces)
                 assert got == quiver_from_triangles(an, pieces), (
@@ -344,7 +353,7 @@ class TestCoordinateBuilder:
                 quivers += 1
             period_one += any(dec.size == 1 for dec in an.decompositions)
             multi += len(an.decompositions) >= 2
-        assert len(ans) >= 1000 and quivers >= 7000
+        assert len(coordinate_family) >= 1000 and quivers >= 7000
         assert period_one >= 500 and multi >= 50
 
     @pytest.mark.parametrize(
@@ -383,7 +392,9 @@ class TestCoordinateBuilder:
                 call()
 
     def test_no_triangle_object_or_locate(self, no_stable_objects):
-        for an in coordinate_family()[:60] + [Analysis(fixtures.lambda_star())]:
+        # fresh analyses: no earlier test has filled their caches
+        fresh = islice(analyses_with_classes(), 60)
+        for an in [*fresh, Analysis(fixtures.lambda_star())]:
             assert len(full_ungraded_ar_quiver(an).vertices) == len(an.perfect.paths)
             for dec in an.decompositions:
                 for lo, hi in ((-3, 3), (0, 0)):
@@ -396,9 +407,9 @@ class TestDotWriter:
     vertices in one pass; ``reference_ar.dot_from_pairs`` is the writer it
     replaced, and the bytes must not change."""
 
-    def test_same_bytes_as_the_pair_writer(self):
+    def test_same_bytes_as_the_pair_writer(self, coordinate_family):
         quivers = 0
-        for an in coordinate_family():
+        for an in coordinate_family:
             tqs = [full_ungraded_ar_quiver(an)]
             tqs += [graded_ar_window(an, dec, -3, 3) for dec in an.decompositions]
             for tq in tqs:
@@ -434,9 +445,9 @@ class TestJsonRowWriter:
     ``json.dumps``, as the writer it replaced did, and the bytes must not
     change."""
 
-    def test_same_bytes_as_the_dict_writer(self):
+    def test_same_bytes_as_the_dict_writer(self, coordinate_family):
         quivers = negative = incomplete = 0
-        for an in coordinate_family():
+        for an in coordinate_family:
             for tq in window_quivers(an):
                 text = emit(tq, "json")
                 assert text == json_from_pairs(tq), an.algebra.relations

@@ -22,7 +22,12 @@ import gpstable.algebra as algebra
 import gpstable.analysis as analysis
 import gpstable.cli as cli
 import reference_stable as ref
-from gpstable.algebra import InputError, parse_algebra, parse_path_string
+from gpstable.algebra import (
+    InputError,
+    enumerate_nonzero_paths,
+    parse_algebra,
+    parse_path_string,
+)
 from gpstable.analysis import Analysis
 from gpstable.arquiver import emit, full_ungraded_ar_quiver, graded_ar_window
 from gpstable.stable import (
@@ -336,12 +341,33 @@ class TestLazyBasis:
         assert (ungraded.vertices, ungraded.radical_exponent) == (n, m + 1)
         assert len(quiver["vertices"]) == len(an.perfect.paths) == n * m
 
+    @pytest.mark.parametrize(
+        "fixture", sorted(f.name for f in FIXTURES.glob("*.json"))
+    )
+    def test_fixture_summary_without_basis(self, no_basis, fixture):
+        # the module imported the real enumeration before the patch
+        alg = parse_algebra((FIXTURES / fixture).read_text())
+        data = cli._analysis_summary(Analysis(alg))
+        basis = enumerate_nonzero_paths(alg.quiver, alg.automaton)
+        assert data["basis_size"] == len(basis)
+        assert data["nilpotency_bound"] == 1 + max(p.length for p in basis)
+
+    @pytest.mark.parametrize("k", [30, 40])
+    def test_wide_tail_summary_without_basis(self, no_basis, k):
+        w, n, m = 2, 3, 3
+        data = cli._analysis_summary(
+            Analysis(parse_algebra(wide_tail_document(k, w, n, m)))
+        )
+        assert data["basis_size"] == wide_tail_basis_size(k, w, n, m)
+        assert data["nilpotency_bound"] == k + 1
+        assert len(data["perfect_paths"]) == n * m
+
     def test_small_wide_tail_count(self):
         # The closed form for the size used above, on a tail small enough to
         # enumerate.
         for k, w, n, m in ((3, 2, 2, 2), (4, 3, 3, 1), (5, 2, 1, 3)):
             alg = parse_algebra(wide_tail_document(k, w, n, m))
-            assert alg.dim == wide_tail_basis_size(k, w, n, m)
+            assert len(alg.basis) == alg.dim == wide_tail_basis_size(k, w, n, m)
 
 
 class TestNoHasse:
