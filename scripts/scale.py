@@ -141,24 +141,6 @@ def ungraded_hom_sweep(an: Analysis, times: dict) -> int:
     return len(paths)
 
 
-def wide_tail_document(k: int, w: int, n: int, m: int) -> dict:
-    """W(k, w; n, m): a chain t0 -> ... -> tk with ``w`` parallel arrows per
-    step, beside the Nakayama cycle N(n, m)."""
-    arrows = [
-        {"id": f"x{j}_{c}", "from": f"t{j}", "to": f"t{j + 1}"}
-        for j in range(k)
-        for c in range(w)
-    ]
-    arrows += [
-        {"id": f"a{j}", "from": f"c{j}", "to": f"c{(j + 1) % n}"} for j in range(n)
-    ]
-    return {
-        "vertices": [f"t{j}" for j in range(k + 1)] + [f"c{j}" for j in range(n)],
-        "arrows": arrows,
-        "relations": [[f"a{(j + t) % n}" for t in range(m + 1)] for j in range(n)],
-    }
-
-
 def time_analyze_summary(doc: dict) -> dict[str, float]:
     times = {}
     t0 = perf_counter()
@@ -177,7 +159,7 @@ def main() -> None:
         rounded = {key: round(t, 4) for key, t in times.items()}
         print(json.dumps({"algebra": f"N({n},{n})", **rounded}))
     k, w, n, m = WIDE_TAIL
-    times = time_analyze_summary(wide_tail_document(k, w, n, m))
+    times = time_analyze_summary(fixtures.wide_tail_document(k, w, n, m))
     rounded = {key: round(t, 4) for key, t in times.items()}
     print(json.dumps({"algebra": f"W({k},{w};{n},{m})", **rounded}))
 

@@ -14,16 +14,17 @@ triangle off the path-keyed reference closed forms, and the two agree on
 every tested algebra.
 
 Every ``--json`` document has the bytes of ``json.dumps(data, indent=2,
-sort_keys=True)``, without a call to it: ``indent`` forces ``json``'s
-pure-Python encoder, which took about a third of a ``classify-cycles``
-benchmark operation, and whose closures form a reference cycle on every
-call that only the cyclic collector frees.  The AR-quiver document, the one
-large output, has its own row writer, :func:`translation_quiver_json`;
-:func:`dump_json` writes the rest.
+sort_keys=True)``, and :func:`dump_json` is that call.  The two quiver
+documents are written row by row instead: with ``indent``, ``json.dumps``
+runs the pure-Python encoder, which is slow on the AR-quiver document (the
+one large output, :func:`translation_quiver_json`) and leaves a reference
+cycle of closures per call that only the cyclic collector frees
+(``tests/test_cyclic_garbage.py`` emits both quivers).
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, NamedTuple
 
@@ -65,7 +66,7 @@ class TranslationQuiver(NamedTuple):
 
 
 def ar_quiver(
-    an: Analysis, pieces: Iterable[tuple[CycleDecomposition, range | None]]
+    pieces: Iterable[tuple[CycleDecomposition, range | None]],
 ) -> TranslationQuiver:
     """The translation quiver of the given ``(decomposition, shifts)`` pieces.
 
@@ -127,82 +128,25 @@ def ar_quiver(
 
 def ungraded_ar_quiver(an: Analysis, dec: CycleDecomposition) -> TranslationQuiver:
     """The stable AR quiver of one cycle class: shape ZA_m modulo tau^|c|."""
-    return ar_quiver(an, [(dec, None)])
+    return ar_quiver([(dec, None)])
 
 
 def full_ungraded_ar_quiver(an: Analysis) -> TranslationQuiver:
     """Disjoint union of the per-class ungraded AR quivers."""
-    return ar_quiver(an, [(dec, None) for dec in an.decompositions])
+    return ar_quiver([(dec, None) for dec in an.decompositions])
 
 
 def graded_ar_window(
     an: Analysis, dec: CycleDecomposition, shift_lo: int, shift_hi: int
 ) -> TranslationQuiver:
     """Vertices ``pL(j)`` of one class for ``shift_lo <= j <= shift_hi``."""
-    return ar_quiver(an, [(dec, range(shift_lo, shift_hi + 1))])
+    return ar_quiver([(dec, range(shift_lo, shift_hi + 1))])
 
 
 def dump_json(data) -> str:
-    """The JSON serializer of every ``--json`` output but the AR quiver's:
-    two-space indent, sorted keys, a closing newline.
-
-    The text equals ``json.dumps(data, indent=2, sort_keys=True) + "\n"``
-    byte for byte, for values built of ``dict`` (with ``str`` keys),
-    ``list``, ``tuple``, ``str``, ``int``, ``bool`` and ``None``; any other
-    type raises ``TypeError``.  It does not call ``json.dumps``: ``indent``
-    sends that to the pure-Python encoder, which is slow, and each call
-    leaves behind a reference cycle of closures and generators that only
-    the cyclic collector frees.  The writer below is one recursive function
-    with no closure and no generator, so it leaves no cyclic garbage.
-    """
-    out: list[str] = []
-    _write_json(data, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(value, out: list[str], pad: str) -> None:
-    """Append the JSON text of ``value`` to ``out``; ``pad`` is a newline
-    plus the indent of the line ``value`` starts on."""
-    kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
-    elif kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            sep = "," + inner
-            if type(item) is str:
-                out.append(_encode_str(item))
-            else:
-                _write_json(item, out, inner)
-        out.append(pad + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep)
-            sep = "," + inner
-            out.append(_encode_str(key) + ": ")
-            _write_json(value[key], out, inner)
-        out.append(pad + "}")
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    """The JSON text of every ``--json`` output but the two quivers': two-space
+    indent, sorted keys, a closing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _quote(text: str) -> str:
@@ -292,14 +236,28 @@ def hasse_dot(h: HasseQuiver) -> str:
 
 
 def hasse_json(h: HasseQuiver) -> str:
-    data = {
-        "kind": "hasse",
-        "order": h.order,
-        "vertices": [str(v) for v in h.vertices],
-        "arrows": [[str(a), str(b)] for a, b in h.arrows],
-        "components": [[str(v) for v in chain] for chain in h.components],
-    }
-    return dump_json(data)
+    """The bytes :func:`dump_json` would write for the Hasse quiver's dict
+    (kept as ``hasse_from_dict`` in ``tests/reference_ar.py``), written row
+    by row like :func:`translation_quiver_json`."""
+    out = ['{\n  "arrows": ']
+    _write_rows(h.arrows, out)
+    out.append(',\n  "components": ')
+    _write_rows(h.components, out)
+    vertices = ",\n    ".join([_encode_str(str(v)) for v in h.vertices])
+    vertices = f"[\n    {vertices}\n  ]" if h.vertices else "[]"
+    out.append(f',\n  "kind": "hasse",\n  "order": {_encode_str(h.order)},')
+    out.append(f'\n  "vertices": {vertices}\n}}\n')
+    return "".join(out)
+
+
+def _write_rows(rows, out: list[str]) -> None:
+    """Append a list of non-empty path lists at the document's second level."""
+    sep = "[\n    "
+    for row in rows:
+        items = ",\n      ".join([_encode_str(str(p)) for p in row])
+        out.append(f"{sep}[\n      {items}\n    ]")
+        sep = ",\n    "
+    out.append("\n  ]" if rows else "[]")
 
 
 def emit(quiver, fmt: str) -> str:

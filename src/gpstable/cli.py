@@ -197,7 +197,7 @@ def _cmd_ar_quiver(args) -> int:
         for dec in an.decompositions:
             w = dec.arrow_length if args.window is None else args.window
             pieces.append((dec, range(-w, w + 1)))
-        quiver = ar_quiver(an, pieces)
+        quiver = ar_quiver(pieces)
     else:
         quiver = full_ungraded_ar_quiver(an)
     _write(emit(quiver, "json" if args.json else "dot"), args.output)

@@ -76,6 +76,25 @@ def nakayama(n: int, m: int) -> MonomialAlgebra:
     return parse_algebra(nakayama_document(n, m))
 
 
+def wide_tail_document(k: int, w: int, n: int, m: int) -> dict:
+    """W(k, w; n, m): a chain t0 -> ... -> tk with ``w`` parallel arrows per
+    step, beside the Nakayama cycle N(n, m) (relations: every m+1
+    consecutive arrows)."""
+    arrows = [
+        {"id": f"x{j}_{c}", "from": f"t{j}", "to": f"t{j + 1}"}
+        for j in range(k)
+        for c in range(w)
+    ]
+    arrows += [
+        {"id": f"a{j}", "from": f"c{j}", "to": f"c{(j + 1) % n}"} for j in range(n)
+    ]
+    return {
+        "vertices": [f"t{j}" for j in range(k + 1)] + [f"c{j}" for j in range(n)],
+        "arrows": arrows,
+        "relations": [[f"a{(j + t) % n}" for t in range(m + 1)] for j in range(n)],
+    }
+
+
 def quadratic_document() -> dict:
     """A quadratic monomial algebra: a 2-cycle with both composites zero
     plus a square-zero loop on a separate vertex."""

@@ -18,7 +18,8 @@ the (co-)elementary paths come from the Hasse quivers, not the grid, and
 one row compares them with the grid's, which ``analyze`` prints.
 Work that cannot change a verdict is skipped: subpath closure is checked
 one step at a time (the prefix and suffix one arrow shorter of each basis
-path), and the tilting row suspends each summand once per power.
+path), and the tilting row suspends each summand of ``tilting_object``
+once per power.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .stable import (
     suspension_closed_form,
     tau_periodicity_check,
     end_algebra,
+    tilting_object,
     ungraded_stable_hom,
 )
 
@@ -479,13 +481,11 @@ def verify_algebra(
     )
 
     tilt_ok = True
-    for dec in an.decompositions:
+    by_class = {}
+    for x in tilting_object(an):
+        by_class.setdefault(an.locate(x.path)[0], []).append(x)
+    for dec, summands in by_class.items():
         window = dec.m + 1
-        summands = [
-            StableObject(p, s)
-            for p in dec.chain
-            for s in range(dec.arrow_length)
-        ]
         powers = [i for i in range(-window, window + 1) if i]
         shifted = {(y, i): suspend(an, y, i) for y in summands for i in powers}
         for x in summands:

@@ -14,7 +14,9 @@ an independent statement of the AR rule rather than against itself.
 ``dot_from_pairs`` is the former DOT writer kept verbatim, vertex ids
 recomputed at every arrow end and one scan of the vertices per rank.
 ``json_from_pairs`` is the former JSON writer: one dict of the whole
-document, written by ``json.dumps(indent=2, sort_keys=True)``.
+document, written by ``json.dumps(indent=2, sort_keys=True)``;
+``hasse_from_dict`` is the same for the Hasse-quiver document that
+``hasse_json`` writes row by row.
 ``vertex_pairs`` turns the index pairs of ``arrows`` or ``tau`` into
 vertex pairs.
 """
@@ -27,7 +29,7 @@ from typing import Iterable
 from gpstable.algebra import InputError
 from gpstable.analysis import Analysis
 from gpstable.arquiver import TQVertex, TranslationQuiver
-from gpstable.orders import CycleDecomposition
+from gpstable.orders import CycleDecomposition, HasseQuiver
 from gpstable.stable import StableObject
 from reference_stable import ar_triangle
 
@@ -189,5 +191,17 @@ def json_from_pairs(tq: TranslationQuiver) -> str:
         ],
         "arrows": [[ids[a], ids[b]] for a, b in tq.arrows],
         "tau": [[ids[a], ids[b]] for a, b in tq.tau],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def hasse_from_dict(h: HasseQuiver) -> str:
+    """The ``--json`` document of a Hasse quiver, built as one dict."""
+    data = {
+        "kind": "hasse",
+        "order": h.order,
+        "vertices": [str(v) for v in h.vertices],
+        "arrows": [[str(a), str(b)] for a, b in h.arrows],
+        "components": [[str(v) for v in chain] for chain in h.components],
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

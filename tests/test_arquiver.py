@@ -3,8 +3,6 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gpstable.stable as stable
 import reference_stable
@@ -13,7 +11,6 @@ from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.arquiver import (
     ar_quiver,
-    dump_json,
     emit,
     full_ungraded_ar_quiver,
     graded_ar_window,
@@ -45,6 +42,7 @@ from reference_ar import (
     THREE_CYCLE_TAU,
     TWO_CYCLE_ARROWS,
     dot_from_pairs,
+    hasse_from_dict,
     json_from_pairs,
     quiver_from_triangles,
     vertex_pairs,
@@ -255,45 +253,6 @@ class TestEmission:
             emit(star_an.hasse_prec, "svg")
 
 
-# --- the JSON writer against json.dumps ---------------------------------------
-
-# quotes, backslashes, control characters, non-ASCII and astral characters
-_SPECIAL_CHARS = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u00e9\u2028\u4e2d\U0001f600\U00010348'
-_TEXT = st.text(alphabet=st.sampled_from(_SPECIAL_CHARS) | st.characters(), max_size=12)
-_LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | _TEXT
-)
-_JSON_VALUES = st.recursive(
-    _LEAVES,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(_TEXT, kids, max_size=4),
-    max_leaves=40,
-)
-
-
-class TestJsonWriter:
-    @settings(max_examples=150, deadline=None)
-    @given(_JSON_VALUES)
-    def test_equals_json_dumps(self, value):
-        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    def test_edge_values(self):
-        for value in ([], {}, [[]], {"": {}}, ((),), [None, True, False, -0, 2**100]):
-            assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    @pytest.mark.parametrize(
-        "value", [1.5, [0.0], {"a": {"b": float("nan")}}, {1: "a"}, {"a": {None: 1}}]
-    )
-    def test_float_or_non_str_key_raises(self, value):
-        with pytest.raises(TypeError):
-            dump_json(value)
-
-
 # --- the coordinate builder against the triangles --------------------------------
 
 
@@ -345,7 +304,7 @@ class TestCoordinateBuilder:
         quivers = period_one = multi = 0
         for an in coordinate_family:
             for pieces in piece_lists(an):
-                got = ar_quiver(an, pieces)
+                got = ar_quiver(pieces)
                 assert got == quiver_from_triangles(an, pieces), (
                     an.algebra.relations,
                     [(dec.cycle_class.cycle, shifts) for dec, shifts in pieces],
@@ -366,7 +325,7 @@ class TestCoordinateBuilder:
         an = Analysis(make())
         (dec,) = an.decompositions
         for shifts in (None, range(-3, 4)):
-            tq = ar_quiver(an, [(dec, shifts)])
+            tq = ar_quiver([(dec, shifts)])
             assert tq == quiver_from_triangles(an, [(dec, shifts)])
         tq = ungraded_ar_quiver(an, dec)
         assert tq.tau == tuple((n, n) for n in range(dec.m))
@@ -484,6 +443,46 @@ class TestJsonRowWriter:
         assert quivers >= 400
 
 
+class TestHasseRowWriter:
+    """``hasse_json`` writes the Hasse document row by row;
+    ``reference_ar.hasse_from_dict`` builds the whole dict and writes it
+    with ``json.dumps``, as the writer it replaced did, and the bytes must
+    not change."""
+
+    @staticmethod
+    def assert_same_bytes(an):
+        for h in (an.hasse_prec, an.hasse_leq):
+            assert emit(h, "json") == hasse_from_dict(h), an.algebra.relations
+
+    def test_same_bytes_as_the_dict_writer(self, coordinate_family):
+        with_arrows = chains = 0
+        for an in coordinate_family:
+            self.assert_same_bytes(an)
+            for h in (an.hasse_prec, an.hasse_leq):
+                with_arrows += bool(h.arrows)
+                chains += len(h.components) >= 2
+        assert with_arrows >= 1000 and chains >= 300
+
+    def test_cm_free_document(self):
+        an = Analysis(fixtures.a2())
+        self.assert_same_bytes(an)
+        text = emit(an.hasse_leq, "json")
+        assert '"arrows": [],' in text and '"vertices": []\n' in text
+
+    def test_escaped_ids(self):
+        an = Analysis(relabelled_lambda_star())
+        self.assert_same_bytes(an)
+        text = emit(an.hasse_prec, "json")
+        for escaped in (r'"a\"1.', r"\u03b1\u2083", r"\ud835\udc4e4"):
+            assert escaped in text
+
+    def test_random_draws(self):
+        # 72 of these 200 draws have a perfect path
+        rng = random.Random(2027)
+        for _ in range(200):
+            self.assert_same_bytes(Analysis(random_algebra(rng)))
+
+
 # --- mutants of the one AR rule ---------------------------------------------------
 
 _MESH = CycleDecomposition.mesh
@@ -526,12 +525,12 @@ class TestOneRule:
         objs = [StableObject(p, s) for p in star_an.perfect.paths for s in (-1, 0, 2)]
         pieces = [(dec, range(-3, 4)) for dec in star_an.decompositions]
         triangles = [ar_triangle(star_an, x) for x in objs]
-        quiver = ar_quiver(star_an, pieces)
+        quiver = ar_quiver(pieces)
         monkeypatch.setattr(CycleDecomposition, "mesh", mutant)
         mutated = [ar_triangle(star_an, x) for x in objs]
         assert mutated != triangles
         assert mutated != [reference_stable.ar_triangle(star_an, x) for x in objs]
-        mutated_quiver = ar_quiver(star_an, pieces)
+        mutated_quiver = ar_quiver(pieces)
         assert mutated_quiver != quiver
         assert mutated_quiver != quiver_from_triangles(star_an, pieces)
 

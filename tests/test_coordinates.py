@@ -30,6 +30,7 @@ from gpstable.algebra import (
 )
 from gpstable.analysis import Analysis
 from gpstable.arquiver import emit, full_ungraded_ar_quiver, graded_ar_window
+from gpstable.fixtures import wide_tail_document
 from gpstable.stable import (
     StableObject,
     ar_translate,
@@ -260,24 +261,6 @@ def test_ar_quiver_without_path_hashing(monkeypatch, name):
 
 
 # --- the lazy basis ------------------------------------------------------------
-
-
-def wide_tail_document(k, w, n, m):
-    """A chain t0 -> ... -> tk with ``w`` parallel arrows per step, beside
-    the Nakayama cycle N(n, m) (relations: every m+1 consecutive arrows)."""
-    arrows = [
-        {"id": f"x{j}_{c}", "from": f"t{j}", "to": f"t{j + 1}"}
-        for j in range(k)
-        for c in range(w)
-    ]
-    arrows += [
-        {"id": f"a{j}", "from": f"c{j}", "to": f"c{(j + 1) % n}"} for j in range(n)
-    ]
-    return {
-        "vertices": [f"t{j}" for j in range(k + 1)] + [f"c{j}" for j in range(n)],
-        "arrows": arrows,
-        "relations": [[f"a{(j + t) % n}" for t in range(m + 1)] for j in range(n)],
-    }
 
 
 def wide_tail_basis_size(k, w, n, m):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from gpstable import fixtures
 from gpstable.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +73,26 @@ def test_cli_output_matches_golden(case, monkeypatch):
 def test_golden_covers_every_fixture():
     recorded = {c["argv"][1] for c in CASES}
     assert recorded == {f"fixtures/{p.name}" for p in (ROOT / "fixtures").glob("*.json")}
+
+
+# the document each fixture file holds, as the unit tests build it
+FIXTURE_DOCUMENTS = {
+    "a2.json": fixtures.a2_document,
+    "lambda_star.json": fixtures.lambda_star_document,
+    "loop_3.json": lambda: fixtures.loop_document(3),
+    "nakayama_2_2.json": lambda: fixtures.nakayama_document(2, 2),
+    "quadratic.json": fixtures.quadratic_document,
+}
+
+
+def test_every_fixture_file_has_a_document():
+    assert {p.name for p in (ROOT / "fixtures").glob("*.json")} == set(FIXTURE_DOCUMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DOCUMENTS))
+def test_fixture_file_equals_its_document(name):
+    text = (ROOT / "fixtures" / name).read_text(encoding="utf-8")
+    assert json.loads(text) == FIXTURE_DOCUMENTS[name]()
 
 
 def test_golden_follows_its_recipe():

@@ -393,6 +393,25 @@ class TestTiltingRow:
         monkeypatch.setattr(oracle, "suspend", shifted)
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
 
+    @pytest.mark.parametrize(
+        "make",
+        [STAR, NAK33, lambda: fixtures.nakayama(2, 2), lambda: fixtures.loop(3)],
+        ids=["lambda_star", "N(3,3)", "N(2,2)", "loop(3)"],
+    )
+    def test_judges_the_library_tilting_object(self, make, monkeypatch):
+        # one summand too many per chain object: shifts 0 .. l(c) inclusive
+        def one_shift_more(an):
+            return tuple([
+                StableObject(p, s)
+                for dec in an.decompositions
+                for s in range(dec.arrow_length + 1)
+                for p in dec.chain
+            ])
+
+        assert _row(verify_algebra(make()), "tilting-orthogonality").ok
+        monkeypatch.setattr(oracle, "tilting_object", one_shift_more)
+        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+
 
 class TestSerreDualityRow:
     """ar-serre-duality requires Hom(X, Sigma tau X) to be one-dimensional at
