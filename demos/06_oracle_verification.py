@@ -13,12 +13,14 @@ from gpstable import analyze
 from gpstable.fixtures import lambda_star
 from gpstable.oracle import (
     bf_factorizations,
+    bf_perfect_pairs,
     bf_ses_dims,
     bf_stable_hom,
     bf_verify_perfect,
     random_algebra,
     verify_algebra,
 )
+from gpstable.perfect import _successor_words
 
 alg = lambda_star()
 an = analyze(alg)
@@ -31,6 +33,12 @@ print("bf Hom dim:", dim, "pieces:", {k: [str(w) for w in ws] for k, ws in by_sh
 # Perfectness checked against every non-zero path, no minimality shortcut.
 print("bf perfect (a1.a2, a3.a1.a2.a3.a1.a2):",
       bf_verify_perfect(alg, q.path(["a1", "a2"]), q.path(["a3", "a1", "a2", "a3", "a1", "a2"])))
+
+# Every perfect pair at once, from one zero row Z(p) = {q : pq = 0} per path:
+# pq = 0 puts every path q.x in Z(p), so the definition's two conditions are
+# the counts |Z(p)| = #{q.x} and #{p' : p'q = 0} = #{x.p}.
+print("bf perfect pairs equal the pipeline's pair map:",
+      bf_perfect_pairs(alg) == set(_successor_words(alg).items()))
 
 # The short-exact-sequence dimension identity by raw path counting.
 print("ses identity holds:",

@@ -10,7 +10,11 @@ and the ``verify`` CLI command; oracles may be exponential in path length
 and are meant for desk-scale inputs only.
 Perfectness has one test: the literal definition on every composable
 pair of non-trivial basis paths, each once, whose verdicts must equal the
-pipeline's pair map; no random numbers are drawn.
+pipeline's pair map; no random numbers are drawn.  One automaton read per
+pair fills the zero row Z(p) = {q : pq = 0} of each path; since the zero
+ideal is two-sided, Z(p) holds every path q·x when pq = 0, so the two
+quantified conditions are the counting identities |Z(p)| = #{q·x} and
+#{p' : p'q = 0} = #{x·p} (:func:`bf_perfect_pairs`).
 The battery computes each brute-force quantity once per algebra (the
 perfectness verdicts, the overlap table and both Hom tables over the
 pairs of perfect paths) and every row that needs it reads that table;
@@ -19,7 +23,7 @@ one row compares them with the grid's, which ``analyze`` prints.
 Work that cannot change a verdict is skipped: subpath closure is checked
 one step at a time (the prefix and suffix one arrow shorter of each basis
 path), and the tilting row suspends each summand of ``tilting_object``
-once per power.
+once per power and reads each brute-force Hom row once per summand path.
 """
 
 from __future__ import annotations
@@ -95,6 +99,44 @@ def bf_verify_perfect(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
         if alg.concat_zero(u, q) and not p.right_divides(u):
             return False
     return True
+
+
+def bf_perfect_pairs(alg: MonomialAlgebra) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The arrow words of every pair (p, q) of non-trivial basis paths that
+    :func:`bf_verify_perfect` accepts, from one zero row per path.
+
+    At each vertex v, each non-trivial p into v is read once through the
+    relation automaton; one read of each non-trivial q out of v from p's
+    state gives the zero row Z(p) = {q : pq = 0}, and the same rows count
+    left[q] = #{p : pq = 0}.  The pair (p, q) is perfect iff q ∈ Z(p),
+    |starts[v, q]| = |Z(p)| and |ends[p, v]| = left[q].  This is still the
+    literal definition: the zero ideal is two-sided, so pq = 0 puts every
+    basis path q·x in Z(p), and "every u with pu = 0 has q as a left
+    divisor" (trivial u never has pu = 0) is the equality of the finite
+    sets Z(p) ⊇ starts[v, q], that is of their sizes.  The left condition
+    is the same argument on the paths x·p with x·p·q = 0.
+    """
+    auto, index = alg.automaton, alg.divisor_index
+    pairs = set()
+    for v in alg.quiver.vertices:
+        outs = [q.arrows for q in index.starts[v, ()] if q.arrows]
+        left = dict.fromkeys(outs, 0)
+        rows = []
+        for p in index.ends[(), v]:
+            if p.arrows:
+                state = auto.read(auto.start[p.source], p.arrows)
+                row = [q for q in outs if auto.read(state, q) is None]
+                for q in row:
+                    left[q] += 1
+                rows.append((p.arrows, row))
+        for p, row in rows:
+            right = len(index.ends[p, v])  # the paths x·p, at most left[q]
+            pairs.update(
+                (p, q)
+                for q in row
+                if len(index.starts[v, q]) == len(row) and right == left[q]
+            )
+    return pairs
 
 
 def bf_ses_dims(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
@@ -179,8 +221,11 @@ def verify_algebra(
     Returns a list of :class:`CheckResult`; every closed form in the
     package is compared with its brute-force counterpart.  Perfectness is
     tested once, on every composable pair of non-trivial basis paths, and
-    the verdicts are compared with the pipeline's pair map.  The battery
-    draws no random numbers.
+    the verdicts are compared with the pipeline's pair map; the test reads
+    each pair once through the relation automaton into the zero rows
+    Z(p) = {q : pq = 0} and checks the definition by the counting
+    identities of :func:`bf_perfect_pairs`.  The battery draws no random
+    numbers.
     """
     an = Analysis(alg)
     results: list[CheckResult] = []
@@ -228,17 +273,13 @@ def verify_algebra(
 
     # --- perfect pairs against the literal definition ----------------------
     # Every composable pair of non-trivial basis paths, each once: p ends at
-    # the vertex where q starts.  The verdicts must be exactly the pairs of
-    # the pipeline's own pair map, not only its periodic points.
-    index = alg.divisor_index
-    bf_true = {
-        (p.arrows, q.arrows)
-        for v in alg.quiver.vertices
-        for p in index.ends[(), v]
-        if not p.is_trivial
-        for q in index.starts[v, ()]
-        if not q.is_trivial and bf_verify_perfect(alg, p, q)
-    }
+    # the vertex where q starts.  One automaton read per pair fills the zero
+    # rows Z(p) = {q : pq = 0}; a pair is perfect iff q ∈ Z(p), |Z(p)| counts
+    # the paths q·x and #{p' : p'q = 0} counts the paths x·p, which is the
+    # definition by two-sidedness of the zero ideal (see bf_perfect_pairs).
+    # The verdicts must be exactly the pairs of the pipeline's own pair map,
+    # not only its periodic points.
+    bf_true = bf_perfect_pairs(alg)
     sigma = set(_successor_words(alg).items())
 
     def show(words):
@@ -487,13 +528,16 @@ def verify_algebra(
     for dec, summands in by_class.items():
         window = dec.m + 1
         powers = [i for i in range(-window, window + 1) if i]
-        shifted = {(y, i): suspend(an, y, i) for y in summands for i in powers}
+        shifted = [suspend(an, y, i) for y in summands for i in powers]
+        shifts = {}  # each summand path -> the shifts it carries in T
         for x in summands:
-            for y in summands:
-                for power in powers:
-                    z = shifted[y, power]
-                    if bf_hom[x.path, z.path].get(z.shift - x.shift):
-                        tilt_ok = False
+            shifts.setdefault(x.path, []).append(x.shift)
+        # one brute-force Hom row per (x path, Sigma^i y), read at every shift
+        for z in shifted:
+            for path, ks in shifts.items():
+                hom = bf_hom[path, z.path]
+                if any(hom.get(z.shift - k) for k in ks):
+                    tilt_ok = False
     check(
         "tilting-orthogonality",
         tilt_ok,

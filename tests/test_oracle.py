@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,11 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpstable import fixtures, oracle
-from gpstable.algebra import MonomialAlgebra, Path, parse_algebra, parse_path_string
+from gpstable.algebra import (
+    MonomialAlgebra,
+    Path,
+    RelationAutomaton,
+    parse_algebra,
+    parse_path_string,
+)
 from gpstable.analysis import Analysis
 from gpstable.oracle import (
     bf_factorizations,
     bf_ordinary_hom,
+    bf_perfect_pairs,
     bf_ses_dims,
     bf_stable_hom,
     bf_verify_perfect,
@@ -22,7 +28,7 @@ from gpstable.oracle import (
 )
 from gpstable.orders import CycleDecomposition
 from gpstable.perfect import detect_overlap
-from gpstable.stable import StableObject
+from gpstable.stable import StableObject, suspend, tilting_object
 
 from reference_scan import (
     FIXTURES,
@@ -143,6 +149,32 @@ def composable_pairs(alg):
     return {(p, q) for p in basis for q in basis if p.target == q.source}
 
 
+def watch_scan(monkeypatch):
+    """Count, by name, the Path products, ``is_zero`` calls and automaton
+    reads made inside the battery's perfect-pair scan."""
+    inside, counts, real_scan = [], Counter(), oracle.bf_perfect_pairs
+
+    def scan(alg):
+        inside.append(True)
+        try:
+            return real_scan(alg)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oracle, "bf_perfect_pairs", scan)
+    for owner, name in (
+        (Path, "__mul__"), (MonomialAlgebra, "is_zero"), (RelationAutomaton, "read")
+    ):
+
+        def counted(*args, _name=name, _real=getattr(owner, name)):
+            if inside:
+                counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 class TestBatteryWork:
     """One verify_algebra call computes each brute-force table once."""
 
@@ -150,55 +182,36 @@ class TestBatteryWork:
     def test_each_table_once(self, make, monkeypatch):
         alg = make()
         calls = Counter()
-        for name in ("detect_overlap", "ungraded_stable_hom", "bf_stable_hom"):
+        for name in (
+            "detect_overlap", "ungraded_stable_hom", "bf_stable_hom", "bf_verify_perfect"
+        ):
 
             def counted(*args, _name=name, _real=getattr(oracle, name)):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(oracle, name, counted)
-        checked, inside, products = [], [], []
-        real_perfect, real_mul = oracle.bf_verify_perfect, Path.__mul__
-
-        def perfect(alg, p, q):
-            checked.append((p, q))
-            inside.append(True)
-            try:
-                return real_perfect(alg, p, q)
-            finally:
-                inside.pop()
-
-        def mul(self, other):
-            if inside:
-                products.append((self, other))
-            return real_mul(self, other)
-
-        monkeypatch.setattr(oracle, "bf_verify_perfect", perfect)
-        monkeypatch.setattr(Path, "__mul__", mul)
         assert all(c.ok for c in verify_algebra(alg))
 
         n = len(Analysis(alg).perfect.paths) ** 2
+        # no bf_verify_perfect call: the perfect pairs come from the zero rows
         assert calls == Counter(
             detect_overlap=n, ungraded_stable_hom=n, bf_stable_hom=n
         )
-        assert len(checked) == len(set(checked)) and not products
-        assert set(checked) == composable_pairs(alg)
 
     def test_zero_tests_only_on_composable_pairs(self, monkeypatch):
-        alg = NAK33()
-        basis = alg.nontrivial_basis
-        callers, real = Counter(), MonomialAlgebra.is_zero
-
-        def is_zero(self, p):
-            callers[sys._getframe(1).f_code.co_name] += 1
-            return real(self, p)
-
-        monkeypatch.setattr(MonomialAlgebra, "is_zero", is_zero)
-        assert all(c.ok for c in verify_algebra(alg))
-        composable = len(composable_pairs(alg))
-        assert 0 < composable < len(basis) ** 2
-        # the scan meets only composable pairs, whose paths are both non-zero
-        assert callers["bf_verify_perfect"] == 2 * composable
+        scan = watch_scan(monkeypatch)
+        for make in (STAR, NAK33):
+            alg = make()
+            basis = alg.nontrivial_basis
+            scan.clear()
+            assert all(c.ok for c in verify_algebra(alg))
+            composable = len(composable_pairs(alg))
+            assert 0 < composable < len(basis) ** 2
+            # each non-trivial path ends at one vertex and is read once
+            # there, then each composable pair once from the first's state;
+            # no is_zero call and no Path product
+            assert scan == Counter(read=len(basis) + composable)
 
     @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_rng_untouched_when_scanning(self, make):
@@ -254,6 +267,24 @@ class TestPerfectPairsRow:
         assert composable >= 7000 and perfect >= 950
 
 
+class TestPerfectPairsScan:
+    """bf_perfect_pairs, the zero-row scan, returns exactly the pairs that
+    the per-pair definition bf_verify_perfect accepts."""
+
+    def test_matches_the_definition_on_index_algebras(self):
+        composable = perfect = 0
+        for alg in index_algebras():
+            pairs = composable_pairs(alg)
+            want = {
+                (p.arrows, q.arrows) for p, q in pairs if bf_verify_perfect(alg, p, q)
+            }
+            assert bf_perfect_pairs(alg) == want, alg.relations
+            composable += len(pairs)
+            perfect += len(want)
+        # measured: 7297 composable pairs, 996 perfect pairs
+        assert composable >= 7000 and perfect >= 950
+
+
 def index_algebras():
     """``equivalence_algebras()`` plus 300 draws of ``random_algebra`` at
     its default sizes."""
@@ -294,12 +325,16 @@ class TestIndexReadsMatchScans:
             algebras += 1
             for p in alg.basis_sorted:
                 assert alg.module_dim(p) == scan_module_dim(alg, p)
+            accepted = set()
             for p in basis:
                 for q in basis:
                     verdict = bf_verify_perfect(alg, p, q)
                     assert verdict == scan_verify_perfect(alg, p, q)
                     pairs += 1
                     verdicts += verdict
+                    if verdict:
+                        accepted.add((p.arrows, q.arrows))
+            assert bf_perfect_pairs(alg) == accepted
         # measured: 644 algebras, 26504 pairs, 976 perfect pairs
         assert algebras >= 600 and pairs >= 25000 and verdicts >= 900
 
@@ -391,6 +426,37 @@ class TestTiltingRow:
             return StableObject(out.path, out.shift + 1)
 
         monkeypatch.setattr(oracle, "suspend", shifted)
+        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_sees_a_piece_only_a_later_shift_reads(self, make, monkeypatch):
+        # The row reads Hom(x, Sigma^i y) at shift z.shift - x.shift of the
+        # row bf_hom[x.path, z.path], z = Sigma^i y.  Plant a piece at every
+        # shift that no summand at shift 0 reads, so only a summand x with
+        # x.shift >= 1 can see one.
+        an = Analysis(make())
+        summands = tilting_object(an)
+        read_at_zero = {}  # z path -> the shifts a shift-0 summand reads
+        for y in summands:
+            m = an.locate(y.path)[0].m
+            for i in range(-m - 1, m + 2):
+                if i:
+                    z = suspend(an, y, i)
+                    read_at_zero.setdefault(z.path, set()).add(z.shift)
+        assert max(x.shift for x in summands) >= 1
+        reach = 1 + max(abs(k) for ks in read_at_zero.values() for k in ks)
+        reach += max(x.shift for x in summands)
+        real = oracle.bf_stable_hom
+
+        def planted(alg, p, q):
+            total, by_shift = real(alg, p, q)
+            spare = {
+                k: (q,) for k in range(-reach, reach + 1)
+                if k not in read_at_zero.get(q, ())
+            }
+            return total, {**spare, **by_shift}
+
+        monkeypatch.setattr(oracle, "bf_stable_hom", planted)
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
 
     @pytest.mark.parametrize(
