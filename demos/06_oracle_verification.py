@@ -16,6 +16,7 @@ from gpstable.oracle import (
     bf_perfect_pairs,
     bf_ses_dims,
     bf_stable_hom,
+    bf_stable_hom_table,
     bf_verify_perfect,
     random_algebra,
     verify_algebra,
@@ -29,6 +30,13 @@ q = alg.quiver
 # A stable Hom space as a literal basis quotient.
 dim, by_shift = bf_stable_hom(alg, q.path(["a1", "a2", "a3"]), q.path(["a1", "a2", "a3", "a1", "a2"]))
 print("bf Hom dim:", dim, "pieces:", {k: [str(w) for w in ws] for k, ws in by_shift.items()})
+
+# The battery's Hom table: one basis scan per target q, each path q.x looked
+# up by its arrow suffixes, gives every pair's pieces at once.
+paths = an.perfect.paths
+print("bf Hom table equals the per-pair bf_stable_hom:",
+      bf_stable_hom_table(alg, paths)
+      == {(p, r): bf_stable_hom(alg, p, r)[1] for p in paths for r in paths})
 
 # Perfectness checked against every non-zero path, no minimality shortcut.
 print("bf perfect (a1.a2, a3.a1.a2.a3.a1.a2):",

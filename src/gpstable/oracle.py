@@ -19,7 +19,13 @@ The battery computes each brute-force quantity once per algebra (the
 perfectness verdicts, the overlap table and both Hom tables over the
 pairs of perfect paths) and every row that needs it reads that table;
 the (co-)elementary paths come from the Hasse quivers, not the grid, and
-one row compares them with the grid's, which ``analyze`` prints.
+one row compares them with the grid's, which ``analyze`` prints.  The
+two pair tables are batched: the brute-force Hom table scans the basis
+paths q·x once per target q and finds each source p among their arrow
+suffixes (:func:`bf_stable_hom_table`), and the overlap table looks each
+suffix of p up in one index of the prefixes of every q
+(:func:`bf_overlap_table`); :func:`bf_stable_hom` and ``detect_overlap``
+stay the per-pair definitions they must equal.
 Work that cannot change a verdict is skipped: subpath closure is checked
 one step at a time (the prefix and suffix one arrow shorter of each basis
 path), and the tilting row suspends each summand of ``tilting_object``
@@ -41,7 +47,7 @@ from .algebra import (
 from .analysis import Analysis
 from .arquiver import ungraded_ar_quiver
 from .orders import classify_elementary
-from .perfect import _successor_words, detect_overlap
+from .perfect import Overlap, _successor_words
 from .stable import (
     StableObject,
     ar_translate,
@@ -75,6 +81,81 @@ def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
         sum(len(v) for v in by_shift.values()),
         {k: tuple(v) for k, v in by_shift.items()},
     )
+
+
+def bf_stable_hom_table(alg: MonomialAlgebra, paths: Iterable[Path]):
+    """The pieces ``bf_stable_hom(alg, p, q)[1]`` for every pair of the
+    non-trivial ``paths``, as ``{(p, q): {k: witnesses}}``, from one basis
+    scan per target q.
+
+    Each basis path u = q·x is looked up by its arrow suffixes of the
+    lengths in (l(u) - l(q), l(u)] in a dict of ``paths`` by arrow word; a
+    hit p adds u to the piece k = l(u) - l(p).  This is the same set: a
+    non-trivial path is fixed by its arrow word, so an equal arrow suffix
+    means p right-divides u, and the length window is exactly
+    ``0 <= k < l(q)``.  Both walk ``starts`` in the same order, so every
+    piece lists its witnesses, and every row its shifts, in the order
+    :func:`bf_stable_hom` gives.  The keys are in ``paths`` order, p first.
+    """
+    paths = tuple(paths)
+    by_word = {p.arrows: p for p in paths}
+    starts = alg.divisor_index.starts
+    columns = {}  # q -> {p: {k: [witnesses]}}
+    for q in paths:
+        lq, column = q.length, {}
+        for u in starts.get((q.source, q.arrows), ()):
+            word, n = u.arrows, u.length
+            for j in range(n - lq + 1, n + 1):
+                p = by_word.get(word[n - j :])
+                if p is not None:
+                    column.setdefault(p, {}).setdefault(n - j, []).append(u)
+        columns[q] = column
+    return {
+        (p, q): {k: tuple(v) for k, v in columns[q].get(p, {}).items()}
+        for p in paths
+        for q in paths
+    }
+
+
+def bf_overlap_table(alg: MonomialAlgebra, paths: Iterable[Path]):
+    """``detect_overlap(alg, p, q)`` for every pair of the non-trivial
+    ``paths``, as ``{(p, q): Overlap | None}``, from one prefix index.
+
+    Every prefix of every q is indexed by its arrow word.  For each p the
+    middle length xlen runs upward, and p's suffix of that length names
+    the q that begin with it; a q still undecided overlaps p there iff the
+    product (p minus its middle)·q is non-zero.  A middle as long as p is
+    skipped when q is p, since a self-overlap (O1) needs both complements
+    non-trivial.  The first non-zero product is the one the per-pair scan
+    returns, with the same kind, left, middle and right; the keys are in
+    ``paths`` order, p first.
+    """
+    paths = tuple(paths)
+    prefixes = {}  # arrow word -> the paths that begin with it
+    for q in paths:
+        for j in range(1, q.length + 1):
+            prefixes.setdefault(q.arrows[:j], []).append(q)
+    table = {}
+    for p in paths:
+        lp, found = p.length, {}
+        for xlen in range(1, lp + 1):
+            left = None
+            for q in prefixes.get(p.arrows[lp - xlen :], ()):
+                same = q == p
+                if q in found or (same and xlen == lp):
+                    continue
+                if left is None:
+                    left = p.prefix(lp - xlen)
+                if not alg.is_zero(left * q):
+                    found[q] = Overlap(
+                        "O1" if same else "O2",
+                        left,
+                        q.prefix(xlen),
+                        q.suffix(q.length - xlen),
+                    )
+        for q in paths:
+            table[p, q] = found.get(q)
+    return table
 
 
 def bf_ordinary_hom(alg: MonomialAlgebra, p: Path, q: Path):
@@ -224,7 +305,11 @@ def verify_algebra(
     the verdicts are compared with the pipeline's pair map; the test reads
     each pair once through the relation automaton into the zero rows
     Z(p) = {q : pq = 0} and checks the definition by the counting
-    identities of :func:`bf_perfect_pairs`.  The battery draws no random
+    identities of :func:`bf_perfect_pairs`.  The overlap table and the
+    brute-force Hom table over the pairs of perfect paths are each built
+    once, by :func:`bf_overlap_table` (one index of the prefixes of every
+    path) and :func:`bf_stable_hom_table` (one basis scan per target path),
+    and every row that needs them reads them.  The battery draws no random
     numbers.
     """
     an = Analysis(alg)
@@ -355,9 +440,7 @@ def verify_algebra(
     )
     # Every brute-force table below is built once and read by each row
     # that needs it; the co-elementary paths are perfect paths.
-    overlaps = {
-        (p, q): detect_overlap(alg, p, q) for p in pset.paths for q in pset.paths
-    }
+    overlaps = bf_overlap_table(alg, pset.paths)
     check(
         "no-overlap-between-coelementary",
         all(
@@ -426,45 +509,52 @@ def verify_algebra(
     )
 
     # --- stable homs ----------------------------------------------------------
-    hom_ok = True
+    # bf_hom: (p, q) -> the brute-force graded pieces {shift: witnesses}
+    bf_hom = bf_stable_hom_table(alg, pset.paths)
+    targets = {  # every shift the closed form is asked about, built once per q
+        q: [StableObject(q, k) for k in range(-2, q.length + 2)] for q in pset.paths
+    }
+    graded = ""  # names the first graded piece the closed form gets wrong
     shift_sum = ""  # names the first pair whose Hom is not its shift sum
     ungraded = {}
-    bf_hom = {}  # (p, q) -> the brute-force graded pieces {shift: witnesses}
     for p in pset.paths:
         source = StableObject(p, 0)
         for q in pset.paths:
-            total, by_shift = bf_stable_hom(alg, p, q)
-            bf_hom[p, q] = by_shift
-            for k in range(-2, q.length + 2):
-                bf_wit = by_shift.get(k, ())
-                h = graded_stable_hom(an, source, StableObject(q, k))
-                if h.dimension != len(bf_wit) or len(bf_wit) > 1:
-                    hom_ok = False
-                elif bf_wit and h.witness != bf_wit[0]:
-                    hom_ok = False
+            by_shift = bf_hom[p, q]
+            for target in targets[q]:
+                bf_wit = by_shift.get(target.shift, ())
+                h = graded_stable_hom(an, source, target)
+                if not graded and (
+                    h.dimension != len(bf_wit)
+                    or len(bf_wit) > 1
+                    or (bf_wit and h.witness != bf_wit[0])
+                ):
+                    graded = (
+                        f"Hom({p}, {target}) has dimension {h.dimension} "
+                        f"(witness {h.witness}), the basis quotient gives "
+                        f"{[str(u) for u in bf_wit]}"
+                    )
+            total = sum(map(len, by_shift.values()))
             ungraded[p, q] = ungraded_stable_hom(an, p, q).dimension
             if not shift_sum and ungraded[p, q] != total:
                 shift_sum = (
                     f"Hom({p}, {q}) has dimension {ungraded[p, q]}, "
                     f"its shifts sum to {total}"
                 )
-    check(
-        "graded-hom-closed-form-vs-oracle",
-        hom_ok,
-        "bracket formula disagrees with the basis quotient",
-    )
+    check("graded-hom-closed-form-vs-oracle", not graded, graded)
     check("ungraded-hom-shift-sum", not shift_sum, shift_sum)
 
     # An overlap of p with q is a non-zero Hom(q, p); an endomorphism ring
     # of dimension > 1 is a self-overlap.
-    check(
-        "overlap-hom-criterion",
-        all(
-            (ungraded[q, p] > (1 if p == q else 0)) == (ov is not None)
-            for (p, q), ov in overlaps.items()
-        ),
-        "overlaps do not match non-vanishing stable Homs",
-    )
+    criterion = ""  # names the first pair whose overlap and Hom disagree
+    for (p, q), ov in overlaps.items():
+        if (ungraded[q, p] > (1 if p == q else 0)) != (ov is not None):
+            criterion = (
+                f"{p} and {q} {'overlap' if ov is not None else 'do not overlap'}, "
+                f"Hom({q}, {p}) has dimension {ungraded[q, p]}"
+            )
+            break
+    check("overlap-hom-criterion", not criterion, criterion)
 
     # --- suspension ------------------------------------------------------------
     susp_ok = True

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpstable import fixtures, oracle
+from gpstable import fixtures, oracle, perfect
 from gpstable.algebra import (
     MonomialAlgebra,
     Path,
@@ -18,9 +18,11 @@ from gpstable.analysis import Analysis
 from gpstable.oracle import (
     bf_factorizations,
     bf_ordinary_hom,
+    bf_overlap_table,
     bf_perfect_pairs,
     bf_ses_dims,
     bf_stable_hom,
+    bf_stable_hom_table,
     bf_verify_perfect,
     random_algebra,
     verify_algebra,
@@ -182,21 +184,27 @@ class TestBatteryWork:
     def test_each_table_once(self, make, monkeypatch):
         alg = make()
         calls = Counter()
-        for name in (
-            "detect_overlap", "ungraded_stable_hom", "bf_stable_hom", "bf_verify_perfect"
+        for module, name in (
+            (perfect, "detect_overlap"),
+            (oracle, "ungraded_stable_hom"),
+            (oracle, "bf_stable_hom"),
+            (oracle, "bf_verify_perfect"),
+            (oracle, "bf_stable_hom_table"),
+            (oracle, "bf_overlap_table"),
         ):
 
-            def counted(*args, _name=name, _real=getattr(oracle, name)):
+            def counted(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(oracle, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert all(c.ok for c in verify_algebra(alg))
 
         n = len(Analysis(alg).perfect.paths) ** 2
-        # no bf_verify_perfect call: the perfect pairs come from the zero rows
+        # no per-pair judge is called: the perfect pairs come from the zero
+        # rows, the overlaps and the brute-force Homs from one table each
         assert calls == Counter(
-            detect_overlap=n, ungraded_stable_hom=n, bf_stable_hom=n
+            bf_overlap_table=1, bf_stable_hom_table=1, ungraded_stable_hom=n
         )
 
     def test_zero_tests_only_on_composable_pairs(self, monkeypatch):
@@ -283,6 +291,35 @@ class TestPerfectPairsScan:
             perfect += len(want)
         # measured: 7297 composable pairs, 996 perfect pairs
         assert composable >= 7000 and perfect >= 950
+
+
+class TestBatchedTables:
+    """bf_stable_hom_table and bf_overlap_table return, for every pair of
+    perfect paths, exactly what the per-pair judges bf_stable_hom and
+    detect_overlap return, in the same order."""
+
+    def test_match_the_per_pair_judges_on_index_algebras(self):
+        algebras = pairs = pieces = 0
+        kinds = Counter()
+        for alg in index_algebras():
+            paths = Analysis(alg).perfect.paths
+            homs = bf_stable_hom_table(alg, paths)
+            overlaps = bf_overlap_table(alg, paths)
+            order = [(p, q) for p in paths for q in paths]
+            assert list(homs) == order and list(overlaps) == order
+            for p, q in order:
+                want = bf_stable_hom(alg, p, q)[1]
+                assert list(homs[p, q].items()) == list(want.items()), (p, q)
+                found = detect_overlap(alg, p, q)
+                assert overlaps[p, q] == found, (p, q)
+                pieces += len(want)
+                kinds[found and found.kind] += 1
+            algebras += 1
+            pairs += len(order)
+        # measured: 645 algebras, 9653 pairs, 3837 non-zero pieces, 87 O1
+        # and 2790 O2 overlaps
+        assert algebras >= 645 and pairs >= 9653 and pieces >= 3837
+        assert kinds["O1"] >= 87 and kinds["O2"] >= 2790
 
 
 def index_algebras():
@@ -446,17 +483,21 @@ class TestTiltingRow:
         assert max(x.shift for x in summands) >= 1
         reach = 1 + max(abs(k) for ks in read_at_zero.values() for k in ks)
         reach += max(x.shift for x in summands)
-        real = oracle.bf_stable_hom
+        real = oracle.bf_stable_hom_table
 
-        def planted(alg, p, q):
-            total, by_shift = real(alg, p, q)
-            spare = {
-                k: (q,) for k in range(-reach, reach + 1)
-                if k not in read_at_zero.get(q, ())
+        def planted(alg, paths):
+            return {
+                (p, q): {
+                    **{
+                        k: (q,) for k in range(-reach, reach + 1)
+                        if k not in read_at_zero.get(q, ())
+                    },
+                    **by_shift,
+                }
+                for (p, q), by_shift in real(alg, paths).items()
             }
-            return total, {**spare, **by_shift}
 
-        monkeypatch.setattr(oracle, "bf_stable_hom", planted)
+        monkeypatch.setattr(oracle, "bf_stable_hom_table", planted)
         assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
 
     @pytest.mark.parametrize(
@@ -561,13 +602,15 @@ class TestGridRowsAgainstBruteForce:
 
     @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_witness_off_the_period_fails_shift_separation(self, make, monkeypatch):
-        real = oracle.bf_stable_hom
+        real = oracle.bf_stable_hom_table
 
-        def off_period(alg, p, q):
-            total, by_shift = real(alg, p, q)
-            return total + 1, {**by_shift, 1: (q,)}
+        def off_period(alg, paths):
+            return {
+                (p, q): {**by_shift, 1: (q,)}
+                for (p, q), by_shift in real(alg, paths).items()
+            }
 
-        monkeypatch.setattr(oracle, "bf_stable_hom", off_period)
+        monkeypatch.setattr(oracle, "bf_stable_hom_table", off_period)
         alg = make()
         assert all(dec.arrow_length > 1 for dec in Analysis(alg).decompositions)
         assert not _row(verify_algebra(alg), "chain-shift-separation").ok
@@ -576,7 +619,11 @@ class TestGridRowsAgainstBruteForce:
 class TestFailureDetails:
     def test_overlap_across_classes_names_a_pair(self, monkeypatch):
         # every pair of perfect paths overlaps, across both classes too
-        monkeypatch.setattr(oracle, "detect_overlap", lambda alg, p, q: object())
+        monkeypatch.setattr(
+            oracle,
+            "bf_overlap_table",
+            lambda alg, paths: {(p, q): object() for p in paths for q in paths},
+        )
         row = _row(verify_algebra(fixtures.lambda_star()), "overlap-implies-same-class")
         assert not row.ok and "overlap" in row.detail
 
@@ -589,6 +636,49 @@ class TestFailureDetails:
         )
         row = _row(verify_algebra(fixtures.lambda_star()), "ungraded-hom-shift-sum")
         assert not row.ok and row.detail.startswith("Hom(")
+
+    def test_graded_hom_names_the_first_piece(self, monkeypatch):
+        real = oracle.graded_stable_hom
+
+        def one_more(an, src, dst):
+            h = real(an, src, dst)
+            return SimpleNamespace(dimension=h.dimension + 1, witness=h.witness)
+
+        monkeypatch.setattr(oracle, "graded_stable_hom", one_more)
+        alg = fixtures.lambda_star()
+        results = verify_algebra(alg)
+        row = _row(results, "graded-hom-closed-form-vs-oracle")
+        # the first piece asked about: the first perfect path to itself at
+        # shift -2, where both sides are zero before the patch
+        p = Analysis(alg).perfect.paths[0]
+        assert not row.ok
+        assert row.detail == (
+            f"Hom({p}, {p}(-2)) has dimension 1 (witness None), "
+            "the basis quotient gives []"
+        ), row.detail
+        # the ungraded rows do not read graded_stable_hom
+        assert _row(results, "ungraded-hom-shift-sum").ok
+
+    def test_overlap_hom_criterion_names_a_pair(self, monkeypatch):
+        real = oracle.ungraded_stable_hom
+        monkeypatch.setattr(
+            oracle,
+            "ungraded_stable_hom",
+            lambda an, p, q: SimpleNamespace(dimension=real(an, p, q).dimension + 1),
+        )
+        alg = fixtures.lambda_star()
+        an = Analysis(alg)
+        # the first pair, in table order, whose overlap disagrees with the
+        # inflated Hom(q, p)
+        p, q = next(
+            (p, q)
+            for p in an.perfect.paths
+            for q in an.perfect.paths
+            if (real(an, q, p).dimension + 1 > (1 if p == q else 0))
+            != (detect_overlap(alg, p, q) is not None)
+        )
+        row = _row(verify_algebra(alg), "overlap-hom-criterion")
+        assert not row.ok and row.detail.startswith(f"{p} and {q} "), row.detail
 
 
 @settings(max_examples=30, deadline=None)
