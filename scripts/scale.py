@@ -12,10 +12,10 @@ It times the import from source only while ``src/`` holds no
 ``__pycache__``, so run the script itself with
 ``PYTHONDONTWRITEBYTECODE=1`` too (its own imports would write one);
 otherwise the cached bytecode is timed.
-Then, for N(60, 60) and N(120, 120) (cyclic quiver on n vertices, paths of
-length n + 1 zero) it prints the parse time and then the parse-free stages
-of ``classify``, each cached on a fresh ``Analysis`` and timed once with
-``perf_counter``.  The first is the algebra's ``opposite_automaton``,
+Then, for N(60, 60), N(120, 120) and N(240, 240) (cyclic quiver on n
+vertices, paths of length n + 1 zero) it prints the parse time and then the
+parse-free stages of ``classify``, each cached on a fresh ``Analysis`` and
+timed once with ``perf_counter``.  The first is the algebra's ``opposite_automaton``,
 which ``perfect`` would otherwise build unseen; ``classify_total`` is their
 sum with the rest of ``classify``.  After it come the two Hasse quivers,
 which ``classify`` does not build: an output-only stage (``hasse``) that
@@ -59,7 +59,7 @@ from gpstable.stable import (
     ungraded_stable_hom,
 )
 
-NAKAYAMA = (60, 120)
+NAKAYAMA = (60, 120, 240)
 WIDE_TAIL = (17, 2, 3, 3)
 IMPORT_TIMER = (
     "from time import perf_counter\n"

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -275,9 +276,15 @@ class RelationAutomaton(NamedTuple):
         return state
 
 
-def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:
+def relation_automaton(
+    vertices: Sequence[str],
+    arrows_from: Mapping[str, Sequence[Arrow]],
+    relations: Iterable[Path],
+) -> RelationAutomaton:
     """Build the :class:`RelationAutomaton` of a minimal relation set.
 
+    ``arrows_from`` maps each vertex to its outgoing arrows, sorted: a
+    quiver's :attr:`Quiver.arrows_from`, or any arrows the relations use.
     The relations are inserted, sorted, into a trie of nested dicts rooted at
     their source vertices; by minimality a relation ends exactly at a node
     with no children.  States are then built breadth first with failure
@@ -287,8 +294,8 @@ def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAut
     move on the same arrow.  Each relation is then read along its states.
     """
     rels = sorted(relations, key=lambda r: r.arrows)
-    start = {v: k for k, v in enumerate(quiver.vertices)}
-    vertex = list(quiver.vertices)
+    start = {v: k for k, v in enumerate(vertices)}
+    vertex = list(vertices)
     node: list[dict] = [{} for _ in vertex]  # each state's trie node
     for r in rels:
         child = node[start[r.source]]
@@ -299,7 +306,7 @@ def relation_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAut
     moves: list[dict[str, int]] = []
     for s, v in enumerate(vertex):  # grows while it runs: breadth first
         out = {}
-        for a in quiver.arrows_from[v]:
+        for a in arrows_from[v]:
             child = node[s].get(a.id)
             back = start[a.target] if fail[s] is None else moves[fail[s]].get(a.id)
             if child:
@@ -463,7 +470,9 @@ class MonomialAlgebra:
         )
 
         self.relation_words = frozenset(r.arrows for r in self.relations)
-        self.automaton = relation_automaton(quiver, self.relations)
+        self.automaton = relation_automaton(
+            quiver.vertices, quiver.arrows_from, self.relations
+        )
         witness = admissibility_witness(quiver, self.automaton)
         if witness is not None:
             raise _non_admissible(witness)
@@ -472,11 +481,15 @@ class MonomialAlgebra:
     @cached_property
     def opposite_automaton(self) -> RelationAutomaton:
         """The automaton of the opposite algebra (arrows and relations
-        reversed) on the arrows that relations use; built on first use."""
-        q, used = self.quiver, {a for w in self.relation_words for a in w}
-        op = [Arrow(a.id, a.target, a.source) for a in q.arrows if a.id in used]
+        reversed) on the arrows that relations use; built on first use,
+        from the reversed arrows alone, with no opposite ``Quiver``."""
+        q = self.quiver
+        arrows_from: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
+        for a in sorted({a for w in self.relation_words for a in w}):
+            arrow = q.arrow_by_id[a]
+            arrows_from[arrow.target].append(Arrow(a, arrow.target, arrow.source))
         reverse = (Path(r.arrows[::-1], r.vertices[::-1]) for r in self.relations)
-        return relation_automaton(Quiver(q.vertices, tuple(op)), reverse)
+        return relation_automaton(q.vertices, arrows_from, reverse)
 
     @cached_property
     def basis(self) -> frozenset[Path]:
@@ -579,6 +592,24 @@ class MonomialAlgebra:
         )
 
 
+def _require_strings(values: Sequence, name: Callable[[int], str]) -> None:
+    """Reject a non-string among ``values``; ``name(k)`` names entry k.
+    The types are read in one pass first, so valid input pays no call per
+    entry."""
+    if set(map(type, values)) <= {str}:
+        return
+    for k, value in enumerate(values):
+        if isinstance(value, str):
+            continue
+        if value is None or isinstance(value, bool):
+            kind = json.dumps(value)
+        elif isinstance(value, (int, float)):
+            kind = "a number"
+        else:
+            kind = "an array" if isinstance(value, (list, tuple)) else "an object"
+        raise InputError(f"{name(k)} must be a string, got {kind}")
+
+
 def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     """Parse the UTF-8 JSON input document into a validated algebra.
 
@@ -588,6 +619,9 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
          "arrows": [{"id": "a1", "from": "1", "to": "2"}, ...],
          "relations": [["a1", "a2"], ...]}
 
+    Every id (vertex, arrow id, arrow endpoint, relation entry) must be a
+    string; any other JSON value is rejected, not converted.
+
     Every arrow has degree 1: the graded closed forms shift by arrow
     length, so a document that declares ``arrow_degrees`` is rejected,
     not read as if every degree were 1.
@@ -595,7 +629,9 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     if isinstance(doc, str):
         try:
             data = json.loads(doc)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, or an integer literal longer
+            # than the interpreter's int conversion limit
             raise InputError(f"malformed JSON document: {exc}") from None
     else:
         data = doc
@@ -613,6 +649,7 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     vertices = data["vertices"]
     if not isinstance(vertices, (list, tuple)) or not vertices:
         raise InputError("'vertices' must be a non-empty list")
+    _require_strings(vertices, "vertex #{}".format)
     arrows = []
     if not isinstance(data["arrows"], (list, tuple)):
         raise InputError("'arrows' must be a list")
@@ -623,10 +660,13 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
             raise InputError(
                 f"arrow #{k} must be an object with 'id', 'from' and 'to'"
             )
-        arrows.append(
-            Arrow(str(entry["id"]), str(entry["from"]), str(entry["to"]))
-        )
-    quiver = Quiver(tuple([str(v) for v in vertices]), tuple(arrows))
+        arrows.append(Arrow(entry["id"], entry["from"], entry["to"]))
+    fields = ("id", "from", "to")  # the document's names of an Arrow's fields
+    _require_strings(
+        list(chain.from_iterable(arrows)),
+        lambda k: f"arrow #{k // 3} {fields[k % 3]!r}",
+    )
+    quiver = Quiver(tuple(vertices), tuple(arrows))
 
     if not isinstance(data["relations"], (list, tuple)):
         raise InputError("'relations' must be a list of arrow id lists")
@@ -634,8 +674,9 @@ def parse_algebra(doc: str | Mapping) -> MonomialAlgebra:
     for k, ids in enumerate(data["relations"]):
         if not isinstance(ids, (list, tuple)):
             raise InputError(f"relation #{k} must be a list of arrow ids")
+        _require_strings(ids, f"relation #{k} entry #{{}}".format)
         try:
-            relations.append(quiver.path(tuple([str(a) for a in ids])))
+            relations.append(quiver.path(tuple(ids)))
         except InputError as exc:
             raise InputError(f"relation #{k} is not a valid path: {exc}") from None
 

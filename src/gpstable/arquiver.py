@@ -7,8 +7,8 @@ boundary vertices flagged incomplete.  Both are written down on the
 bracket grid of the class, ZA_m modulo tau^|c| (or its graded cover),
 with no stable object built: :meth:`CycleDecomposition.mesh`, the one
 statement of the AR rule, names each vertex's translate and middle terms
-by coordinates, and the arrows are exactly the irreducible maps into and
-out of those middle terms, with valuation (1,1) throughout.
+by coordinates, and the arrows are exactly the irreducible maps from
+each vertex's middle terms into it, with valuation (1,1) throughout.
 ``tests/reference_ar.py`` keeps a builder that reads every vertex's AR
 triangle off the path-keyed reference closed forms, and the two agree on
 every tested algebra.
@@ -47,9 +47,6 @@ class TQVertex(NamedTuple):
             text += f"({self.shift})"
         return text
 
-    def key(self):
-        return (self.path.sort_key(), -1 if self.shift is None else self.shift)
-
 
 class TranslationQuiver(NamedTuple):
     """A finite (piece of a) translation quiver.
@@ -72,15 +69,22 @@ def ar_quiver(
 
     Shifts ``None`` give the ungraded quiver of the class, ZA_m modulo
     tau^|c|; a range gives its graded vertices ``pL(j)``, j in the range.
-    A vertex is keyed by its coordinates (piece, i, span, shift) on the
-    bracket grid, and :meth:`CycleDecomposition.mesh` names its translate
-    and middle terms.  A graded vertex is flagged incomplete when one of
-    them, or the inverse translate (the vertex whose mesh names this one
-    as its translate), falls outside the window.  The path
-    ``windows[i-1][span-1]`` is read only to sort and label the vertex.
+    A vertex is an integer id, numbered in grid order: piece k's vertex
+    [i, span] at the x-th shift of the window of width w (w = 1 ungraded)
+    is base_k + ((i-1)·m + span-1)·w + x, where base_k counts the vertices
+    of the earlier pieces.  :meth:`CycleDecomposition.mesh` names its
+    translate and middle terms by coordinates, so each is an id offset.
+    Its arrows in are those from its middle terms; an arrow out of it ends
+    at a vertex whose mesh names it, so each arrow is read once.  A graded
+    vertex is flagged incomplete when its translate or a middle term, or
+    its inverse translate (the vertex whose mesh names this one as its
+    translate), falls outside the window.  Each vertex's sort key is
+    computed once, from the path ``windows[i-1][span-1]`` and the shift;
+    the ids are sorted by it, and the arrows and translates reach the
+    sorted order through one position per id.
     """
-    rows, arrows, tau, outside, notes = [], set(), set(), set(), []
-    for k, (dec, shifts) in enumerate(pieces):
+    rows, keys, translate, inside, arrows, notes = [], [], [], [], [], []
+    for dec, shifts in pieces:
         graded = shifts is not None
         if graded and not shifts:
             raise InputError("empty shift window")
@@ -89,39 +93,54 @@ def ar_quiver(
             if graded
             else f"ZA{dec.m} / tau^{dec.size}"
         )
+        js = shifts if graded else (None,)
+        width = len(js)
+        stride = dec.m * width
+        # [i, span] at shift index x has id base + i·stride + span·width + x
+        base = len(rows) - stride - width
         for i, row in enumerate(dec.windows, 1):
             for span, p in enumerate(row, 1):
                 (ti, tspan, tdrop), middles = dec.mesh(i, span)
-                for s in shifts if graded else (None,):
-                    v = (k, i, span, s)
-                    rows.append((p, v))
-                    tv = None
-                    if graded and s - tdrop not in shifts:
-                        outside.add(v)
-                    else:
-                        tv = (k, ti, tspan, s - tdrop if graded else None)
-                        tau.add((v, tv))
-                    for mi, mspan, mdrop in middles:
-                        if graded and s - mdrop not in shifts:
-                            outside.add(v)
-                            continue
-                        mid = (k, mi, mspan, s - mdrop if graded else None)
-                        arrows.add((mid, v))
-                        if tv is not None:
-                            arrows.add((tv, mid))
-    tau_targets = {tv for _, tv in tau}
-    rows = sorted(
-        (
-            (TQVertex(p, v[3], v[1:3], v in outside or v not in tau_targets), v)
-            for p, v in rows
-        ),
-        key=lambda row: row[0].key(),
-    )
-    index = {v: n for n, (_, v) in enumerate(rows)}
+                # each term's id at x = drop, and its drop; ungraded, none
+                tdrop *= graded
+                t = base + ti * stride + tspan * width - tdrop
+                mids = [
+                    (base + mi * stride + mspan * width - d * graded, d * graded)
+                    for mi, mspan, d in middles
+                ]
+                key, bracket = p.sort_key(), (i, span)
+                for x, j in enumerate(js):
+                    v = len(rows)
+                    rows.append((p, j, bracket))
+                    keys.append(key + (-1 if j is None else j,))
+                    complete = x >= tdrop
+                    translate.append(t + x if complete else None)
+                    for mid, drop in mids:
+                        if x < drop:
+                            complete = False
+                        else:
+                            arrows.append((mid + x, v))
+                    inside.append(complete)
+    # a vertex no mesh names as its translate lacks its inverse translate
+    targeted = bytearray(len(rows))
+    for tv in translate:
+        if tv is not None:
+            targeted[tv] = 1
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    position = [0] * len(rows)
+    for n, v in enumerate(order):
+        position[v] = n
     return TranslationQuiver(
-        vertices=tuple([vertex for vertex, _ in rows]),
-        arrows=tuple(sorted((index[a], index[b]) for a, b in arrows)),
-        tau=tuple(sorted((index[a], index[b]) for a, b in tau)),
+        vertices=tuple([
+            TQVertex(*rows[v], not (inside[v] and targeted[v])) for v in order
+        ]),
+        arrows=tuple(sorted([(position[a], position[b]) for a, b in arrows])),
+        # one translate per vertex, so these pairs come sorted
+        tau=tuple([
+            (n, position[translate[v]])
+            for n, v in enumerate(order)
+            if translate[v] is not None
+        ]),
         identification="; ".join(notes) or None,
     )
 

@@ -20,10 +20,13 @@ D. Shen, G. Zhou, *The Gorenstein-projective modules over a monomial
 algebra*, arXiv:1501.02978), so the successor map only tries relation cuts
 ``p·q``.  By minimality, R(p) = {q} iff ``q`` is the only completion of
 ``p`` and every relation below each state ``s`` on the chain of ``p`` runs
-through ``s·q``, the state at depth |s| + |q| on the chain of ``pq``.  A
-two-pointer walk down both chains checks a cut in O(L) steps, so the map
-costs O(Σ|r|·L), independent of the dimension of the algebra; it runs on
-arrow words and builds one path per perfect word.
+through ``s·q``, the state at depth |s| + |q| on the chain of ``pq``.
+Turned around, each start a of a relation r rules out one interval of
+cuts [a+1, hi(a)], so one pass over the starts with a running maximum
+tests every cut of r (:func:`_unique_cuts`): one trie step per start on
+N(n, n), O(|r|²) at worst, independent of the dimension of the algebra.
+The map runs on arrow words; each perfect word is a slice of its
+relation, which gives its path without a lookup per arrow.
 """
 
 from __future__ import annotations
@@ -106,48 +109,78 @@ class PerfectPathSet(NamedTuple):
 def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
     """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]}.
 
-    The prefixes with a single completion are the longest ones of r.  For
-    each, a pointer ``t`` walks down the failure chain of r in step with the
-    chain of r[:k]: each state ``s`` there needs the state ``s·r[k:]`` at
-    depth |s| + |r| - k on r's chain, with as many leaves as ``s``.
+    Cut k passes when r[:k] has one completion (``leaves`` 1) and every
+    state s = r[a:k], 1 <= a < k, on the failure chain of r[:k] has r[a:]
+    as a state with as many leaves as s.  Fix a start a.  States are
+    prefix-closed, so r[a:k] is a state exactly for k up to E(a), the end
+    of the longest trie prefix of r[a:]; and leaf counts do not grow along
+    a word.  So a rules out one interval of cuts [a+1, hi(a)]:
+
+    - if r[a:] is a state (a depth on the chain of ``tops[r]``), every k
+      from a+1 on has r[a:k] a state, and it fails until the leaves of
+      r[a:k] fall to those of r[a:]: hi(a) = c(a) - 1, with c(a) the first
+      b where leaves(r[a:b]) = leaves(r[a:]);
+    - otherwise every state r[a:k] fails: hi(a) = E(a).
+
+    Cut k passes iff its leaves are 1 and max hi(a) over a < k is below k.
+    One walk down the chain of ``tops[r]`` lists the suffix states, then
+    each start costs one trie walk from its vertex, until c(a) or E(a):
+    one step per start on N(n, n), O(|r|²) per relation at worst.  Once
+    the maximum reaches |r| - 1 no later cut can pass.
     """
-    fail, depth, leaves = auto.fail, auto.depth, auto.leaves
+    depth, leaves, fail = auto.depth, auto.leaves, auto.fail
+    moves, start, vertex = auto.moves, auto.start, auto.vertex
     out = []
-    for path, top in zip(auto.paths, auto.tops):
-        n = len(path)
+    for word, path, top in zip(auto.relations, auto.paths, auto.tops):
+        n = len(word)
+        tail = {}  # a -> leaves(r[a:]) for the suffix states
+        t = top
+        while depth[t]:
+            tail[n - depth[t]] = leaves[t]
+            t = fail[t]
         cuts = set()
-        for k in range(n - 1, 0, -1):
-            if leaves[path[k]] != 1:
-                break
-            s, t = fail[path[k]], top
-            while depth[s]:
-                while depth[t] > depth[s] + n - k:
-                    t = fail[t]
-                if depth[t] < depth[s] + n - k or leaves[t] != leaves[s]:
-                    break
-                s = fail[s]
-            else:
+        hi = 0
+        for k in range(1, n):
+            if hi < k and leaves[path[k]] == 1:
                 cuts.add(k)
+            # the start a = k: walk the trie from r[k]'s vertex along r[k:]
+            s, b, want = start[vertex[path[k]]], k, tail.get(k)
+            if want is None:
+                while b < n and depth[nxt := moves[s].get(word[b], s)] > depth[s]:
+                    s, b = nxt, b + 1
+            else:
+                while leaves[s := moves[s][word[b]]] != want:
+                    b += 1
+            if b > hi:
+                hi = b
+                if hi >= n - 1:
+                    break
         out.append(cuts)
     return out
 
 
-def _successor_words(alg: MonomialAlgebra) -> dict[tuple[str, ...], tuple[str, ...]]:
-    """p -> q on arrow words for every perfect pair: the cuts p·q of the
-    relations with R(p) = {q}, and L(q) = {p}, which is the same test on
-    the reversed relation in the opposite automaton."""
+def _perfect_cuts(alg: MonomialAlgebra):
+    """Every perfect pair as ``(r, k)``: the relation r = p·q and the cut
+    k = |p|, where R(p) = {q} and L(q) = {p}, the same test on the
+    reversed relation in the opposite automaton."""
     op = alg.opposite_automaton
     left = {w[::-1]: cuts for w, cuts in zip(op.relations, _unique_cuts(op))}
-    sigma = {}
-    for w, cuts in zip(alg.automaton.relations, _unique_cuts(alg.automaton)):
-        for k in cuts & {len(w) - j for j in left[w]}:
-            sigma[w[:k]] = w[k:]
-    return sigma
+    # the relation paths in the automaton's order, sorted by arrows
+    relations = sorted(alg.relations, key=lambda r: r.arrows)
+    for r, cuts in zip(relations, _unique_cuts(alg.automaton)):
+        for k in cuts & {r.length - j for j in left[r.arrows]}:
+            yield r, k
+
+
+def _successor_words(alg: MonomialAlgebra) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """p -> q on arrow words for every perfect pair: the cuts p·q of the
+    relations with R(p) = {q} and L(q) = {p}."""
+    return {r.arrows[:k]: r.arrows[k:] for r, k in _perfect_cuts(alg)}
 
 
 def _word_path(alg: MonomialAlgebra, word: tuple[str, ...]) -> Path:
-    """The path of a non-empty arrow word known to compose (a cut of a
-    relation, or a cycle along one), without ``Quiver.path``'s checks."""
+    """The path of a non-empty arrow word known to compose (a cycle along
+    a class), without ``Quiver.path``'s checks."""
     arrow = alg.quiver.arrow_by_id
     return Path(word, (arrow[word[0]].source, *(arrow[a].target for a in word)))
 
@@ -181,11 +214,16 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     their smallest member and sorted by that member; the algebra is CM-free
     exactly when the result is empty.
     """
-    sigma = _successor_words(alg)
+    sigma, relation = {}, {}
+    for r, k in _perfect_cuts(alg):
+        w = r.arrows[:k]
+        sigma[w] = r.arrows[k:]
+        relation[w] = r
     cycles = _cycles_of_partial_injection(sigma)
     words = sorted((w for c in cycles for w in c), key=_word_key)
-    # one object per perfect path, shared by every structure built from them
-    path = {w: _word_path(alg, w) for w in words}
+    # one object per perfect path, shared by every structure built from
+    # them, sliced from the relation w·σ(w)
+    path = {w: Path(w, relation[w].vertices[: len(w) + 1]) for w in words}
     if len(path) != len(words):
         raise InternalConsistencyError("successor cycles are not disjoint")
     return PerfectPathSet(

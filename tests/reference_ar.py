@@ -117,7 +117,7 @@ def quiver_from_triangles(
             (TQVertex(p, v[3], v[1:3], v in outside or v not in tau_targets), v)
             for p, v in rows
         ),
-        key=lambda row: row[0].key(),
+        key=lambda row: (row[0].path.sort_key(), -1 if row[0].shift is None else row[0].shift),
     )
     index = {v: n for n, (_, v) in enumerate(rows)}
     return TranslationQuiver(

@@ -9,13 +9,16 @@ the relation-cut index the trie replaced: it slices and looks up every
 suffix of every relation prefix, O(|F|·L³).  The word-set automaton is
 the relation automaton's builder before the trie was built by insertion:
 it keeps a set of every relation prefix and one arrow word per state,
-Θ(Σ|r|²) tuple elements.  The brute-force Hom,
+Θ(Σ|r|²) tuple elements.  The chain-walk cut test is the unique-cut test
+before the bad intervals: it walks the failure chain of every candidate
+prefix in step with the chain of its relation, O(|r|·L) per relation.  The brute-force Hom,
 perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
 ``Path`` for every candidate middle, as the oracle did before it took one
-step at a time and compared words.  The shared families of algebras, and
-a planted document with three classes of different m, live here too.
+step at a time and compared words.  The shared families of algebras, a
+copy of the random draw with longer relations, and a planted document with
+three classes of different m, live here too.
 """
 
 import importlib.util
@@ -26,8 +29,16 @@ from functools import lru_cache, reduce
 from pathlib import Path as FilePath
 
 from gpstable import fixtures
-from gpstable.algebra import Arrow, Path, Quiver, RelationAutomaton, parse_algebra
-from gpstable.oracle import random_algebra
+from gpstable.algebra import (
+    Arrow,
+    MonomialAlgebra,
+    NonAdmissibleError,
+    Path,
+    Quiver,
+    RelationAutomaton,
+    parse_algebra,
+)
+from gpstable.oracle import RANDOM_MAX_ATTEMPTS, random_algebra
 from gpstable.perfect import Overlap
 from gpstable.orders import PREC
 
@@ -182,6 +193,35 @@ def split_successor_map(alg):
     return sigma
 
 
+def chain_walk_unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
+    """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]}.
+
+    The prefixes with a single completion are the longest ones of r.  For
+    each, a pointer ``t`` walks down the failure chain of r in step with the
+    chain of r[:k]: each state ``s`` there needs the state ``s·r[k:]`` at
+    depth |s| + |r| - k on r's chain, with as many leaves as ``s``.
+    """
+    fail, depth, leaves = auto.fail, auto.depth, auto.leaves
+    out = []
+    for path, top in zip(auto.paths, auto.tops):
+        n = len(path)
+        cuts = set()
+        for k in range(n - 1, 0, -1):
+            if leaves[path[k]] != 1:
+                break
+            s, t = fail[path[k]], top
+            while depth[s]:
+                while depth[t] > depth[s] + n - k:
+                    t = fail[t]
+                if depth[t] < depth[s] + n - k or leaves[t] != leaves[s]:
+                    break
+                s = fail[s]
+            else:
+                cuts.add(k)
+        out.append(cuts)
+    return out
+
+
 def word_set_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:
     """Build the :class:`RelationAutomaton` of a minimal relation set.
 
@@ -318,6 +358,46 @@ def equivalence_algebras():
         for _ in range(300)
     ]
     return tuple(algs)
+
+
+def draw_algebra(rng, max_vertices, max_arrows, max_relations, max_length):
+    """``random_algebra`` with relations of up to ``max_length`` arrows;
+    a copy, so that the seeded draws behind the ``--random`` goldens stay
+    as they are."""
+    for _ in range(RANDOM_MAX_ATTEMPTS):
+        nv = rng.randint(1, max_vertices)
+        vertices = tuple([f"v{k}" for k in range(1, nv + 1)])
+        na = rng.randint(1, max_arrows)
+        arrows = tuple([
+            Arrow(f"a{k}", rng.choice(vertices), rng.choice(vertices))
+            for k in range(1, na + 1)
+        ])
+        quiver = Quiver(vertices, arrows)
+        relations = []
+        for _ in range(rng.randint(0, max_relations)):
+            length = rng.randint(2, max_length)
+            walk = [rng.choice(arrows)]
+            while len(walk) < length:
+                nxt = quiver.arrows_from[walk[-1].target]
+                if not nxt:
+                    break
+                walk.append(rng.choice(nxt))
+            if len(walk) == length:
+                relations.append(quiver.path(tuple([a.id for a in walk])))
+        try:
+            return MonomialAlgebra(quiver, relations)
+        except NonAdmissibleError:
+            continue
+    raise RuntimeError("could not draw an admissible algebra")
+
+
+@lru_cache(maxsize=None)
+def long_relation_algebras():
+    """2000 draws of up to 5 vertices, 8 arrows and 6 relations of up to 9
+    arrows, where the failure chains of the cut test run deeper than in
+    ``random_algebra``'s draws."""
+    rng = random.Random(9)
+    return tuple(draw_algebra(rng, 5, 8, 6, 9) for _ in range(2000))
 
 
 def _perfbench_module(name):

@@ -221,7 +221,9 @@ class TestParsing:
         )
         rels = [quiver.path(r) for r in relations]
         with pytest.raises(NonAdmissibleError) as exc:
-            enumerate_nonzero_paths(quiver, relation_automaton(quiver, rels))
+            enumerate_nonzero_paths(
+                quiver, relation_automaton(quiver.vertices, quiver.arrows_from, rels)
+            )
         witness = exc.value.witness
         assert witness.source == witness.target and not witness.is_trivial
         pumped = witness.arrows * 8

@@ -238,6 +238,47 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 1 and err.startswith("error: malformed JSON document:")
 
+    def test_huge_integer_literal(self, capsys, tmp_path):
+        # past the interpreter's 4300-digit int conversion limit json.loads
+        # raises a plain ValueError, which used to escape as a traceback
+        f = tmp_path / "bigint.json"
+        f.write_text('{"vertices": ["1"], "arrows": [], "relations": [], "n": %s}' % ("9" * 5000))
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed JSON document:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "literal, kind",
+        [("null", "null"), ("true", "true"), ("1", "a number"), ("NaN", "a number")],
+    )
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("vertex", "vertex #1 must be a string"),
+            ("id", "arrow #0 'id' must be a string"),
+            ("from", "arrow #0 'from' must be a string"),
+            ("to", "arrow #0 'to' must be a string"),
+            ("relation", "relation #0 entry #1 must be a string"),
+        ],
+    )
+    def test_non_string_id_exits_1(self, capsys, tmp_path, literal, kind, field, message):
+        # str() used to read null, true, 1 and NaN as the ids "None",
+        # "True", "1" and "nan"
+        vertex = literal if field == "vertex" else '"2"'
+        ends = {key: literal if field == key else f'"{v}"' for key, v in (("from", 1), ("to", 2))}
+        arrow = literal if field == "id" else '"a"'
+        entry = literal if field == "relation" else '"b"'
+        f = tmp_path / "ids.json"
+        f.write_text(
+            f'{{"vertices": ["1", {vertex}], "arrows": [{{"id": {arrow}, '
+            f'"from": {ends["from"]}, "to": {ends["to"]}}}, '
+            f'{{"id": "b", "from": "2", "to": "1"}}], "relations": [["a", {entry}]]}}'
+        )
+        code, out, err = run(capsys, "analyze", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}, got {kind}\n"
+
     @pytest.mark.parametrize("target", ["missing/out.txt", "."])
     def test_unwritable_output(self, capsys, tmp_path, target):
         out_path = tmp_path / target

@@ -11,6 +11,7 @@ from gpstable.perfect import (
     _least_rotation,
     _root_length,
     _successor_words,
+    _unique_cuts,
     detect_overlap,
     enumerate_perfect_paths,
     is_perfect_pair,
@@ -19,7 +20,9 @@ from gpstable.perfect import (
     underlying_cycle_classes,
 )
 from reference_scan import (
+    chain_walk_unique_cuts,
     equivalence_algebras,
+    long_relation_algebras,
     path_cycle_classes,
     scan_left_annihilators,
     scan_right_annihilators,
@@ -92,6 +95,18 @@ class TestRelationDrivenEquivalence:
         for alg in algs:
             assert _successor_words(alg) == split_successor_map(alg), alg.relations
 
+    def test_unique_cuts_match_chain_walk(self):
+        # the bad-interval test against the per-cut walk down both chains,
+        # on both automata; the long draws run deeper failure chains
+        cuts = 0
+        for alg in (*trie_algebras(), *long_relation_algebras()):
+            for auto in (alg.automaton, alg.opposite_automaton):
+                expected = chain_walk_unique_cuts(auto)
+                assert _unique_cuts(auto) == expected, alg.relations
+                cuts += sum(map(len, expected))
+        assert len(long_relation_algebras()) >= 2000
+        assert cuts >= 15000
+
     def test_successor_map_matches_scan(self):
         for alg in equivalence_algebras():
             sigma = {
@@ -110,8 +125,8 @@ class TestRelationDrivenEquivalence:
             assert sum(len(sigma) for sigma in maps) >= pairs
 
     def test_successor_walk_is_linear_in_relation_data(self):
-        # Count every failure link the two-pointer walks follow on N(40, 40):
-        # 40 relations of length L = 41, so Σ|r|·L = 67240.
+        # Count every failure link and every move the cut tests read on
+        # N(40, 40): 40 relations of length L = 41, so Σ|r| = 1640.
         class Counted(tuple):
             steps = 0
 
@@ -122,12 +137,14 @@ class TestRelationDrivenEquivalence:
         alg = fixtures.nakayama(40, 40)
         for name in ("automaton", "opposite_automaton"):
             auto = getattr(alg, name)
-            setattr(alg, name, auto._replace(fail=Counted(auto.fail)))
+            counted = auto._replace(fail=Counted(auto.fail), moves=Counted(auto.moves))
+            setattr(alg, name, counted)
         sigma = _successor_words(alg)
         assert len(sigma) == 40 * 40
-        budget = sum(len(r.arrows) for r in alg.relations) * 41
-        # each cut follows at most L links down each of its two chains, in
-        # each of the two automata; the suffix scan took L times more
+        budget = sum(len(r.arrows) for r in alg.relations)
+        # per relation and automaton, one walk down the chain of the whole
+        # relation and one trie step per start; the per-cut walk down both
+        # chains followed up to 4·Σ|r|·L links
         assert 0 < Counted.steps <= 4 * budget
 
 
