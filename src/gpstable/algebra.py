@@ -162,11 +162,15 @@ class Quiver(_QuiverFields):
         seen = set()
         vset = set(vertices)
         for a in arrows:
-            if not a.id or "." in a.id or "\\" in a.id or a.id != a.id.strip():
+            if (
+                not a.id or "." in a.id or "\\" in a.id or a.id != a.id.strip()
+                or not a.id.isprintable()
+            ):
                 raise InputError(
                     f"arrow id {a.id!r} must be non-empty, free of '.' (it joins "
-                    f"arrows in path strings), of '\\' (DOT reads it as an escape) "
-                    f"and of outer whitespace (path strings strip it)"
+                    f"arrows in path strings), of '\\' (DOT reads it as an escape), "
+                    f"of outer whitespace (path strings strip it) and of unprintable "
+                    f"characters such as line breaks (they would split a line of output)"
                 )
             if a.id in seen:
                 raise InputError(f"duplicate arrow id {a.id!r}")

@@ -29,7 +29,8 @@ stay the per-pair definitions they must equal.
 Work that cannot change a verdict is skipped: subpath closure is checked
 one step at a time (the prefix and suffix one arrow shorter of each basis
 path), and the tilting row suspends each summand of ``tilting_object``
-once per power and reads each brute-force Hom row once per summand path.
+once per power and builds, per class, one set per target path of the
+shifts at which some summand has a non-zero brute-force Hom to it.
 """
 
 from __future__ import annotations
@@ -119,39 +120,45 @@ def bf_stable_hom_table(alg: MonomialAlgebra, paths: Iterable[Path]):
 
 def bf_overlap_table(alg: MonomialAlgebra, paths: Iterable[Path]):
     """``detect_overlap(alg, p, q)`` for every pair of the non-trivial
-    ``paths``, as ``{(p, q): Overlap | None}``, from one prefix index.
+    ``paths``, as ``{(p, q): Overlap | None}``, from one prefix index and
+    the relation automaton.
 
     Every prefix of every q is indexed by its arrow word.  For each p the
     middle length xlen runs upward, and p's suffix of that length names
     the q that begin with it; a q still undecided overlaps p there iff the
-    product (p minus its middle)·q is non-zero.  A middle as long as p is
-    skipped when q is p, since a self-overlap (O1) needs both complements
-    non-trivial.  The first non-zero product is the one the per-pair scan
-    returns, with the same kind, left, middle and right; the keys are in
+    product (p minus its middle)·q is non-zero.  That product is read as
+    ``is_zero`` reads it: p's left part once per (p, xlen) from the start
+    state of s(p), then each candidate q's arrows on from that state.  A
+    middle as long as p is skipped when q is p, since a self-overlap (O1)
+    needs both complements non-trivial.  The first non-zero product is the
+    one the per-pair scan returns, with the same kind, left, middle and
+    right, and only that overlap's paths are built; the keys are in
     ``paths`` order, p first.
     """
     paths = tuple(paths)
+    auto = alg.automaton
     prefixes = {}  # arrow word -> the paths that begin with it
     for q in paths:
         for j in range(1, q.length + 1):
             prefixes.setdefault(q.arrows[:j], []).append(q)
     table = {}
     for p in paths:
-        lp, found = p.length, {}
+        (w, v), lp, found = p, p.length, {}
         for xlen in range(1, lp + 1):
-            left = None
-            for q in prefixes.get(p.arrows[lp - xlen :], ()):
+            cut, state = lp - xlen, -1  # -1: p's left part not read yet
+            for q in prefixes.get(w[cut:], ()):
                 same = q == p
-                if q in found or (same and xlen == lp):
+                if q in found or (same and cut == 0):
                     continue
-                if left is None:
-                    left = p.prefix(lp - xlen)
-                if not alg.is_zero(left * q):
+                if state == -1:
+                    state = auto.read(auto.start[v[0]], w[:cut])
+                if state is not None and auto.read(state, q.arrows) is not None:
+                    qw, qv = q
                     found[q] = Overlap(
                         "O1" if same else "O2",
-                        left,
-                        q.prefix(xlen),
-                        q.suffix(q.length - xlen),
+                        Path(w[:cut], v[: cut + 1]),
+                        Path(qw[:xlen], qv[: xlen + 1]),
+                        Path(qw[xlen:], qv[xlen:]),
                     )
         for q in paths:
             table[p, q] = found.get(q)
@@ -305,12 +312,26 @@ def verify_algebra(
     the verdicts are compared with the pipeline's pair map; the test reads
     each pair once through the relation automaton into the zero rows
     Z(p) = {q : pq = 0} and checks the definition by the counting
-    identities of :func:`bf_perfect_pairs`.  The overlap table and the
-    brute-force Hom table over the pairs of perfect paths are each built
-    once, by :func:`bf_overlap_table` (one index of the prefixes of every
-    path) and :func:`bf_stable_hom_table` (one basis scan per target path),
-    and every row that needs them reads them.  The battery draws no random
-    numbers.
+    identities of :func:`bf_perfect_pairs`.  The rows that scan paths or
+    pairs read an index built once per algebra or once per class:
+
+    - the two basis rows test each basis path's one-step prefix, suffix
+      and extensions, as (arrows, vertices) tuples, against ``alg.basis``;
+    - the Hasse-arrow row looks each proper prefix of a perfect path up in
+      one dict of the perfect paths by arrow word;
+    - the factorization row sorts the co-elementary paths once and runs
+      the cut search on every perfect path;
+    - the overlap rows read the table of :func:`bf_overlap_table` (one
+      index of the prefixes of every perfect path, read through the
+      relation automaton) and, per overlapping pair (p, q), the paths
+      ``divisor_index.starts`` lists under p, compared with q by arrow
+      suffix;
+    - the Hom, Serre, End and shift rows read the table of
+      :func:`bf_stable_hom_table` (one basis scan per target path), and
+      the tilting row builds from it, per class, one set per target path
+      of the shifts s + k with a non-empty piece at s and a summand shift k.
+
+    The battery draws no random numbers.
     """
     an = Analysis(alg)
     results: list[CheckResult] = []
@@ -320,18 +341,20 @@ def verify_algebra(
 
     # --- basis structure ---------------------------------------------------
     # Every window of a path is a prefix of a suffix, so by induction on
-    # length the one-step prefix and suffix of each path show closure.
+    # length the one-step prefix and suffix of each path show closure.  A
+    # Path is a named tuple: its (arrows, vertices) slices hash and compare
+    # as the prefix and suffix Paths, so none is built.
     basis = alg.basis
     closed = all(
-        u.prefix(u.length - 1) in basis and u.suffix(u.length - 1) in basis
-        for u in alg.nontrivial_basis
+        (w[:-1], v[:-1]) in basis and (w[1:], v[1:]) in basis
+        for w, v in alg.nontrivial_basis
     )
     check("basis-subpath-closed", closed, "a subpath of a basis path is missing")
-    complete = True
-    for p in alg.basis:
-        for arrow in alg.quiver.arrows_from[p.target]:
-            ext = p * alg.quiver.arrow_path(arrow.id)
-            if (ext in alg.basis) == alg.is_zero(ext):
+    complete, arrows_from = True, alg.quiver.arrows_from
+    for w, v in basis:
+        for a in arrows_from[v[-1]]:
+            ext = Path(w + (a.id,), v + (a.target,))
+            if (ext in basis) == alg.is_zero(ext):
                 complete = False
     check("basis-one-step-complete", complete, "extension closure mismatch")
 
@@ -410,15 +433,19 @@ def verify_algebra(
             len(set(heads)) == len(heads) and len(set(tails)) == len(tails),
             "in/out degree exceeds 1",
         )
+    # A perfect p != q left-divides q iff p is a proper prefix of q, so one
+    # index of the perfect paths by arrow word names each such p.
     prec_arrows = set(an.hasse_prec.arrows)
     coelementary_set = set(coelementary)
+    by_word = {p.arrows: p for p in pset.paths}
     arrow_ok = True
-    for p in pset.paths:
-        for q in pset.paths:
-            if p == q or not p.left_divides(q):
-                continue
-            r = q.window(p.length, q.length)
-            if ((q, p) in prec_arrows) != (r in coelementary_set):
+    for q in pset.paths:
+        w, v = q
+        for k in range(1, len(w)):
+            p = by_word.get(w[:k])
+            if p is not None and (
+                ((q, p) in prec_arrows) != ((w[k:], v[k:]) in coelementary_set)
+            ):
                 arrow_ok = False
     check(
         "hasse-arrow-complement-coelementary",
@@ -427,8 +454,9 @@ def verify_algebra(
     )
 
     factor_ok = True
+    coel = tuple(sorted(coelementary_set, key=Path.sort_key))  # bf_factorizations' order
     for p in pset.paths:
-        facs = bf_factorizations(p, coelementary)
+        facs = tuple(_factorizations(p, coel))
         dec, i, span = an.locate(p)
         greedy = tuple([dec.factor(t) for t in range(i, i + span)])
         if len(facs) != 1 or facs[0] != greedy:
@@ -458,12 +486,11 @@ def verify_algebra(
             continue
         if not cross and an.locate(p)[0] is not an.locate(q)[0]:
             cross = f"{p} and {q} overlap but lie in different classes"
+        # a non-trivial q right-divides u iff u's arrows end with q's
+        qw, bound = q.arrows, p.length + q.length
         for u in alg.divisor_index.starts[p.source, p.arrows]:
-            if (
-                q.right_divides(u)
-                and u.length < p.length + q.length
-                and u not in pset.successor
-            ):
+            w = u.arrows
+            if len(w) < bound and w[-len(qw) :] == qw and u not in pset.successor:
                 intersection_perfect_ok = False
     check("overlap-implies-same-class", not cross, cross)
     check(
@@ -622,12 +649,14 @@ def verify_algebra(
         shifts = {}  # each summand path -> the shifts it carries in T
         for x in summands:
             shifts.setdefault(x.path, []).append(x.shift)
-        # one brute-force Hom row per (x path, Sigma^i y), read at every shift
-        for z in shifted:
-            for path, ks in shifts.items():
-                hom = bf_hom[path, z.path]
-                if any(hom.get(z.shift - k) for k in ks):
-                    tilt_ok = False
+        # Hom(x, z) != 0 iff z.shift = s + k for a non-empty piece at s of
+        # bf_hom[x path, z path] and a shift k of x: one set per target path
+        reach = {
+            t: {s + k for x, ks in shifts.items() for s, u in bf_hom[x, t].items() if u for k in ks}
+            for t in {z.path for z in shifted}
+        }
+        if any(z.shift in reach[z.path] for z in shifted):
+            tilt_ok = False
     check(
         "tilting-orthogonality",
         tilt_ok,

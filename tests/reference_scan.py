@@ -16,7 +16,15 @@ perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
 ``Path`` for every candidate middle, as the oracle did before it took one
-step at a time and compared words.  The shared families of algebras, a
+step at a time and compared words.  The battery rows below judge on
+``Path``s, once per path or per pair, as the battery did before it read
+per-algebra indexes: the basis rows slice and extend ``Path``s, the
+Hasse-arrow row tests every pair of perfect paths for left division, the
+factorization row sorts the co-elementary paths once per perfect path, the
+overlap rows build a ``Path`` per candidate overlap and test right
+division, and the tilting row reads each brute-force Hom row at every
+summand shift.  They call the library through the ``oracle`` module, so a
+mutant patched there reaches them too.  The shared families of algebras, a
 copy of the random draw with longer relations, and a planted document with
 three classes of different m, live here too.
 """
@@ -38,6 +46,7 @@ from gpstable.algebra import (
     RelationAutomaton,
     parse_algebra,
 )
+from gpstable import oracle
 from gpstable.oracle import RANDOM_MAX_ATTEMPTS, random_algebra
 from gpstable.perfect import Overlap
 from gpstable.orders import PREC
@@ -148,6 +157,150 @@ def scan_overlap(alg, p, q):
         if not alg.is_zero(left * q):
             return Overlap("O1" if same else "O2", left, x, right)
     return None
+
+
+def path_overlap_table(alg, paths):
+    """``detect_overlap`` for every pair of the non-trivial ``paths``, from
+    one prefix index, with a ``Path`` product per candidate."""
+    paths = tuple(paths)
+    prefixes = {}  # arrow word -> the paths that begin with it
+    for q in paths:
+        for j in range(1, q.length + 1):
+            prefixes.setdefault(q.arrows[:j], []).append(q)
+    table = {}
+    for p in paths:
+        lp, found = p.length, {}
+        for xlen in range(1, lp + 1):
+            left = None
+            for q in prefixes.get(p.arrows[lp - xlen :], ()):
+                same = q == p
+                if q in found or (same and xlen == lp):
+                    continue
+                if left is None:
+                    left = p.prefix(lp - xlen)
+                if not alg.is_zero(left * q):
+                    found[q] = Overlap(
+                        "O1" if same else "O2",
+                        left,
+                        q.prefix(xlen),
+                        q.suffix(q.length - xlen),
+                    )
+        for q in paths:
+            table[p, q] = found.get(q)
+    return table
+
+
+def path_basis_rows(alg):
+    """(basis-subpath-closed, basis-one-step-complete) on ``Path``s."""
+    basis = alg.basis
+    closed = all(
+        u.prefix(u.length - 1) in basis and u.suffix(u.length - 1) in basis
+        for u in alg.nontrivial_basis
+    )
+    complete = True
+    for p in alg.basis:
+        for arrow in alg.quiver.arrows_from[p.target]:
+            ext = p * alg.quiver.arrow_path(arrow.id)
+            if (ext in alg.basis) == alg.is_zero(ext):
+                complete = False
+    return closed, complete
+
+
+def divides_hasse_arrow_row(an, coelementary):
+    """hasse-arrow-complement-coelementary by left division on every pair."""
+    pset = an.perfect
+    prec_arrows = set(an.hasse_prec.arrows)
+    coelementary_set = set(coelementary)
+    arrow_ok = True
+    for p in pset.paths:
+        for q in pset.paths:
+            if p == q or not p.left_divides(q):
+                continue
+            r = q.window(p.length, q.length)
+            if ((q, p) in prec_arrows) != (r in coelementary_set):
+                arrow_ok = False
+    return arrow_ok
+
+
+def per_path_factorization_row(an, coelementary):
+    """unique-coelementary-factorization, sorting the co-elementary paths
+    once per perfect path in ``bf_factorizations``."""
+    factor_ok = True
+    for p in an.perfect.paths:
+        facs = oracle.bf_factorizations(p, coelementary)
+        dec, i, span = an.locate(p)
+        greedy = tuple([dec.factor(t) for t in range(i, i + span)])
+        if len(facs) != 1 or facs[0] != greedy:
+            factor_ok = False
+    return factor_ok
+
+
+def right_divides_overlap_rows(alg, an, overlaps):
+    """(overlap-implies-same-class, overlap-intersection-paths-perfect) by
+    ``right_divides`` on every path over each overlapping pair."""
+    pset = an.perfect
+    cross = ""
+    intersection_perfect_ok = True
+    for (p, q), ov in overlaps.items():
+        if ov is None:
+            continue
+        if not cross and an.locate(p)[0] is not an.locate(q)[0]:
+            cross = f"{p} and {q} overlap but lie in different classes"
+        for u in alg.divisor_index.starts[p.source, p.arrows]:
+            if (
+                q.right_divides(u)
+                and u.length < p.length + q.length
+                and u not in pset.successor
+            ):
+                intersection_perfect_ok = False
+    return not cross, intersection_perfect_ok
+
+
+def per_shift_tilting_row(an, bf_hom):
+    """tilting-orthogonality reading each brute-force Hom row at every
+    summand shift, per (summand path, Sigma^i y)."""
+    tilt_ok = True
+    by_class = {}
+    for x in oracle.tilting_object(an):
+        by_class.setdefault(an.locate(x.path)[0], []).append(x)
+    for dec, summands in by_class.items():
+        window = dec.m + 1
+        powers = [i for i in range(-window, window + 1) if i]
+        shifted = [oracle.suspend(an, y, i) for y in summands for i in powers]
+        shifts = {}  # each summand path -> the shifts it carries in T
+        for x in summands:
+            shifts.setdefault(x.path, []).append(x.shift)
+        for z in shifted:
+            for path, ks in shifts.items():
+                hom = bf_hom[path, z.path]
+                if any(hom.get(z.shift - k) for k in ks):
+                    tilt_ok = False
+    return tilt_ok
+
+
+def reference_rows(alg):
+    """The verdicts of the battery rows above, by their reference forms,
+    on the tables and pipeline stages the battery reads."""
+    an = oracle.Analysis(alg)
+    _, coelementary = oracle.classify_elementary(an.hasse_prec, an.hasse_leq)
+    paths = an.perfect.paths
+    overlaps = oracle.bf_overlap_table(alg, paths)
+    closed, complete = path_basis_rows(alg)
+    same_class, intersection = right_divides_overlap_rows(alg, an, overlaps)
+    return {
+        "basis-subpath-closed": closed,
+        "basis-one-step-complete": complete,
+        "hasse-arrow-complement-coelementary": divides_hasse_arrow_row(an, coelementary),
+        "unique-coelementary-factorization": per_path_factorization_row(an, coelementary),
+        "no-overlap-between-coelementary": all(
+            overlaps[r, s] is None for r in coelementary for s in coelementary
+        ),
+        "overlap-implies-same-class": same_class,
+        "overlap-intersection-paths-perfect": intersection,
+        "tilting-orthogonality": per_shift_tilting_row(
+            an, oracle.bf_stable_hom_table(alg, paths)
+        ),
+    }
 
 
 def relation_splits(alg):

@@ -130,12 +130,15 @@ class TestParsing:
         alg = parse_algebra(doc)
         assert len(alg.relations) == 1600 and not alg.warnings
 
-    @pytest.mark.parametrize("arrow_id", ["a.b", "", " x", "x\t", "x\\"])
+    @pytest.mark.parametrize(
+        "arrow_id", ["a.b", "", " x", "x\t", "x\\", "a\nb", "a\tb", "a\x00b", "a\u2028b"]
+    )
     def test_arrow_id_must_survive_path_strings(self, arrow_id):
         # path strings join arrow ids with '.', so "a.b" would read as two
         # arrows and "" would print as an empty path; they are stripped, so
         # " x" could be printed but never named; DOT reads a backslash in a
-        # quoted id as an escape, so "x\" would never close
+        # quoted id as an escape, so "x\" would never close; a line break
+        # inside an id split an error message and every text line naming it
         doc = fixtures.a2_document()
         doc["arrows"][0]["id"] = arrow_id
         message = re.escape(f"arrow id {arrow_id!r} must be non-empty")

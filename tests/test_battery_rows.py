@@ -1,0 +1,21 @@
+"""``scripts/battery_rows.py`` charges a time to every row of the battery."""
+
+import importlib.util
+from pathlib import Path
+
+from gpstable.algebra import parse_algebra
+from gpstable.oracle import verify_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_names_every_row_on_one_document():
+    spec = importlib.util.spec_from_file_location("battery_rows", ROOT / "scripts" / "battery_rows.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    doc = (ROOT / "fixtures" / "lambda_star.json").read_text()
+    *rows, parse, whole = script.report([doc], 1)
+    named = [name for line in rows for name in line.split(None, 1)[1].split(" / ")]
+    assert len(named) == len(set(named))
+    assert set(named) == {c.name for c in verify_algebra(parse_algebra(doc))}
+    assert parse.endswith("  parse") and whole.endswith("  whole operation")

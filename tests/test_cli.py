@@ -331,6 +331,16 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"error: arrow id {arrow_id!r} must be non-empty")
 
+    def test_line_break_in_arrow_id_exits_1_on_one_line(self, capsys, tmp_path):
+        # a loop "a\nb" with no relation used to be reported on two stderr
+        # lines, "... the cycle a" and "b indefinitely"
+        doc = {"vertices": ["1"], "arrows": [{"id": "a\nb", "from": "1", "to": "1"}]}
+        f = tmp_path / "line_break.json"
+        f.write_text(json.dumps({**doc, "relations": []}))
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: arrow id 'a\\nb' must be non-empty")
+
     @pytest.mark.parametrize("command", ["hasse", "ar-quiver"])
     def test_backslash_in_arrow_id_exits_1(self, capsys, tmp_path, command):
         # the arrow x\ used to be printed as the DOT id "x\", whose closing

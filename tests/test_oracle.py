@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpstable import fixtures, oracle, perfect
+from gpstable import analysis, fixtures, oracle, perfect
 from gpstable.algebra import (
     MonomialAlgebra,
     Path,
@@ -28,13 +28,15 @@ from gpstable.oracle import (
     verify_algebra,
     verify_suite,
 )
-from gpstable.orders import CycleDecomposition
+from gpstable.orders import PREC, CycleDecomposition, hasse_quiver
 from gpstable.perfect import detect_overlap
 from gpstable.stable import StableObject, suspend, tilting_object
 
 from reference_scan import (
     FIXTURES,
     equivalence_algebras,
+    path_overlap_table,
+    reference_rows,
     scan_module_dim,
     scan_ordinary_hom,
     scan_overlap,
@@ -403,7 +405,7 @@ class TestWordScansMatchPathScans:
         missing = min(one_sided - perfect, key=Path.sort_key)
         alg = parse_algebra(doc)
         alg.basis = real - {missing}  # before any property built on it is read
-        assert not _row(verify_algebra(alg), "basis-subpath-closed").ok
+        fails_as_reference(alg, "basis-subpath-closed")
         assert not scan_subpath_closed(alg)
 
     def test_detect_overlap(self):
@@ -417,6 +419,127 @@ class TestWordScansMatchPathScans:
                     kinds[found and found.kind] += 1
         # measured: 87 O1 and 2790 O2 overlaps among 9653 pairs
         assert kinds["O1"] >= 80 and kinds["O2"] >= 2500
+
+
+def matches_reference(alg):
+    """The battery's verdicts on the rows that ``reference_rows`` judges,
+    after asserting that they equal the reference verdicts."""
+    want = reference_rows(alg)
+    rows = {c.name: c.ok for c in verify_algebra(alg) if c.name in want}
+    assert rows == want, alg.relations
+    return rows
+
+
+def fails_as_reference(alg, row):
+    """Every row with a reference form has that form's verdict, and
+    ``row`` fails."""
+    assert not matches_reference(alg)[row]
+
+
+def drop_a_maximal_path(monkeypatch):
+    """lambda_star without a non-perfect basis path that is no one-step
+    prefix or suffix of another: only the extension check can miss it."""
+    doc = (FIXTURES / "lambda_star.json").read_text()
+    intact = parse_algebra(doc)
+    real, nontrivial = intact.basis, set(intact.nontrivial_basis)
+    inner = {w for u in nontrivial for w in (u.prefix(u.length - 1), u.suffix(u.length - 1))}
+    alg = parse_algebra(doc)
+    alg.basis = real - {min(nontrivial - inner - set(Analysis(intact).perfect.paths))}
+    return alg
+
+
+def drop_a_prec_arrow(monkeypatch):
+    """The prefix-order Hasse quiver loses its first covering arrow; the
+    (co-)elementary paths are still classified on the whole quiver."""
+    real_hasse, classify = Analysis.hasse_prec.func, oracle.classify_elementary
+
+    def dropped(an):
+        h = real_hasse(an)
+        return h._replace(arrows=h.arrows[1:])
+
+    monkeypatch.setattr(Analysis, "hasse_prec", property(dropped))
+    monkeypatch.setattr(
+        oracle,
+        "classify_elementary",
+        lambda prec, leq: classify(hasse_quiver(prec.vertices, PREC), leq),
+    )
+    return STAR()
+
+
+def add_a_coelementary_path(monkeypatch):
+    """The least perfect path that is not co-elementary is called one."""
+    classify = oracle.classify_elementary
+
+    def one_more(prec, leq):
+        elementary, coelementary = classify(prec, leq)
+        return elementary, (*coelementary, min(set(prec.vertices) - set(coelementary)))
+
+    monkeypatch.setattr(oracle, "classify_elementary", one_more)
+    return STAR()
+
+
+def forget_an_intersection_path(monkeypatch):
+    """The successor map answers ``in`` False for the least basis path that
+    starts with one perfect path and ends, overlapping it, with another."""
+    alg = STAR()
+    paths = Analysis(alg).perfect.paths
+    forgotten = min(
+        u
+        for p in paths
+        for q in paths
+        if detect_overlap(alg, p, q)
+        for u in alg.divisor_index.starts[p.source, p.arrows]
+        if q.right_divides(u) and u.length < p.length + q.length
+    )
+
+    class Forgets(dict):
+        def __contains__(self, key):
+            return key != forgotten and dict.__contains__(self, key)
+
+    real = analysis.enumerate_perfect_paths
+
+    def forgetful(alg):
+        pset = real(alg)
+        return pset._replace(successor=Forgets(pset.successor))
+
+    monkeypatch.setattr(analysis, "enumerate_perfect_paths", forgetful)
+    return STAR()
+
+
+class TestRowsMatchReferences:
+    """The rows that read per-algebra indexes give the verdicts of their
+    per-path reference forms in reference_scan, on the index algebras and
+    on planted failures, and each planted failure fails its row."""
+
+    def test_on_index_algebras(self):
+        algebras = prefix_pairs = overlapping = classes = 0
+        for alg in index_algebras():
+            algebras += 1
+            an = Analysis(alg)
+            paths = an.perfect.paths
+            overlaps = bf_overlap_table(alg, paths)
+            assert list(overlaps.items()) == list(path_overlap_table(alg, paths).items())
+            assert all(matches_reference(alg).values())
+            prefix_pairs += sum(p != q and p.left_divides(q) for p in paths for q in paths)
+            overlapping += sum(ov is not None for ov in overlaps.values())
+            classes += len(an.decompositions)
+        # measured: 645 algebras, 1042 pairs of perfect paths where one is a
+        # proper prefix of the other, 2877 overlapping pairs, 272 classes
+        assert algebras >= 645 and prefix_pairs >= 1000
+        assert overlapping >= 2800 and classes >= 270
+
+    @pytest.mark.parametrize(
+        "plant, row",
+        [
+            (drop_a_maximal_path, "basis-one-step-complete"),
+            (drop_a_prec_arrow, "hasse-arrow-complement-coelementary"),
+            (add_a_coelementary_path, "unique-coelementary-factorization"),
+            (forget_an_intersection_path, "overlap-intersection-paths-perfect"),
+        ],
+        ids=["maximal-path", "prec-arrow", "extra-coelementary", "intersection-path"],
+    )
+    def test_planted_failure(self, plant, row, monkeypatch):
+        fails_as_reference(plant(monkeypatch), row)
 
 
 class TestTiltingRow:
@@ -463,7 +586,7 @@ class TestTiltingRow:
             return StableObject(out.path, out.shift + 1)
 
         monkeypatch.setattr(oracle, "suspend", shifted)
-        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+        fails_as_reference(make(), "tilting-orthogonality")
 
     @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
     def test_sees_a_piece_only_a_later_shift_reads(self, make, monkeypatch):
@@ -498,7 +621,7 @@ class TestTiltingRow:
             }
 
         monkeypatch.setattr(oracle, "bf_stable_hom_table", planted)
-        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+        fails_as_reference(make(), "tilting-orthogonality")
 
     @pytest.mark.parametrize(
         "make",
@@ -517,7 +640,7 @@ class TestTiltingRow:
 
         assert _row(verify_algebra(make()), "tilting-orthogonality").ok
         monkeypatch.setattr(oracle, "tilting_object", one_shift_more)
-        assert not _row(verify_algebra(make()), "tilting-orthogonality").ok
+        fails_as_reference(make(), "tilting-orthogonality")
 
 
 class TestSerreDualityRow:
@@ -626,6 +749,7 @@ class TestFailureDetails:
         )
         row = _row(verify_algebra(fixtures.lambda_star()), "overlap-implies-same-class")
         assert not row.ok and "overlap" in row.detail
+        fails_as_reference(fixtures.lambda_star(), "overlap-implies-same-class")
 
     def test_shift_sum_names_a_pair(self, monkeypatch):
         real = oracle.ungraded_stable_hom
