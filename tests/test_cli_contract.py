@@ -56,20 +56,18 @@ def nodes(value, at=()):
             yield from nodes(child, (*at, key))
 
 
+def get(doc, at):
+    """The node at key path ``at``."""
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
 def put(doc, at, value):
     """``doc`` with the node at key path ``at`` replaced by ``value``."""
     if not at:
         return value
-    parent = doc
-    for key in at[:-1]:
-        parent = parent[key]
-    parent[at[-1]] = value
-    return doc
-
-
-def _get(doc, at):
-    for key in at:
-        doc = doc[key]
+    get(doc, at[:-1])[at[-1]] = value
     return doc
 
 
@@ -95,8 +93,8 @@ def documents(draw):
             raw = "[" * depth + "]" * depth
         doc = put(doc, at, value)
     elif kind == "delete":
-        at = draw(st.sampled_from([at for at in nodes(doc) if isinstance(_get(doc, at), dict)]))
-        node = _get(doc, at)
+        objects = [at for at in nodes(doc) if isinstance(get(doc, at), dict)]
+        node = get(doc, draw(st.sampled_from(objects)))
         del node[draw(st.sampled_from(sorted(node)))]
     elif kind == "duplicate":
         key = draw(st.sampled_from(["vertices", "arrows"]))
