@@ -2,12 +2,13 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/battery_rows.py --seed 1 [--rounds 40]
+    PYTHONPATH=src python scripts/battery_rows.py --seed 1
 
 The documents are the ``oracle-battery`` workload's for that seed, built
 by ``OracleBattery.setup`` in ``perfbench/workloads.py``, which is loaded
-read-only.  Each round parses every document and runs ``verify_algebra``
-on it; ``oracle.CheckResult`` is wrapped for the run, so nothing under
+read-only by ``tests/reference_scan.py``'s loader.  Each of ``ROUNDS``
+rounds parses every document and runs ``verify_algebra`` on it;
+``oracle.CheckResult`` is wrapped for the run, so nothing under
 ``src/`` changes, and each row is charged the time since the row before
 it, the first row the time since ``verify_algebra`` began.  A row so
 carries any table built before it: ``perfect-pairs-match-bruteforce`` the
@@ -26,7 +27,6 @@ operation; a measurement on one machine, to compare two commits.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -35,23 +35,17 @@ import gpstable
 import gpstable.oracle as oracle
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from reference_scan import _perfbench_module  # noqa: E402
+
+ROUNDS = 40
 
 # rows judged by one loop: the later row's time folds into the first's
 SHARED = {
     "overlap-intersection-paths-perfect": "overlap-implies-same-class",
     "ungraded-hom-shift-sum": "graded-hom-closed-form-vs-oracle",
 }
-
-
-def _perfbench_module(name):
-    """Load ``perfbench/<name>.py`` read-only; ``workloads`` imports
-    ``inputs`` by its bare name, so the module is registered under it."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 def benchmark_documents(seed: int) -> list[str]:
@@ -105,13 +99,10 @@ def report(documents: list[str], rounds: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
     documents = benchmark_documents(args.seed)
-    print(f"seed {args.seed}: {len(documents)} documents x {args.rounds} rounds, us per operation")
-    print("\n".join(report(documents, args.rounds)))
+    print(f"seed {args.seed}: {len(documents)} documents x {ROUNDS} rounds, us per operation")
+    print("\n".join(report(documents, ROUNDS)))
     return 0
 
 

@@ -651,10 +651,13 @@ def verify_algebra(
             shifts.setdefault(x.path, []).append(x.shift)
         # Hom(x, z) != 0 iff z.shift = s + k for a non-empty piece at s of
         # bf_hom[x path, z path] and a shift k of x: one set per target path
-        reach = {
-            t: {s + k for x, ks in shifts.items() for s, u in bf_hom[x, t].items() if u for k in ks}
-            for t in {z.path for z in shifted}
-        }
+        reach = {}
+        for t in {z.path for z in shifted}:
+            reach[t] = hit = set()
+            for x, ks in shifts.items():
+                for s, piece in bf_hom[x, t].items():
+                    if piece:
+                        hit.update(s + k for k in ks)
         if any(z.shift in reach[z.path] for z in shifted):
             tilt_ok = False
     check(

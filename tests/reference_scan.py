@@ -24,7 +24,9 @@ factorization row sorts the co-elementary paths once per perfect path, the
 overlap rows build a ``Path`` per candidate overlap and test right
 division, and the tilting row reads each brute-force Hom row at every
 summand shift.  They call the library through the ``oracle`` module, so a
-mutant patched there reaches them too.  The shared families of algebras, a
+mutant patched there reaches them too, except for the overlap table: they
+read ``path_overlap_table``, so a fault in the oracle's table shows as a
+disagreement.  The shared families of algebras, a
 copy of the random draw with longer relations, and a planted document with
 three classes of different m, live here too.
 """
@@ -280,11 +282,12 @@ def per_shift_tilting_row(an, bf_hom):
 
 def reference_rows(alg):
     """The verdicts of the battery rows above, by their reference forms,
-    on the tables and pipeline stages the battery reads."""
+    on the pipeline stages and brute-force Hom table the battery reads and
+    on ``path_overlap_table``, the overlap table's reference form."""
     an = oracle.Analysis(alg)
     _, coelementary = oracle.classify_elementary(an.hasse_prec, an.hasse_leq)
     paths = an.perfect.paths
-    overlaps = oracle.bf_overlap_table(alg, paths)
+    overlaps = path_overlap_table(alg, paths)
     closed, complete = path_basis_rows(alg)
     same_class, intersection = right_divides_overlap_rows(alg, an, overlaps)
     return {

@@ -749,7 +749,8 @@ class TestFailureDetails:
         )
         row = _row(verify_algebra(fixtures.lambda_star()), "overlap-implies-same-class")
         assert not row.ok and "overlap" in row.detail
-        fails_as_reference(fixtures.lambda_star(), "overlap-implies-same-class")
+        # the reference rows read their own overlap table, so they disagree
+        assert reference_rows(fixtures.lambda_star())["overlap-implies-same-class"]
 
     def test_shift_sum_names_a_pair(self, monkeypatch):
         real = oracle.ungraded_stable_hom
