@@ -17,7 +17,10 @@ vertices, paths of length n + 1 zero) it prints the parse time and then the
 parse-free stages of ``classify``, each cached on a fresh ``Analysis`` and
 timed once with ``perf_counter``.  The first is the algebra's ``opposite_automaton``,
 which ``perfect`` would otherwise build unseen; ``classify_total`` is their
-sum with the rest of ``classify``.  After it come the two Hasse quivers,
+sum with the rest of ``classify``.  ``perfect_maxrss_mb`` is the process's
+high-water resident set (``ru_maxrss``) right after ``perfect``; the rungs
+run in one process in increasing size, so a reading also holds what the
+earlier rungs left allocated.  After it come the two Hasse quivers,
 which ``classify`` does not build: an output-only stage (``hasse``) that
 the oracle reads.
 Last, ``graded_hom_sweep`` times graded Hom from the first perfect path to
@@ -35,7 +38,10 @@ After the two Nakayama lines comes one for the wide tail W(17, 2; 3, 3)
 (a chain of 18 vertices with 2 parallel arrows per step, beside N(3, 3);
 524 280 non-zero paths): its ``parse`` time and ``analyze_summary``, the
 summary that ``gpstable analyze`` prints (basis size and nilpotency bound
-included), on a fresh ``Analysis``.  No stage is gated.
+included), on a fresh ``Analysis``.  No time is gated, but the script
+exits 1 unless each N(n, n) rung has n² perfect paths in one class with
+(|c|, l(c), m_c) = (n, n, n), so it checks the pipeline at sizes no test
+reaches.
 ``perfbench/ladder.py`` (ROADMAP L) is to replace it.
 """
 
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from time import perf_counter
@@ -67,7 +74,7 @@ IMPORT_TIMER = (
     "import gpstable, gpstable.oracle\n"
     "print(perf_counter() - t0)\n"
 )
-STAGES = ("perfect", "classes", "decompositions")
+STAGES = ("classes", "decompositions")
 OUTPUT_STAGES = ("hasse_prec", "hasse_leq")
 
 
@@ -90,7 +97,25 @@ def time_stages(obj: object, stages: tuple[str, ...], times: dict) -> None:
         times[stage] = perf_counter() - t0
 
 
-def run_once(doc: dict) -> dict[str, float]:
+def maxrss_mb() -> float:
+    """The high-water resident set of this process so far, in MB
+    (``ru_maxrss`` counts KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def nakayama_fault(an: Analysis, n: int) -> str | None:
+    """What is wrong with the classification of N(n, n), if anything: it
+    has n² perfect paths, all in one class with |c| = l(c) = m_c = n."""
+    shape = [(d.size, d.arrow_length, d.m) for d in an.decompositions]
+    if len(an.perfect.paths) != n * n or shape != [(n, n, n)]:
+        return (
+            f"N({n},{n}): {len(an.perfect.paths)} perfect paths and classes "
+            f"(|c|, l(c), m_c) = {shape}, expected {n * n} and {[(n, n, n)]}"
+        )
+    return None
+
+
+def run_once(doc: dict) -> tuple[dict[str, float], Analysis]:
     times = {}
     t0 = perf_counter()
     alg = parse_algebra(doc)
@@ -98,6 +123,8 @@ def run_once(doc: dict) -> dict[str, float]:
     an = Analysis(alg)
     start = perf_counter()
     time_stages(alg, ("opposite_automaton",), times)
+    time_stages(an, ("perfect",), times)
+    times["perfect_maxrss_mb"] = maxrss_mb()
     time_stages(an, STAGES, times)
     t0 = perf_counter()
     classify(an)
@@ -117,7 +144,7 @@ def run_once(doc: dict) -> dict[str, float]:
     t0 = perf_counter()
     emit(quiver, "dot")
     times["ar_quiver_dot"] = perf_counter() - t0
-    return times
+    return times, an
 
 
 def graded_hom_sweep(an: Analysis, times: dict) -> int:
@@ -154,14 +181,21 @@ def time_analyze_summary(doc: dict) -> dict[str, float]:
 
 def main() -> None:
     print(json.dumps({"import": round(import_time(), 4)}))
+    faults = []
     for n in NAKAYAMA:
-        times = run_once(fixtures.nakayama_document(n, n))
+        times, an = run_once(fixtures.nakayama_document(n, n))
         rounded = {key: round(t, 4) for key, t in times.items()}
         print(json.dumps({"algebra": f"N({n},{n})", **rounded}))
+        faults.append(nakayama_fault(an, n))
     k, w, n, m = WIDE_TAIL
     times = time_analyze_summary(fixtures.wide_tail_document(k, w, n, m))
     rounded = {key: round(t, 4) for key, t in times.items()}
     print(json.dumps({"algebra": f"W({k},{w};{n},{m})", **rounded}))
+    faults = [f for f in faults if f]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    if faults:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

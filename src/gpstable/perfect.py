@@ -23,16 +23,20 @@ algebra*, arXiv:1501.02978), so the successor map only tries relation cuts
 through ``s·q``, the state at depth |s| + |q| on the chain of ``pq``.
 Turned around, each start a of a relation r rules out one interval of
 cuts [a+1, hi(a)], so one pass over the starts with a running maximum
-tests every cut of r (:func:`_unique_cuts`): one trie step per start on
+tests every cut of r (:func:`_cut_scan`): one trie step per start on
 N(n, n), O(|r|²) at worst, independent of the dimension of the algebra.
-The map runs on arrow words; each perfect word is a slice of its
-relation, which gives its path without a lookup per arrow.
+A perfect path p = r[:k] is a proper prefix of a relation, so a state of
+the relation automaton; the map, its cycles and their order run on those
+integer states, ordered by the key (k, i) of relation i cut at k, and
+each perfect path is sliced from its relation once, at the end.  The
+oracle's word view of the map (:func:`_successor_words`) is read off the
+same cuts.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import InputError, InternalConsistencyError, MonomialAlgebra, Path
 from .algebra import RelationAutomaton
@@ -106,8 +110,10 @@ class PerfectPathSet(NamedTuple):
     cm_free: bool
 
 
-def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
-    """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]}.
+def _cut_scan(auto: RelationAutomaton) -> list[tuple[set[int], dict[int, int]]]:
+    """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]},
+    and the suffix states: a -> the state r[a:], for each start a where
+    r[a:] is a state.
 
     Cut k passes when r[:k] has one completion (``leaves`` 1) and every
     state s = r[a:k], 1 <= a < k, on the failure chain of r[:k] has r[a:]
@@ -133,10 +139,10 @@ def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
     out = []
     for word, path, top in zip(auto.relations, auto.paths, auto.tops):
         n = len(word)
-        tail = {}  # a -> leaves(r[a:]) for the suffix states
+        tail = {}  # a -> r[a:], for the suffix states
         t = top
         while depth[t]:
-            tail[n - depth[t]] = leaves[t]
+            tail[n - depth[t]] = t
             t = fail[t]
         cuts = set()
         hi = 0
@@ -144,38 +150,53 @@ def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
             if hi < k and leaves[path[k]] == 1:
                 cuts.add(k)
             # the start a = k: walk the trie from r[k]'s vertex along r[k:]
-            s, b, want = start[vertex[path[k]]], k, tail.get(k)
-            if want is None:
+            s, b, t = start[vertex[path[k]]], k, tail.get(k)
+            if t is None:
                 while b < n and depth[nxt := moves[s].get(word[b], s)] > depth[s]:
                     s, b = nxt, b + 1
             else:
+                want = leaves[t]
                 while leaves[s := moves[s][word[b]]] != want:
                     b += 1
             if b > hi:
                 hi = b
                 if hi >= n - 1:
                     break
-        out.append(cuts)
+        out.append((cuts, tail))
     return out
 
 
+def _unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
+    """For each relation r of ``auto``, the cuts k with R(r[:k]) = {r[k:]}
+    (:func:`_cut_scan`)."""
+    return [cuts for cuts, _ in _cut_scan(auto)]
+
+
 def _perfect_cuts(alg: MonomialAlgebra):
-    """Every perfect pair as ``(r, k)``: the relation r = p·q and the cut
-    k = |p|, where R(p) = {q} and L(q) = {p}, the same test on the
-    reversed relation in the opposite automaton."""
-    op = alg.opposite_automaton
-    left = {w[::-1]: cuts for w, cuts in zip(op.relations, _unique_cuts(op))}
-    # the relation paths in the automaton's order, sorted by arrows
-    relations = sorted(alg.relations, key=lambda r: r.arrows)
-    for r, cuts in zip(relations, _unique_cuts(alg.automaton)):
-        for k in cuts & {r.length - j for j in left[r.arrows]}:
-            yield r, k
+    """Every perfect pair as ``(i, k, tail)``: relation i of the forward
+    automaton cut at k = |p|, where R(p) = {q} and L(q) = {p}, the same
+    test on the reversed relation in the opposite automaton, and ``tail``
+    the suffix states of relation i (:func:`_cut_scan`)."""
+    words = alg.automaton.relations
+    op_cuts = _unique_cuts(alg.opposite_automaton)
+    # the opposite automaton lists the reversed words sorted, so its j-th
+    # relation is the reversal of relation order[j]
+    order = sorted(range(len(words)), key=lambda i: words[i][::-1])
+    left = [None] * len(words)
+    for i, cuts in zip(order, op_cuts):
+        left[i] = cuts
+    for i, (cuts, tail) in enumerate(_cut_scan(alg.automaton)):
+        n, back = len(words[i]), left[i]
+        for k in cuts:
+            if n - k in back:
+                yield i, k, tail
 
 
 def _successor_words(alg: MonomialAlgebra) -> dict[tuple[str, ...], tuple[str, ...]]:
     """p -> q on arrow words for every perfect pair: the cuts p·q of the
     relations with R(p) = {q} and L(q) = {p}."""
-    return {r.arrows[:k]: r.arrows[k:] for r, k in _perfect_cuts(alg)}
+    words = alg.automaton.relations
+    return {words[i][:k]: words[i][k:] for i, k, _ in _perfect_cuts(alg)}
 
 
 def _word_path(alg: MonomialAlgebra, word: tuple[str, ...]) -> Path:
@@ -185,17 +206,18 @@ def _word_path(alg: MonomialAlgebra, word: tuple[str, ...]) -> Path:
     return Path(word, (arrow[word[0]].source, *(arrow[a].target for a in word)))
 
 
-def _cycles_of_partial_injection(sigma: dict[tuple, tuple]) -> list[list[tuple]]:
-    """Cycles of an injective partial self-map, each from its smallest member.
+def _cycles_of_partial_injection(sigma: dict, key: Callable) -> list[list]:
+    """Cycles of an injective partial self-map, each from its least member
+    by ``key``.
 
     A point is periodic exactly when the walk from it returns to it, and by
     injectivity a walk that starts off every cycle never meets one; so one
-    walk per unseen start, in sorted order, reaches every cycle first at its
-    smallest member.
+    walk per unseen start, in ``key`` order, reaches every cycle first at
+    its least member.
     """
     cycles = []
-    seen: set[tuple] = set()
-    for start in sorted(sigma, key=_word_key):
+    seen = set()
+    for start in sorted(sigma, key=key):
         walk = []
         cur = start
         while cur in sigma and cur not in seen:
@@ -210,27 +232,48 @@ def _cycles_of_partial_injection(sigma: dict[tuple, tuple]) -> list[list[tuple]]
 def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     """Perfect paths as the periodic points of the successor map.
 
+    The map runs on state ids of the forward automaton: the prefix r_i[:k]
+    of a passing cut is the state ``paths[i][k]``, and its successor
+    r_i[k:] the state at depth |r_i| - k on the failure chain of
+    ``tops[i]``; when r_i[k:] is no state it is no relation prefix, so
+    not perfect, and a walk ends there.  A passing cut has one leaf, so
+    its state lies below relation i alone and has the key (k, i), kept as
+    the int k·|F| + i.  The relations are sorted by word, so the key
+    orders the states as ``Path.sort_key`` orders their paths; the cycle
+    walk and the final sort read it.  Each perfect path is built once,
+    from (i, k), sliced from relation i.
+
     The minimal perfect path sequences are returned rotated to start at
     their smallest member and sorted by that member; the algebra is CM-free
     exactly when the result is empty.
     """
-    sigma, relation = {}, {}
-    for r, k in _perfect_cuts(alg):
-        w = r.arrows[:k]
-        sigma[w] = r.arrows[k:]
-        relation[w] = r
-    cycles = _cycles_of_partial_injection(sigma)
-    words = sorted((w for c in cycles for w in c), key=_word_key)
+    states = alg.automaton.paths
+    nrel = len(states)
+    # perfect-prefix state -> k·|F| + i, the key (k, i) as one int
+    rank, sigma = {}, {}
+    for i, k, tail in _perfect_cuts(alg):
+        s = states[i][k]
+        rank[s] = k * nrel + i
+        t = tail.get(k)
+        if t is not None:
+            sigma[s] = t
+    cycles = _cycles_of_partial_injection(sigma, rank.__getitem__)
+    # the relation paths in the automaton's order, sorted by arrows
+    relations = sorted(alg.relations, key=lambda r: r.arrows)
     # one object per perfect path, shared by every structure built from
-    # them, sliced from the relation w·σ(w)
-    path = {w: Path(w, relation[w].vertices[: len(w) + 1]) for w in words}
-    if len(path) != len(words):
+    # them, sliced from its relation
+    path = {}
+    for code in sorted([rank[s] for c in cycles for s in c]):
+        k, i = divmod(code, nrel)
+        r = relations[i]
+        path[states[i][k]] = Path(r.arrows[:k], r.vertices[: k + 1])
+    if len(path) != sum(map(len, cycles)):
         raise InternalConsistencyError("successor cycles are not disjoint")
     return PerfectPathSet(
-        paths=tuple([path[w] for w in words]),
-        sequences=tuple([tuple([path[w] for w in c]) for c in cycles]),
-        successor={path[w]: path[sigma[w]] for w in words},
-        cm_free=not words,
+        paths=tuple(path.values()),
+        sequences=tuple([tuple([path[s] for s in c]) for c in cycles]),
+        successor={p: path[sigma[s]] for s, p in path.items()},
+        cm_free=not path,
     )
 
 

@@ -104,14 +104,18 @@ def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
     Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
     ``0 <= k < l(q)`` can contribute, and of those only the ones that
     :func:`_solve` can solve for, one per period l(c) and so one per
-    translate of ``p``'s window.  Each path is located once, and no
-    :class:`StableObject` is built per shift.
+    translate of ``p``'s window.  Each path is located once, by identity
+    as in :func:`graded_stable_hom`, and no :class:`StableObject` is built
+    per shift.
     """
-    dec, i, span_p = an.locate(p)
-    dec_q, i2, span_q = an.locate(q)
+    by_identity = an._by_identity
+    dec, i, span_p = by_identity.get(id(p)) or an.locate(p)
+    dec_q, i2, span_q = by_identity.get(id(q)) or an.locate(q)
     if dec is not dec_q:
         return _NO_UNGRADED_HOM
-    first = (dec.offset(i) - dec.offset(i2)) % dec.arrow_length
+    # 1 <= i, i2 <= |c|, so offset(i) is prefix_lengths[i - 1]
+    lengths = dec.prefix_lengths
+    first = (lengths[i - 1] - lengths[i2 - 1]) % dec.arrow_length
     pieces = tuple([
         (k, h.witness)
         for k in range(first, q.length, dec.arrow_length)
@@ -128,9 +132,10 @@ def suspend(an: Analysis, obj: StableObject, power: int) -> StableObject:
     One step up replaces ``qL(k)`` by ``pL(k + l(p))`` for the perfect pair
     ``(p, q)``: for ``q = [i, i+span-1]`` that is ``p = [i+span-m-1, i-1]``,
     since ``pq`` is a relation window of m+1 factors.  Two steps move the
-    window m+1 factors back and keep its span.
+    window m+1 factors back and keep its span.  The path is located by
+    identity as in :func:`graded_stable_hom`.
     """
-    dec, i, span = an.locate(obj.path)
+    dec, i, span = an._by_identity.get(id(obj.path)) or an.locate(obj.path)
     half, odd = divmod(power, 2)
     a = i - half * (dec.m + 1)
     if odd:

@@ -11,7 +11,11 @@ the relation automaton's builder before the trie was built by insertion:
 it keeps a set of every relation prefix and one arrow word per state,
 Θ(Σ|r|²) tuple elements.  The chain-walk cut test is the unique-cut test
 before the bad intervals: it walks the failure chain of every candidate
-prefix in step with the chain of its relation, O(|r|·L) per relation.  The brute-force Hom,
+prefix in step with the chain of its relation, O(|r|·L) per relation.  The
+word-keyed enumeration is the successor map before it ran on automaton
+states: it slices each perfect prefix and its successor as arrow words,
+keys the map and the cycle walk by them and sorts them twice by
+``(length, word)``.  The brute-force Hom,
 perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
@@ -41,6 +45,7 @@ from pathlib import Path as FilePath
 from gpstable import fixtures
 from gpstable.algebra import (
     Arrow,
+    InternalConsistencyError,
     MonomialAlgebra,
     NonAdmissibleError,
     Path,
@@ -50,7 +55,7 @@ from gpstable.algebra import (
 )
 from gpstable import oracle
 from gpstable.oracle import RANDOM_MAX_ATTEMPTS, random_algebra
-from gpstable.perfect import Overlap
+from gpstable.perfect import Overlap, PerfectPathSet, _unique_cuts, _word_key
 from gpstable.orders import PREC
 
 ROOT = FilePath(__file__).resolve().parent.parent
@@ -376,6 +381,68 @@ def chain_walk_unique_cuts(auto: RelationAutomaton) -> list[set[int]]:
                 cuts.add(k)
         out.append(cuts)
     return out
+
+
+def word_perfect_cuts(alg: MonomialAlgebra):
+    """Every perfect pair as ``(r, k)``: the relation r = p·q and the cut
+    k = |p|, where R(p) = {q} and L(q) = {p}, the same test on the
+    reversed relation in the opposite automaton."""
+    op = alg.opposite_automaton
+    left = {w[::-1]: cuts for w, cuts in zip(op.relations, _unique_cuts(op))}
+    # the relation paths in the automaton's order, sorted by arrows
+    relations = sorted(alg.relations, key=lambda r: r.arrows)
+    for r, cuts in zip(relations, _unique_cuts(alg.automaton)):
+        for k in cuts & {r.length - j for j in left[r.arrows]}:
+            yield r, k
+
+
+def word_cycles_of_partial_injection(sigma: dict[tuple, tuple]) -> list[list[tuple]]:
+    """Cycles of an injective partial self-map, each from its smallest member.
+
+    A point is periodic exactly when the walk from it returns to it, and by
+    injectivity a walk that starts off every cycle never meets one; so one
+    walk per unseen start, in sorted order, reaches every cycle first at its
+    smallest member.
+    """
+    cycles = []
+    seen: set[tuple] = set()
+    for start in sorted(sigma, key=_word_key):
+        walk = []
+        cur = start
+        while cur in sigma and cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            cur = sigma[cur]
+        if walk and cur == start:
+            cycles.append(walk)
+    return cycles
+
+
+def word_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
+    """Perfect paths as the periodic points of the successor map.
+
+    The minimal perfect path sequences are returned rotated to start at
+    their smallest member and sorted by that member; the algebra is CM-free
+    exactly when the result is empty.
+    """
+    sigma, relation = {}, {}
+    for r, k in word_perfect_cuts(alg):
+        w = r.arrows[:k]
+        sigma[w] = r.arrows[k:]
+        relation[w] = r
+    cycles = word_cycles_of_partial_injection(sigma)
+    words = sorted((w for c in cycles for w in c), key=_word_key)
+    # one object per perfect path, shared by every structure built from
+    # them, sliced from the relation w·σ(w)
+    path = {w: Path(w, relation[w].vertices[: len(w) + 1]) for w in words}
+    if len(path) != len(words):
+        raise InternalConsistencyError("successor cycles are not disjoint")
+    return PerfectPathSet(
+        paths=tuple([path[w] for w in words]),
+        sequences=tuple([tuple([path[w] for w in c]) for c in cycles]),
+        successor={path[w]: path[sigma[w]] for w in words},
+        cm_free=not words,
+    )
 
 
 def word_set_automaton(quiver: Quiver, relations: Iterable[Path]) -> RelationAutomaton:

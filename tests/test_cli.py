@@ -391,7 +391,9 @@ class TestErrors:
 
         # two overlapping successor cycles break a structural guarantee
         monkeypatch.setattr(
-            perfect, "_cycles_of_partial_injection", lambda sigma: [[p] for p in sigma] * 2
+            perfect,
+            "_cycles_of_partial_injection",
+            lambda sigma, key: [[p] for p in sigma] * 2,
         )
         code, out, err = run(capsys, "analyze", STAR)
         assert code == 3 and out == ""

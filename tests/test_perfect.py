@@ -29,6 +29,7 @@ from reference_scan import (
     scan_successor_map,
     split_successor_map,
     trie_algebras,
+    word_perfect_paths,
 )
 
 
@@ -218,13 +219,35 @@ class TestEnumeration:
         # one of them starting below every cycle member; listed scrambled
         links = "kl gi hj bb ff ce id ec ah dg"
         sigma = {(u,): (v,) for u, v in links.split()}
-        cycles = _cycles_of_partial_injection(sigma)
+        cycles = _cycles_of_partial_injection(sigma, key=lambda w: w)
         assert [["".join(w) for w in c] for c in cycles] == [
             ["b"],
             ["c", "e"],
             ["d", "g", "i"],
             ["f"],
         ]
+
+    def test_matches_word_keyed_reference(self):
+        # the state-keyed map against the word-keyed one it replaced: the
+        # same paths, sequences and successor items in the same order, and
+        # one shared object per perfect path
+        algs = (*trie_algebras(), *long_relation_algebras())
+        assert len(long_relation_algebras()) >= 2000
+        perfect = 0
+        for alg in algs:
+            got, expected = enumerate_perfect_paths(alg), word_perfect_paths(alg)
+            assert got.paths == expected.paths, alg.relations
+            assert got.sequences == expected.sequences, alg.relations
+            assert list(got.successor.items()) == list(expected.successor.items())
+            assert got.cm_free == expected.cm_free
+            shared = {id(p) for p in got.paths}
+            assert len(shared) == len(got.paths)
+            members = [p for seq in got.sequences for p in seq]
+            assert len(members) == len(got.paths)
+            for p in (*members, *got.successor, *got.successor.values()):
+                assert id(p) in shared, alg.relations
+            perfect += len(got.paths)
+        assert perfect >= 5000
 
     def test_paths_are_the_validated_paths(self):
         # perfect words and class cycles are built from the arrows' ends,
