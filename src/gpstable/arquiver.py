@@ -78,10 +78,12 @@ def ar_quiver(
     at a vertex whose mesh names it, so each arrow is read once.  A graded
     vertex is flagged incomplete when its translate or a middle term, or
     its inverse translate (the vertex whose mesh names this one as its
-    translate), falls outside the window.  Each vertex's sort key is
-    computed once, from the path ``windows[i-1][span-1]`` and the shift;
-    the ids are sorted by it, and the arrows and translates reach the
-    sorted order through one position per id.
+    translate), falls outside the window.  Each vertex's sort key is the
+    pair of ints (position, shift): the position of its path
+    ``windows[i-1][span-1]`` in ``PerfectPathSet.paths``, which the row
+    keeps and which is its ``Path.sort_key`` rank, and the shift (-1
+    ungraded).  The ids are sorted by it, and the arrows and translates
+    reach the sorted order through one position per id.
     """
     rows, keys, translate, inside, arrows, notes = [], [], [], [], [], []
     for dec, shifts in pieces:
@@ -99,7 +101,7 @@ def ar_quiver(
         # [i, span] at shift index x has id base + i·stride + span·width + x
         base = len(rows) - stride - width
         for i, row in enumerate(dec.windows, 1):
-            for span, p in enumerate(row, 1):
+            for span, (p, position) in enumerate(zip(row, row.positions), 1):
                 (ti, tspan, tdrop), middles = dec.mesh(i, span)
                 # each term's id at x = drop, and its drop; ungraded, none
                 tdrop *= graded
@@ -108,11 +110,11 @@ def ar_quiver(
                     (base + mi * stride + mspan * width - d * graded, d * graded)
                     for mi, mspan, d in middles
                 ]
-                key, bracket = p.sort_key(), (i, span)
+                bracket = (i, span)
                 for x, j in enumerate(js):
                     v = len(rows)
                     rows.append((p, j, bracket))
-                    keys.append(key + (-1 if j is None else j,))
+                    keys.append((position, -1 if j is None else j))
                     complete = x >= tdrop
                     translate.append(t + x if complete else None)
                     for mid, drop in mids:

@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import InternalConsistencyError, InputError, MonomialAlgebra, Path
-from .perfect import UnderlyingCycleClass
+from .perfect import UnderlyingCycleClass, _Located
 
 PREC = "prec"  # p below q iff p is a left divisor of q
 LEQ = "leq"  # p below q iff q is a right divisor of p
@@ -120,8 +120,10 @@ class CycleDecomposition:
     class member (the object itself) that realizes r_i .. r_{i+span-1}, for
     1 <= i <= n, 1 <= span <= m: row i is the set of perfect cuts of the
     relation r_i .. r_{i+m}, sorted by length (the prefix-order Hasse chain
-    above r_i, read bottom-up).  ``elementary`` holds the row tops and
-    ``coelementary`` the factors, each sorted by ``Path.sort_key``.
+    above r_i, read bottom-up); each row is a ``perfect._Located`` tuple,
+    which keeps the positions of its paths for the AR quiver's vertex
+    order.  ``elementary`` holds the row tops and ``coelementary`` the
+    factors, each sorted by ``Path.sort_key``.
 
     Unlike the other records it is a ``__slots__`` class, not a named tuple:
     every closed-form query reads its fields, and a slot is read faster
@@ -229,68 +231,87 @@ def decompose_cycle(
     lexicographically smallest; this pins down all bracket coordinates.
     The prefix-order Hasse chains are the same rows read top-down; they
     are an output view, and the oracle checks them against this grid.
+
+    All of it runs on the positions the class's members keep (a
+    :class:`~gpstable.perfect._Located` tuple): row i is the members that
+    cut relation i, in position order, which is cut order; the ring is
+    walked from each row's factor to its successor's position.  Since all
+    of a row cuts one relation, checking [i, i+s] = [i, i+s-1]·r is one
+    slice of that relation, of r's length, and the closing relation is the
+    relation's suffix after the row top.  The elementary and co-elementary
+    paths are sorted by position; ``successor`` is read only to check that
+    it maps the first onto the second.
     """
-    by_relation: dict[tuple[str, ...], list[Path]] = {}
-    for p in cls.members:
-        q = successor.get(p)
-        if q is None:
-            raise InternalConsistencyError(
-                f"perfect path {p} of class {cls.cycle} has no successor"
-            )
-        by_relation.setdefault(p.arrows + q.arrows, []).append(p)
-    rows = [tuple(sorted(row, key=Path.sort_key)) for row in by_relation.values()]
-    n, m = len(rows), len(rows[0])
-    if any(len(row) != m for row in rows):
+    members = cls.members
+    relation, cut, after = members.cuts
+    path = dict(zip(members.positions, members))
+    rows: dict[int, list[int]] = {}  # relation index -> positions, by cut
+    for x in members.positions:
+        rows.setdefault(relation[x], []).append(x)
+    n, m = len(rows), len(next(iter(rows.values())))
+    if any(len(row) != m for row in rows.values()):
         raise InternalConsistencyError(
             f"the rows of class {cls.cycle} (a row: the members that cut one "
             f"relation) differ in length"
         )
 
-    row_by_top = {row[-1]: row for row in rows}
-    ring = [rows[0]]
+    by_top = {row[-1]: i for i, row in rows.items()}
+    ring = [next(iter(rows))]
     for _ in range(n):
-        nxt = row_by_top.get(successor.get(ring[-1][0]))
+        bottom = rows[ring[-1]][0]
+        q = after[bottom]
+        if q is None:
+            raise InternalConsistencyError(
+                f"perfect path {path[bottom]} of class {cls.cycle} has no successor"
+            )
+        nxt = by_top.get(q)
         if nxt is None:
             raise InternalConsistencyError(
-                f"the successor of {ring[-1][0]} tops no row of class "
+                f"the successor of {path[bottom]} tops no row of class "
                 f"{cls.cycle} (a row: the members that cut one relation)"
             )
-        if nxt is rows[0]:
+        if nxt == ring[0]:
             break
         ring.append(nxt)
     if len(ring) != n:
         raise InternalConsistencyError(
             f"the co-elementary factors of class {cls.cycle} form no single cycle"
         )
-    word = tuple([a for row in ring for a in row[0].arrows])
-    cuts = (0, *itertools.accumulate(row[0].length for row in ring[:-1]))
+    bottoms = [path[rows[i][0]] for i in ring]
+    word = tuple([a for r in bottoms for a in r.arrows])
+    starts = (0, *itertools.accumulate(r.length for r in bottoms[:-1]))
     doubled = word + word
-    t = min(range(n), key=lambda k: doubled[cuts[k] : cuts[k] + len(word)])
-    windows = tuple(ring[t:] + ring[:t])
-    factors = tuple([row[0] for row in windows])
-    anchored = alg.quiver.path(word[cuts[t] :] + word[: cuts[t]])
+    t = min(range(n), key=lambda k: doubled[starts[k] : starts[k] + len(word)])
+    ring = ring[t:] + ring[:t]
+    factors = tuple(bottoms[t:] + bottoms[:t])
+    anchored = alg.quiver.path(word[starts[t] :] + word[: starts[t]])
 
-    for i, row in enumerate(windows):
+    words = alg.automaton.relations
+    for x, i in enumerate(ring):
+        row, w = rows[i], words[i]
         for s in range(1, m):
-            r = factors[(i + s) % n]
-            if row[s].arrows != row[s - 1].arrows + r.arrows:
+            r = factors[(x + s) % n]
+            if w[cut[row[s - 1]] : cut[row[s]]] != r.arrows:
                 raise InternalConsistencyError(
-                    f"bracket window [{i + 1},{i + s + 1}] = {row[s]} is not "
-                    f"{row[s - 1]} times {r}"
+                    f"bracket window [{x + 1},{x + s + 1}] = {path[row[s]]} is "
+                    f"not {path[row[s - 1]]} times {r}"
                 )
-        r = factors[(i + m) % n]
-        if row[-1].arrows + r.arrows not in alg.relation_words:
+        r = factors[(x + m) % n]
+        if w[cut[row[-1]] :] != r.arrows:
             raise InternalConsistencyError(
-                f"window [{i + 1},{i + 1 + m}] = "
-                f"{'.'.join(row[-1].arrows + r.arrows)} is not a minimal relation"
+                f"window [{x + 1},{x + 1 + m}] = "
+                f"{'.'.join(path[row[-1]].arrows + r.arrows)} is not a minimal relation"
             )
 
-    elementary = tuple(sorted((row[-1] for row in windows), key=Path.sort_key))
+    elementary = tuple([path[x] for x in sorted([rows[i][-1] for i in ring])])
     if {successor.get(x) for x in elementary} != set(factors):
         raise InternalConsistencyError(
             f"elementary/co-elementary bijection failed for {anchored}"
         )
 
+    windows = tuple([
+        _Located([path[x] for x in rows[i]], rows[i], members.cuts) for i in ring
+    ])
     return CycleDecomposition(
         cycle_class=cls,
         anchored_cycle=anchored,
@@ -300,7 +321,7 @@ def decompose_cycle(
         m=m,
         chain=windows[0],
         elementary=elementary,
-        coelementary=tuple(sorted(factors, key=Path.sort_key)),
+        coelementary=tuple([path[x] for x in sorted([rows[i][0] for i in ring])]),
         windows=windows,
         prefix_lengths=tuple([*itertools.accumulate([0] + [r.length for r in factors])]),
     )

@@ -28,9 +28,16 @@ N(n, n), O(|r|²) at worst, independent of the dimension of the algebra.
 A perfect path p = r[:k] is a proper prefix of a relation, so a state of
 the relation automaton; the map, its cycles and their order run on those
 integer states, ordered by the key (k, i) of relation i cut at k, and
-each perfect path is sliced from its relation once, at the end.  The
-oracle's word view of the map (:func:`_successor_words`) is read off the
-same cuts.
+each perfect path is sliced from its relation once, at the end.  Its
+rank by that key is its position in ``PerfectPathSet.paths``, and the
+enumeration keeps, per position, the relation index i, the cut k and the
+successor's position (:class:`_Cuts`).  The classes read only those: the
+successor cycles of one class are joined by the relations they cut (each
+relation is one row of the class's bracket grid), so a class is a
+component of a union-find over relation indices, and the primitive root
+and least rotation are taken once per class.  The decompositions and the
+AR quiver read the same positions.  The oracle's word view of the map
+(:func:`_successor_words`) is read off the same cuts.
 """
 
 from __future__ import annotations
@@ -99,6 +106,32 @@ def is_perfect_pair(alg: MonomialAlgebra, p: Path, q: Path) -> bool:
     if alg.is_zero(p) or alg.is_zero(q) or not alg.concat_zero(p, q):
         return False
     return right_annihilators(alg, p) == (q,) and left_annihilators(alg, q) == (p,)
+
+
+class _Cuts(NamedTuple):
+    """The successor map as :func:`enumerate_perfect_paths` ran it, by
+    position in ``PerfectPathSet.paths``: the perfect path at position x
+    is relation ``relation[x]`` of the forward automaton cut at
+    ``cut[x]``, and its successor sits at ``after[x]``."""
+
+    relation: tuple[int, ...]
+    cut: tuple[int, ...]
+    after: tuple[int, ...]
+
+
+class _Located(tuple):
+    """A tuple of perfect paths that knows where they sit: ``positions[j]``
+    is the position of its j-th path in ``PerfectPathSet.paths`` (their
+    ``Path.sort_key`` order) and ``cuts`` the :class:`_Cuts` of the set.
+    ``PerfectPathSet.paths``, the members of each class and the rows of
+    each decomposition's ``windows`` are such tuples; they compare, hash
+    and print as plain tuples."""
+
+    def __new__(cls, paths, positions, cuts: _Cuts):
+        self = super().__new__(cls, paths)
+        self.positions = positions
+        self.cuts = cuts
+        return self
 
 
 class PerfectPathSet(NamedTuple):
@@ -245,7 +278,9 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
 
     The minimal perfect path sequences are returned rotated to start at
     their smallest member and sorted by that member; the algebra is CM-free
-    exactly when the result is empty.
+    exactly when the result is empty.  ``paths`` is a :class:`_Located`
+    tuple: it keeps the relation, cut and successor of each position for
+    the classes and the decompositions.
     """
     states = alg.automaton.paths
     nrel = len(states)
@@ -260,20 +295,29 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     cycles = _cycles_of_partial_injection(sigma, rank.__getitem__)
     # the relation paths in the automaton's order, sorted by arrows
     relations = sorted(alg.relations, key=lambda r: r.arrows)
+    codes = sorted([rank[s] for c in cycles for s in c])
+    relation = tuple([code % nrel for code in codes])
+    cut = tuple([code // nrel for code in codes])
+    # a perfect state's position is its rank by key
+    position = {states[i][k]: x for x, (i, k) in enumerate(zip(relation, cut))}
+    if len(position) != len(codes):
+        raise InternalConsistencyError("successor cycles are not disjoint")
+    after = tuple([position[sigma[s]] for s in position])
     # one object per perfect path, shared by every structure built from
     # them, sliced from its relation
-    path = {}
-    for code in sorted([rank[s] for c in cycles for s in c]):
-        k, i = divmod(code, nrel)
-        r = relations[i]
-        path[states[i][k]] = Path(r.arrows[:k], r.vertices[: k + 1])
-    if len(path) != sum(map(len, cycles)):
-        raise InternalConsistencyError("successor cycles are not disjoint")
+    paths = _Located(
+        [
+            Path(r.arrows[:k], r.vertices[: k + 1])
+            for r, k in zip(map(relations.__getitem__, relation), cut)
+        ],
+        range(len(codes)),
+        _Cuts(relation, cut, after),
+    )
     return PerfectPathSet(
-        paths=tuple(path.values()),
-        sequences=tuple([tuple([path[s] for s in c]) for c in cycles]),
-        successor={p: path[sigma[s]] for s, p in path.items()},
-        cm_free=not path,
+        paths=paths,
+        sequences=tuple([tuple([paths[position[s]] for s in c]) for c in cycles]),
+        successor={p: paths[q] for p, q in zip(paths, after)},
+        cm_free=not paths,
     )
 
 
@@ -292,7 +336,8 @@ class UnderlyingCycleClass(NamedTuple):
     """An equivalence class of underlying cycles, up to rotation.
 
     ``cycle`` is the canonical representative (smallest rotation) and
-    ``members`` all perfect paths whose sequences wind around it.
+    ``members`` all perfect paths whose sequences wind around it, in
+    position order (``Path.sort_key`` order), as a :class:`_Located` tuple.
     """
 
     cycle: Path
@@ -302,22 +347,47 @@ class UnderlyingCycleClass(NamedTuple):
 def underlying_cycle_classes(
     alg: MonomialAlgebra, pset: PerfectPathSet
 ) -> tuple[UnderlyingCycleClass, ...]:
-    """Group the successor cycles by the least rotation of the primitive root
-    of their product, taken on arrow words; one path is built per class."""
-    grouped: dict[tuple[str, ...], list[Path]] = {}
-    for seq in pset.sequences:
-        word = tuple([a for p in seq for a in p.arrows])
+    """Group the successor cycles into the underlying-cycle classes.
+
+    Every perfect pair multiplies to a minimal relation, and the members
+    of a class that cut one relation are one row of its bracket grid
+    (:func:`~gpstable.orders.decompose_cycle`); the factor atop each row
+    has its successor in the next row, so the successor cycles of a class
+    are joined by the relations they cut, and those of different classes
+    cut none in common.  So a class is one component of a union-find over
+    relation indices that joins the relations each perfect path and its
+    successor cut.  Its members are sorted by position, and its cycle, the
+    least rotation of the primitive root of the product of the successor
+    cycle through its first member, is taken on arrow words once per class.
+    """
+    paths = pset.paths
+    relation, _, after = paths.cuts
+    parent = list(range(len(alg.automaton.relations)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, q in zip(relation, after):
+        parent[find(relation[q])] = find(i)
+    root = [find(i) for i in range(len(parent))]
+    grouped: dict[int, list[int]] = {}  # a root -> its class's positions
+    for p, i in enumerate(relation):
+        grouped.setdefault(root[i], []).append(p)
+    classes = []
+    for positions in grouped.values():
+        cycle = [positions[0]]
+        while (q := after[cycle[-1]]) != cycle[0]:
+            cycle.append(q)
+        word = tuple([a for p in cycle for a in paths[p].arrows])
         root = word[: _root_length(word)]
         s = _least_rotation(root)
-        # the successor cycles are disjoint
-        grouped.setdefault(root[s:] + root[:s], []).extend(seq)
-    return tuple([
-        UnderlyingCycleClass(
-            cycle=_word_path(alg, canon),
-            members=tuple(sorted(members, key=Path.sort_key)),
-        )
-        for canon, members in sorted(grouped.items(), key=lambda kv: _word_key(kv[0]))
-    ])
+        classes.append(UnderlyingCycleClass(
+            cycle=_word_path(alg, root[s:] + root[:s]),
+            members=_Located([paths[p] for p in positions], positions, paths.cuts),
+        ))
+    return tuple(sorted(classes, key=lambda c: _word_key(c.cycle.arrows)))
 
 
 class Overlap(NamedTuple):

@@ -15,7 +15,11 @@ prefix in step with the chain of its relation, O(|r|·L) per relation.  The
 word-keyed enumeration is the successor map before it ran on automaton
 states: it slices each perfect prefix and its successor as arrow words,
 keys the map and the cycle walk by them and sorts them twice by
-``(length, word)``.  The brute-force Hom,
+``(length, word)``.  The word-keyed classes and decomposition are those
+stages before they read the positions the enumeration keeps: they take
+the least rotation of every successor cycle's product, group each class's
+rows by the concatenated words ``p.arrows + q.arrows``, check each window
+by concatenating words and sort by ``Path.sort_key``.  The brute-force Hom,
 perfectness and module scans walk the whole basis for every pair, as the
 oracle did before it read the algebra's divisor index.  The subpath-closure
 scan tests every window of every basis path, and the overlap scan builds a
@@ -36,6 +40,7 @@ three classes of different m, live here too.
 """
 
 import importlib.util
+import itertools
 import random
 import sys
 from collections.abc import Iterable
@@ -55,8 +60,17 @@ from gpstable.algebra import (
 )
 from gpstable import oracle
 from gpstable.oracle import RANDOM_MAX_ATTEMPTS, random_algebra
-from gpstable.perfect import Overlap, PerfectPathSet, _unique_cuts, _word_key
-from gpstable.orders import PREC
+from gpstable.perfect import (
+    Overlap,
+    PerfectPathSet,
+    UnderlyingCycleClass,
+    _least_rotation,
+    _root_length,
+    _unique_cuts,
+    _word_key,
+    _word_path,
+)
+from gpstable.orders import PREC, CycleDecomposition
 
 ROOT = FilePath(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -442,6 +456,109 @@ def word_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
         sequences=tuple([tuple([path[w] for w in c]) for c in cycles]),
         successor={path[w]: path[sigma[w]] for w in words},
         cm_free=not words,
+    )
+
+
+def word_cycle_classes(alg: MonomialAlgebra, pset: PerfectPathSet):
+    """Group the successor cycles by the least rotation of the primitive root
+    of their product, taken on arrow words once per cycle; members sorted by
+    ``Path.sort_key``."""
+    grouped: dict[tuple[str, ...], list[Path]] = {}
+    for seq in pset.sequences:
+        word = tuple([a for p in seq for a in p.arrows])
+        root = word[: _root_length(word)]
+        s = _least_rotation(root)
+        # the successor cycles are disjoint
+        grouped.setdefault(root[s:] + root[:s], []).extend(seq)
+    return tuple([
+        UnderlyingCycleClass(
+            cycle=_word_path(alg, canon),
+            members=tuple(sorted(members, key=Path.sort_key)),
+        )
+        for canon, members in sorted(grouped.items(), key=lambda kv: _word_key(kv[0]))
+    ])
+
+
+def word_decompose_cycle(
+    alg: MonomialAlgebra, cls: UnderlyingCycleClass, successor: dict[Path, Path]
+) -> CycleDecomposition:
+    """The bracket grid of one class, with the rows grouped by the product
+    ``p.arrows + successor(p).arrows``, each check a concatenation of arrow
+    words, the closing relation looked up in ``relation_words`` and the
+    (co-)elementary paths sorted by ``Path.sort_key``."""
+    by_relation: dict[tuple[str, ...], list[Path]] = {}
+    for p in cls.members:
+        q = successor.get(p)
+        if q is None:
+            raise InternalConsistencyError(
+                f"perfect path {p} of class {cls.cycle} has no successor"
+            )
+        by_relation.setdefault(p.arrows + q.arrows, []).append(p)
+    rows = [tuple(sorted(row, key=Path.sort_key)) for row in by_relation.values()]
+    n, m = len(rows), len(rows[0])
+    if any(len(row) != m for row in rows):
+        raise InternalConsistencyError(
+            f"the rows of class {cls.cycle} (a row: the members that cut one "
+            f"relation) differ in length"
+        )
+
+    row_by_top = {row[-1]: row for row in rows}
+    ring = [rows[0]]
+    for _ in range(n):
+        nxt = row_by_top.get(successor.get(ring[-1][0]))
+        if nxt is None:
+            raise InternalConsistencyError(
+                f"the successor of {ring[-1][0]} tops no row of class "
+                f"{cls.cycle} (a row: the members that cut one relation)"
+            )
+        if nxt is rows[0]:
+            break
+        ring.append(nxt)
+    if len(ring) != n:
+        raise InternalConsistencyError(
+            f"the co-elementary factors of class {cls.cycle} form no single cycle"
+        )
+    word = tuple([a for row in ring for a in row[0].arrows])
+    cuts = (0, *itertools.accumulate(row[0].length for row in ring[:-1]))
+    doubled = word + word
+    t = min(range(n), key=lambda k: doubled[cuts[k] : cuts[k] + len(word)])
+    windows = tuple(ring[t:] + ring[:t])
+    factors = tuple([row[0] for row in windows])
+    anchored = alg.quiver.path(word[cuts[t] :] + word[: cuts[t]])
+
+    for i, row in enumerate(windows):
+        for s in range(1, m):
+            r = factors[(i + s) % n]
+            if row[s].arrows != row[s - 1].arrows + r.arrows:
+                raise InternalConsistencyError(
+                    f"bracket window [{i + 1},{i + s + 1}] = {row[s]} is not "
+                    f"{row[s - 1]} times {r}"
+                )
+        r = factors[(i + m) % n]
+        if row[-1].arrows + r.arrows not in alg.relation_words:
+            raise InternalConsistencyError(
+                f"window [{i + 1},{i + 1 + m}] = "
+                f"{'.'.join(row[-1].arrows + r.arrows)} is not a minimal relation"
+            )
+
+    elementary = tuple(sorted((row[-1] for row in windows), key=Path.sort_key))
+    if {successor.get(x) for x in elementary} != set(factors):
+        raise InternalConsistencyError(
+            f"elementary/co-elementary bijection failed for {anchored}"
+        )
+
+    return CycleDecomposition(
+        cycle_class=cls,
+        anchored_cycle=anchored,
+        factors=factors,
+        size=n,
+        arrow_length=anchored.length,
+        m=m,
+        chain=windows[0],
+        elementary=elementary,
+        coelementary=tuple(sorted(factors, key=Path.sort_key)),
+        windows=windows,
+        prefix_lengths=tuple([*itertools.accumulate([0] + [r.length for r in factors])]),
     )
 
 

@@ -14,21 +14,25 @@ from gpstable.algebra import (
 )
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_factorizations
+from gpstable.arquiver import full_ungraded_ar_quiver, graded_ar_window
 from gpstable.orders import (
     LEQ,
     PREC,
+    CycleDecomposition,
     classify_elementary,
     cycle_predicates,
     decompose_cycle,
     hasse_quiver,
 )
-from gpstable.perfect import enumerate_perfect_paths
+from gpstable.perfect import _Located, enumerate_perfect_paths
 from reference_scan import (
     FIXTURES,
     equivalence_algebras,
     reduction_hasse_arrows,
     rotation,
     trie_algebras,
+    word_cycle_classes,
+    word_decompose_cycle,
 )
 
 
@@ -477,48 +481,137 @@ class TestCyclePredicates:
             assert preds.relation_length == m + 1
 
 
+class TestWordKeyedReference:
+    """The classes, decompositions and AR vertex orders that read perfect-
+    path positions against the word-keyed forms they replaced."""
+
+    def test_on_trie_algebras(self):
+        classes = shared = powers = rotated = tall = 0
+        for alg in trie_algebras():
+            an = Analysis(alg)
+            pset = an.perfect
+            got = [(c.cycle, c.members) for c in an.classes]
+            assert got == list(word_cycle_classes(alg, pset)), alg.relations
+            for cls, dec in zip(an.classes, an.decompositions):
+                ref = word_decompose_cycle(alg, cls, pset.successor)
+                for slot in CycleDecomposition.__slots__:
+                    assert getattr(dec, slot) == getattr(ref, slot), (slot, alg.relations)
+                members = set(cls.members)
+                seqs = [seq for seq in pset.sequences if seq[0] in members]
+                # a class is the disjoint union of whole successor cycles
+                assert sum(map(len, seqs)) == len(members)
+                shared += len(seqs) > 1
+                for seq in seqs:
+                    word = tuple(a for p in seq for a in p.arrows)
+                    powers += len(word) > cls.cycle.length
+                    rotated += word[: cls.cycle.length] != cls.cycle.arrows
+                tall += dec.m > 1
+                window = graded_ar_window(an, dec, -1, 1).vertices
+                keys = [(v.path.sort_key(), v.shift) for v in window]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            classes += len(got)
+            keys = [v.path.sort_key() for v in full_ungraded_ar_quiver(an).vertices]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        # the family reaches proper powers, rotations off the first arrow,
+        # classes shared by several successor cycles and m_c > 1; measured:
+        # 1079 classes, 332 shared, 966 powers, 192 rotated, 595 with m_c > 1
+        assert classes >= 1000 and powers >= 900 and rotated >= 150
+        assert shared >= 300 and tall >= 500
+
+
+def planted(cls, **cuts):
+    """``cls`` with some of its members' cut data replaced: the relation,
+    cut and successor positions that ``decompose_cycle`` reads."""
+    members = cls.members
+    located = _Located(members, members.positions, members.cuts._replace(**cuts))
+    return cls._replace(members=located)
+
+
+def plant_relation(alg, word):
+    """Read the one relation of ``alg`` as ``word``."""
+    alg.automaton = alg.automaton._replace(relations=(tuple(word.split(".")),))
+
+
 def test_decompose_names_a_closing_window_that_is_no_relation():
+    # loop(2) has one row, x and x.x, cutting x.x.x; read as x.x.y, the
+    # relation continues its top x.x by y, not by the factor x
     an = Analysis(fixtures.loop(2))
     (cls,), successor = an.classes, an.perfect.successor
-    alg = an.algebra
-    alg.relation_words = frozenset()  # no relation left to close a row
+    plant_relation(an.algebra, "x.x.y")
     with pytest.raises(InternalConsistencyError, match=r"= x\.x\.x is not a minimal"):
-        decompose_cycle(alg, cls, successor)
-
-
-def test_decompose_names_a_member_without_successor():
-    # a broken pair map is an internal error that names the member, never
-    # a KeyError traceback
-    an = Analysis(fixtures.loop(2))
-    (cls,) = an.classes
-    successor = dict(an.perfect.successor)
-    del successor[pp(an, "x.x")]
-    with pytest.raises(InternalConsistencyError, match=r"x\.x of class .* no successor"):
         decompose_cycle(an.algebra, cls, successor)
 
 
+def test_decompose_names_a_member_without_successor():
+    # a broken successor position is an internal error that names the
+    # member, never a TypeError traceback
+    an = Analysis(fixtures.loop(2))
+    (cls,) = an.classes
+    assert [str(p) for p in cls.members] == ["x", "x.x"]
+    cls = planted(cls, after=(None, 1))
+    with pytest.raises(InternalConsistencyError, match=r"path x of class x has no successor"):
+        decompose_cycle(an.algebra, cls, an.perfect.successor)
+
+
 def test_decompose_names_rows_of_unequal_length():
-    # pair x with x, no perfect pair of loop(3): x alone cuts x.x, while
+    # x read as a cut of a second relation: it alone makes one row, while
     # x.x and x.x.x still cut x.x.x.x
     an = Analysis(fixtures.loop(3))
     (cls,) = an.classes
-    successor = {**an.perfect.successor, pp(an, "x"): pp(an, "x")}
+    assert [str(p) for p in cls.members] == ["x", "x.x", "x.x.x"]
+    cls = planted(cls, relation=(1, 0, 0))
     with pytest.raises(
         InternalConsistencyError,
         match=r"rows of class x \(a row: the members that cut one relation\) differ",
     ):
-        decompose_cycle(an.algebra, cls, successor)
+        decompose_cycle(an.algebra, cls, an.perfect.successor)
 
 
 def test_decompose_names_a_successor_that_tops_no_row():
-    # pair x with x.x.x, no member of loop(2): no row of the class has it
-    # as its top
+    # the successor of the factor x read as x itself, the bottom of the
+    # row, not its top x.x
     an = Analysis(fixtures.loop(2))
     (cls,) = an.classes
-    x_cubed = an.algebra.quiver.path(["x"] * 3)
-    successor = {**an.perfect.successor, pp(an, "x"): x_cubed}
+    cls = planted(cls, after=(0, 1))
     with pytest.raises(
-        InternalConsistencyError, match=r"successor of x(\.x)? tops no row of class x"
+        InternalConsistencyError, match=r"successor of x tops no row of class x"
+    ):
+        decompose_cycle(an.algebra, cls, an.perfect.successor)
+
+
+def test_decompose_names_factors_that_form_no_single_cycle():
+    # N(2, 1) has the rows {a1} and {a2}; with a1 its own successor the
+    # ring closes after one row
+    an = Analysis(fixtures.nakayama(2, 1))
+    (cls,) = an.classes
+    assert [str(p) for p in cls.members] == ["a1", "a2"]
+    cls = planted(cls, after=(0, 1))
+    with pytest.raises(
+        InternalConsistencyError, match=r"factors of class a1\.a2 form no single cycle"
+    ):
+        decompose_cycle(an.algebra, cls, an.perfect.successor)
+
+
+def test_decompose_names_a_window_that_is_no_product():
+    # read as x.y.x, the relation runs from x to x.x by y, not by the
+    # factor x
+    an = Analysis(fixtures.loop(2))
+    (cls,), successor = an.classes, an.perfect.successor
+    plant_relation(an.algebra, "x.y.x")
+    with pytest.raises(
+        InternalConsistencyError, match=r"bracket window \[1,2\] = x\.x is not x times x"
+    ):
+        decompose_cycle(an.algebra, cls, successor)
+
+
+def test_decompose_names_a_broken_elementary_bijection():
+    # the successor map sends the row top x.x to itself, not to the
+    # factor x
+    an = Analysis(fixtures.loop(2))
+    (cls,) = an.classes
+    successor = {**an.perfect.successor, pp(an, "x.x"): pp(an, "x.x")}
+    with pytest.raises(
+        InternalConsistencyError, match=r"elementary/co-elementary bijection failed for x$"
     ):
         decompose_cycle(an.algebra, cls, successor)
 
