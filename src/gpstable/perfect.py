@@ -351,10 +351,10 @@ def underlying_cycle_classes(
 
     Every perfect pair multiplies to a minimal relation, and the members
     of a class that cut one relation are one row of its bracket grid
-    (:func:`~gpstable.orders.decompose_cycle`); the factor atop each row
-    has its successor in the next row, so the successor cycles of a class
-    are joined by the relations they cut, and those of different classes
-    cut none in common.  So a class is one component of a union-find over
+    (:func:`~gpstable.orders.decompose_cycle`); the factor at the bottom
+    of each row has its successor atop the next row, so the successor
+    cycles of a class are joined by the relations they cut, and those of
+    different classes cut none in common.  So a class is one component of a union-find over
     relation indices that joins the relations each perfect path and its
     successor cut.  Its members are sorted by position, and its cycle, the
     least rotation of the primitive root of the product of the successor
