@@ -8,20 +8,24 @@ The documents are the ``oracle-battery`` workload's for that seed, built
 by ``OracleBattery.setup`` in ``perfbench/workloads.py``, which is loaded
 read-only by ``tests/reference_scan.py``'s loader.  Each of ``ROUNDS``
 rounds parses every document and runs ``verify_algebra`` on it;
-``oracle.CheckResult`` is wrapped for the run, so nothing under
-``src/`` changes, and each row is charged the time since the row before
-it, the first row the time since ``verify_algebra`` began.  A row so
-carries any table built before it: ``perfect-pairs-match-bruteforce`` the
-pipeline stages and the perfect-pair scan, ``no-overlap-between-coelementary``
-the overlap table, ``graded-hom-closed-form-vs-oracle`` the brute-force
-Hom table.  Rows judged in one loop share one figure, printed on one line
-with their names joined by `` / ``: ``overlap-implies-same-class`` with
-``overlap-intersection-paths-perfect``, and
+``oracle.CheckResult`` and the three brute-force tables of ``TABLES`` are
+wrapped for the run, so nothing under ``src/`` changes.  Each row is
+charged the time since the row before it, the first row the time since
+``verify_algebra`` began, less the time of any table built in between:
+a table gets its own line, just before the row that first reads it
+(``bf_perfect_pairs`` before ``perfect-pairs-match-bruteforce``, which
+still carries the pipeline stages, ``bf_overlap_table`` before
+``no-overlap-between-coelementary`` and ``bf_stable_hom_table`` before
+``graded-hom-closed-form-vs-oracle``), its name followed by
+``(table)``.  Rows judged in one loop share one figure, printed on one
+line with their names joined by `` / ``: ``overlap-implies-same-class``
+with ``overlap-intersection-paths-perfect``, and
 ``graded-hom-closed-form-vs-oracle`` with ``ungraded-hom-shift-sum``.
 A row checked once per class sums over its classes.  Prints one line per
-row, in battery order, with its mean microseconds per operation (one
-document: parse plus battery), then the parse time and the whole
-operation; a measurement on one machine, to compare two commits.
+row and table, in battery order, with its mean microseconds per
+operation (one document: parse plus battery), then the parse time and
+the whole operation; a measurement on one machine, to compare two
+commits.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ SHARED = {
     "ungraded-hom-shift-sum": "graded-hom-closed-form-vs-oracle",
 }
 
+# the brute-force tables verify_algebra builds once per algebra, each
+# timed on a line of its own
+TABLES = ("bf_perfect_pairs", "bf_overlap_table", "bf_stable_hom_table")
+TABLE = " (table)"
+
 
 def benchmark_documents(seed: int) -> list[str]:
     """The ``oracle-battery`` documents of ``seed``, as JSON texts."""
@@ -57,8 +66,10 @@ def benchmark_documents(seed: int) -> list[str]:
 
 def row_times(documents: list[str], rounds: int) -> tuple[dict[str, float], float]:
     """({row: seconds}, parse seconds), summed over ``rounds`` passes over
-    ``documents``; rows in battery order, shared rows folded."""
+    ``documents``; rows and tables in battery order, shared rows folded,
+    each table's time taken out of the row that first reads it."""
     real = oracle.CheckResult
+    real_tables = {name: getattr(oracle, name) for name in TABLES}
     rows: dict[str, float] = {}
     last = [0.0]
 
@@ -69,8 +80,23 @@ def row_times(documents: list[str], rounds: int) -> tuple[dict[str, float], floa
         last[0] = time.perf_counter()
         return real(name, ok, detail)
 
+    def timed_table(name):
+        build = real_tables[name]
+
+        def built(*args):
+            start = time.perf_counter()
+            table = build(*args)
+            spent = time.perf_counter() - start
+            rows[name + TABLE] = rows.get(name + TABLE, 0.0) + spent
+            last[0] += spent  # not charged to the row that reads the table
+            return table
+
+        return built
+
     parse = 0.0
     oracle.CheckResult = timed
+    for name in TABLES:
+        setattr(oracle, name, timed_table(name))
     try:
         for _ in range(rounds):
             for text in documents:
@@ -81,12 +107,14 @@ def row_times(documents: list[str], rounds: int) -> tuple[dict[str, float], floa
                 oracle.verify_algebra(alg)
     finally:
         oracle.CheckResult = real
+        for name, build in real_tables.items():
+            setattr(oracle, name, build)
     return rows, parse
 
 
 def report(documents: list[str], rounds: int) -> list[str]:
-    """One line per row, then parse and the whole operation, each with its
-    mean microseconds per operation."""
+    """One line per row and table, then parse and the whole operation,
+    each with its mean microseconds per operation."""
     rows, parse = row_times(documents, rounds)
     ops = rounds * len(documents)
     joined = {first: f"{first} / {later}" for later, first in SHARED.items()}

@@ -14,7 +14,6 @@ from pathlib import Path as FilePath
 from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_path_string
 from .analysis import Analysis
 from .arquiver import ar_quiver, dump_json, emit, full_ungraded_ar_quiver
-from .oracle import verify_suite
 from .orders import hasse_quiver
 from .stable import StableObject, classify, graded_stable_hom, ungraded_stable_hom
 
@@ -205,6 +204,8 @@ def _cmd_ar_quiver(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import verify_suite  # the other commands never load the oracle
+
     if args.random < 0:
         raise InputError(f"--random must be non-negative, got {args.random}")
     an = _load(args.file)

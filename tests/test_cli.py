@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gpstable
 from gpstable.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -176,11 +179,11 @@ class TestVerify:
         assert err == "error: --random must be non-negative, got -2\n"
 
     def test_failure_exits_2(self, capsys, monkeypatch):
-        import gpstable.cli as cli
+        import gpstable.oracle as oracle
         from gpstable.oracle import CheckResult
 
         monkeypatch.setattr(
-            cli,
+            oracle,
             "verify_suite",
             lambda alg, random_count, seed: [
                 ("input", [CheckResult("forced", False, "injected failure")])
@@ -218,6 +221,23 @@ class TestVerify:
         }
         assert all(c["ok"] for c in data[0]["checks"][:-1])
         assert all(len(t["checks"]) >= 3 for t in data[1:])
+
+    def test_other_commands_leave_the_oracle_unloaded(self):
+        # A fresh interpreter: this one has long imported the oracle.
+        src = str(Path(gpstable.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; sys.path.insert(0, sys.argv[1]); import gpstable.cli;"
+                " print('gpstable.oracle' in sys.modules)",
+                src,
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert child.stdout == "False\n"
 
 
 class TestErrors:

@@ -209,6 +209,26 @@ class TestBatteryWork:
             bf_overlap_table=1, bf_stable_hom_table=1, ungraded_stable_hom=n
         )
 
+    @pytest.mark.parametrize("make", [STAR, NAK33], ids=["lambda_star", "N(3,3)"])
+    def test_every_graded_piece_is_asked(self, make, monkeypatch):
+        alg = make()
+        asked = Counter()
+        real = oracle.graded_stable_hom
+
+        def counted(an, source, target):
+            asked[source.path, target.path, target.shift] += 1
+            return real(an, source, target)
+
+        monkeypatch.setattr(oracle, "graded_stable_hom", counted)
+        assert all(c.ok for c in verify_algebra(alg))
+        paths = Analysis(alg).perfect.paths
+        # shifts -2 ... l(q)+1 of every pair, each once, whatever the pieces
+        # are: skipping a comparison must never skip a closed-form call
+        assert sum(asked.values()) == len(paths) * sum(q.length + 4 for q in paths)
+        assert asked == Counter(
+            (p, q, k) for p in paths for q in paths for k in range(-2, q.length + 2)
+        )
+
     def test_zero_tests_only_on_composable_pairs(self, monkeypatch):
         scan = watch_scan(monkeypatch)
         for make in (STAR, NAK33):
