@@ -6,8 +6,12 @@ Usage::
 
 The documents are the ``oracle-battery`` workload's for that seed, built
 by ``OracleBattery.setup`` in ``perfbench/workloads.py``, which is loaded
-read-only by ``tests/reference_scan.py``'s loader.  Each of ``ROUNDS``
-rounds parses every document and runs ``verify_algebra`` on it;
+read-only by ``tests/reference_scan.py``'s loader, which also loads
+``calibrate`` and ``speed_factor`` from ``perfbench/run.py``.  Each of
+``ROUNDS`` rounds parses every document and runs ``verify_algebra`` on it,
+between two runs of the benchmark's calibration loop, and the round's
+times are scaled by ``speed_factor`` of the two to the benchmark's nominal
+machine speed, as ``perfbench/run.py`` scales each operation;
 ``oracle.CheckResult`` and the three brute-force tables of ``TABLES`` are
 wrapped for the run, so nothing under ``src/`` changes.  Each row is
 charged the time since the row before it, the first row the time since
@@ -22,15 +26,16 @@ line with their names joined by `` / ``: ``overlap-implies-same-class``
 with ``overlap-intersection-paths-perfect``, and
 ``graded-hom-closed-form-vs-oracle`` with ``ungraded-hom-shift-sum``.
 A row checked once per class sums over its classes.  Prints one line per
-row and table, in battery order, with its mean microseconds per
-operation (one document: parse plus battery), then the parse time and
-the whole operation; a measurement on one machine, to compare two
-commits.
+row and table, in battery order, with its microseconds per operation (one
+document: parse plus battery), then the parse time and the whole
+operation: each the median over rounds of the round's mean per operation
+at nominal speed, to compare two commits on one machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,10 +69,14 @@ def benchmark_documents(seed: int) -> list[str]:
     return [item.text for item in workloads.OracleBattery.setup(gpstable, seed).items]
 
 
-def row_times(documents: list[str], rounds: int) -> tuple[dict[str, float], float]:
-    """({row: seconds}, parse seconds), summed over ``rounds`` passes over
-    ``documents``; rows and tables in battery order, shared rows folded,
-    each table's time taken out of the row that first reads it."""
+def row_times(
+    documents: list[str], rounds: int
+) -> tuple[dict[str, list[float]], list[float]]:
+    """({row: seconds per round}, parse seconds per round) over ``rounds``
+    passes over ``documents``, each at nominal speed; rows and tables in
+    battery order, shared rows folded, each table's time taken out of the
+    row that first reads it."""
+    run = _perfbench_module("run")
     real = oracle.CheckResult
     real_tables = {name: getattr(oracle, name) for name in TABLES}
     rows: dict[str, float] = {}
@@ -93,34 +102,46 @@ def row_times(documents: list[str], rounds: int) -> tuple[dict[str, float], floa
 
         return built
 
-    parse = 0.0
+    per_round: dict[str, list[float]] = {}
+    parses = []
     oracle.CheckResult = timed
     for name in TABLES:
         setattr(oracle, name, timed_table(name))
     try:
         for _ in range(rounds):
+            rows.clear()
+            parse = 0.0
+            before = run.calibrate()
             for text in documents:
                 start = time.perf_counter()
                 alg = gpstable.parse_algebra(text)
                 last[0] = time.perf_counter()
                 parse += last[0] - start
                 oracle.verify_algebra(alg)
+            factor = run.speed_factor(before, run.calibrate())
+            for name, t in rows.items():
+                per_round.setdefault(name, []).append(t * factor)
+            parses.append(parse * factor)
     finally:
         oracle.CheckResult = real
         for name, build in real_tables.items():
             setattr(oracle, name, build)
-    return rows, parse
+    return per_round, parses
 
 
 def report(documents: list[str], rounds: int) -> list[str]:
     """One line per row and table, then parse and the whole operation,
-    each with its mean microseconds per operation."""
-    rows, parse = row_times(documents, rounds)
-    ops = rounds * len(documents)
+    each with the median over rounds of its microseconds per operation."""
+    rows, parses = row_times(documents, rounds)
+    wholes = [sum(ts) for ts in zip(parses, *rows.values())]
+    per_op = 1e6 / len(documents)
     joined = {first: f"{first} / {later}" for later, first in SHARED.items()}
-    lines = [f"{1e6 * t / ops:9.1f}  {joined.get(name, name)}" for name, t in rows.items()]
-    lines.append(f"{1e6 * parse / ops:9.1f}  parse")
-    lines.append(f"{1e6 * (parse + sum(rows.values())) / ops:9.1f}  whole operation")
+    lines = [
+        f"{per_op * statistics.median(ts):9.1f}  {joined.get(name, name)}"
+        for name, ts in rows.items()
+    ]
+    lines.append(f"{per_op * statistics.median(parses):9.1f}  parse")
+    lines.append(f"{per_op * statistics.median(wholes):9.1f}  whole operation")
     return lines
 
 
@@ -129,7 +150,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     documents = benchmark_documents(args.seed)
-    print(f"seed {args.seed}: {len(documents)} documents x {ROUNDS} rounds, us per operation")
+    print(
+        f"seed {args.seed}: {len(documents)} documents x {ROUNDS} rounds, "
+        "median us per operation at nominal speed"
+    )
     print("\n".join(report(documents, ROUNDS)))
     return 0
 

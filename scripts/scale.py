@@ -36,7 +36,15 @@ every perfect path (P calls, no ``StableObject`` built by the caller), and
 output-only stages follow: ``ar_quiver`` builds the ungraded AR
 quiver of every class (``full_ungraded_ar_quiver``), ``ar_quiver_json``
 emits it with ``emit(..., "json")`` and ``ar_quiver_dot`` with
-``emit(..., "dot")``.
+``emit(..., "dot")``.  Then ``graded_ar_window`` builds the graded AR
+quiver of every class over shifts [-2, 2] with ``ar_quiver``, the pieces
+that ``ar-quiver --graded --window 2`` builds (no benchmark workload runs
+the graded builder), and ``graded_ar_window_json`` emits it as JSON, on
+N(60, 60) and N(120, 120) only.  The CLI's default window, [-l(c), l(c)],
+would hold n²(2n + 1) vertices on N(n, n), and its build and JSON took
+1.3 GB on N(60, 60) alone; the JSON of the [-2, 2] window of N(240, 240)
+repeats a 240-arrow vertex id about seven times per vertex, and took the
+process to 2.6 GB.
 After the two Nakayama lines comes one for the wide tail W(17, 2; 3, 3)
 (a chain of 18 vertices with 2 parallel arrows per step, beside N(3, 3);
 524 280 non-zero paths): its ``parse`` time and ``analyze_summary``, the
@@ -62,7 +70,7 @@ from time import perf_counter
 from gpstable import fixtures
 from gpstable.algebra import parse_algebra
 from gpstable.analysis import Analysis
-from gpstable.arquiver import emit, full_ungraded_ar_quiver
+from gpstable.arquiver import ar_quiver, emit, full_ungraded_ar_quiver
 from gpstable.cli import _analysis_summary
 from gpstable.stable import (
     StableObject,
@@ -74,6 +82,10 @@ from gpstable.stable import (
 NAKAYAMA = (60, 120, 240)
 # the graded Hom sweep runs on N(60, 60) and N(120, 120), not N(240, 240)
 GRADED_SWEEP_MAX_PATHS = 120 * 120
+# the graded AR window is [-2, 2], and its JSON is emitted on N(60, 60)
+# and N(120, 120), not N(240, 240): see the docstring
+GRADED_WINDOW = 2
+GRADED_JSON_MAX_PATHS = 120 * 120
 WIDE_TAIL = (17, 2, 3, 3)
 IMPORT_TIMER = (
     "from time import perf_counter\n"
@@ -168,7 +180,23 @@ def run_once(doc: dict) -> tuple[dict[str, float], Analysis]:
     t0 = perf_counter()
     emit(quiver, "dot")
     times["ar_quiver_dot"] = perf_counter() - t0
+    del quiver
+    graded_window(an, times)
     return times, an
+
+
+def graded_window(an: Analysis, times: dict) -> None:
+    """Build the graded AR quiver that ``ar-quiver --graded --window 2``
+    builds, every class over shifts [-2, 2], and emit it as JSON up to
+    ``GRADED_JSON_MAX_PATHS`` perfect paths."""
+    pieces = [(dec, range(-GRADED_WINDOW, GRADED_WINDOW + 1)) for dec in an.decompositions]
+    t0 = perf_counter()
+    window = ar_quiver(pieces)
+    times["graded_ar_window"] = perf_counter() - t0
+    if len(an.perfect.paths) <= GRADED_JSON_MAX_PATHS:
+        t0 = perf_counter()
+        emit(window, "json")
+        times["graded_ar_window_json"] = perf_counter() - t0
 
 
 def graded_hom_sweep(an: Analysis, times: dict) -> int:

@@ -181,11 +181,14 @@ class CycleDecomposition:
         Every term is an ``(i', span', drop)`` triple naming the object
         [i', span'](j - drop), with i' in 1..|c|.  The translate is
         [i+1, span](j - l(r_i)); the middle terms are [i+1, span-1](j -
-        l(r_i)) when span > 1 and [i, span+1](j) when span < m.  This is
-        the one statement of the AR rule: the triangles, both translates
-        and the AR quivers read it.
+        l(r_i)) when span > 1 and [i, span+1](j) when span < m, for i in
+        1..|c|.  The drop l(r_i) is read off the partial sums,
+        ``prefix_lengths[i] - prefix_lengths[i-1]``.  This is the one
+        statement of the AR rule: the triangles, both translates and both
+        AR quiver builders read it.
         """
-        nxt, drop = i % self.size + 1, self.factor_length(i)
+        lengths = self.prefix_lengths
+        nxt, drop = i % self.size + 1, lengths[i] - lengths[i - 1]
         middles = ((nxt, span - 1, drop),) if span > 1 else ()
         if span < self.m:
             middles += ((i, span + 1, 0),)

@@ -295,16 +295,31 @@ def piece_lists(an):
     return out
 
 
+def build(an, pieces):
+    """The library's quiver of ``pieces``: ``ar_quiver`` for graded windows,
+    else ``full_ungraded_ar_quiver`` for every class and
+    ``ungraded_ar_quiver`` for one."""
+    if pieces[0][1] is not None:
+        return ar_quiver(pieces)
+    assert all(shifts is None for _, shifts in pieces)
+    decs = [dec for dec, _ in pieces]
+    if decs == list(an.decompositions):
+        return full_ungraded_ar_quiver(an)
+    (dec,) = decs
+    return ungraded_ar_quiver(an, dec)
+
+
 class TestCoordinateBuilder:
-    """``ar_quiver`` reads each vertex's translate and middle terms off its
-    bracket coordinates; ``reference_ar.quiver_from_triangles`` builds the
-    same quiver from every vertex's ``ar_triangle``."""
+    """``ar_quiver`` and the ungraded builder read each vertex's translate
+    and middle terms off its bracket coordinates;
+    ``reference_ar.quiver_from_triangles`` builds the same quiver from every
+    vertex's ``ar_triangle``."""
 
     def test_equals_the_triangle_builder(self, coordinate_family):
         quivers = period_one = multi = 0
         for an in coordinate_family:
             for pieces in piece_lists(an):
-                got = ar_quiver(pieces)
+                got = build(an, pieces)
                 assert got == quiver_from_triangles(an, pieces), (
                     an.algebra.relations,
                     [(dec.cycle_class.cycle, shifts) for dec, shifts in pieces],
@@ -325,11 +340,27 @@ class TestCoordinateBuilder:
         an = Analysis(make())
         (dec,) = an.decompositions
         for shifts in (None, range(-3, 4)):
-            tq = ar_quiver([(dec, shifts)])
+            tq = build(an, [(dec, shifts)])
             assert tq == quiver_from_triangles(an, [(dec, shifts)])
         tq = ungraded_ar_quiver(an, dec)
         assert tq.tau == tuple((n, n) for n in range(dec.m))
         assert len(tq.arrows) == 2 * (dec.m - 1)
+
+    def test_ungraded_vertex_numbering(self, coordinate_family):
+        # vertex n of the full quiver is perfect path n, that of one class
+        # its n-th member; every vertex is complete and tau permutes them
+        for an in coordinate_family:
+            full = full_ungraded_ar_quiver(an)
+            assert len(full.vertices) == len(an.perfect.paths)
+            assert all(v.path is p for v, p in zip(full.vertices, an.perfect.paths))
+            ones = [ungraded_ar_quiver(an, dec) for dec in an.decompositions]
+            for dec, one in zip(an.decompositions, ones):
+                assert [v.path for v in one.vertices] == list(dec.members)
+            for quiver in (full, *ones):
+                ids = range(len(quiver.vertices))
+                assert not any(v.incomplete for v in quiver.vertices)
+                assert [a for a, _ in quiver.tau] == list(ids)
+                assert sorted(b for _, b in quiver.tau) == list(ids)
 
     @pytest.fixture
     def no_stable_objects(self, monkeypatch):
@@ -513,19 +544,22 @@ def _translate_at_i(dec, i, span):
 
 class TestOneRule:
     """``CycleDecomposition.mesh`` is the one statement of the AR rule: a
-    mutant of it changes both the triangles and the AR quiver, and each
-    then disagrees with the path-keyed references."""
+    mutant of it changes the triangles and both AR quiver builders, and
+    each then disagrees with the path-keyed references.  The ungraded
+    quiver has no shifts, so a mutant of the drop alone leaves it as it is."""
 
     @pytest.mark.parametrize(
-        "mutant",
-        [_middle_from_i, _drop_of_next, _translate_at_i],
+        "mutant, moves_ungraded",
+        [(_middle_from_i, True), (_drop_of_next, False), (_translate_at_i, True)],
         ids=["middle-index", "drop", "translate-index"],
     )
-    def test_mutant_changes_both(self, star_an, monkeypatch, mutant):
+    def test_mutant_changes_both(self, star_an, monkeypatch, mutant, moves_ungraded):
         objs = [StableObject(p, s) for p in star_an.perfect.paths for s in (-1, 0, 2)]
         pieces = [(dec, range(-3, 4)) for dec in star_an.decompositions]
+        ungraded_pieces = [(dec, None) for dec in star_an.decompositions]
         triangles = [ar_triangle(star_an, x) for x in objs]
         quiver = ar_quiver(pieces)
+        ungraded = full_ungraded_ar_quiver(star_an)
         monkeypatch.setattr(CycleDecomposition, "mesh", mutant)
         mutated = [ar_triangle(star_an, x) for x in objs]
         assert mutated != triangles
@@ -533,6 +567,12 @@ class TestOneRule:
         mutated_quiver = ar_quiver(pieces)
         assert mutated_quiver != quiver
         assert mutated_quiver != quiver_from_triangles(star_an, pieces)
+        mutated_ungraded = full_ungraded_ar_quiver(star_an)
+        if moves_ungraded:
+            assert mutated_ungraded != ungraded
+            assert mutated_ungraded != quiver_from_triangles(star_an, ungraded_pieces)
+        else:
+            assert mutated_ungraded == ungraded
 
     def test_translates_read_the_mesh(self, star_an, monkeypatch):
         x = StableObject(star_an.perfect.paths[0], 0)
