@@ -128,7 +128,7 @@ class Path(NamedTuple):
         )
 
     def __str__(self) -> str:
-        if self.is_trivial:
+        if not self.arrows:
             return f"e({self.source})"
         return ".".join(self.arrows)
 
@@ -486,13 +486,15 @@ class MonomialAlgebra:
     def opposite_automaton(self) -> RelationAutomaton:
         """The automaton of the opposite algebra (arrows and relations
         reversed) on the arrows that relations use; built on first use,
-        from the reversed arrows alone, with no opposite ``Quiver``."""
-        q = self.quiver
+        from the reversed arrows alone, with no opposite ``Quiver``.  The
+        reversed arrows and relations reverse validated ones, so they skip
+        the generated ``NamedTuple`` constructor."""
+        q, new = self.quiver, tuple.__new__
         arrows_from: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
         for a in sorted({a for w in self.relation_words for a in w}):
-            arrow = q.arrow_by_id[a]
-            arrows_from[arrow.target].append(Arrow(a, arrow.target, arrow.source))
-        reverse = (Path(r.arrows[::-1], r.vertices[::-1]) for r in self.relations)
+            _, source, target = q.arrow_by_id[a]
+            arrows_from[target].append(new(Arrow, (a, target, source)))
+        reverse = [new(Path, (r.arrows[::-1], r.vertices[::-1])) for r in self.relations]
         return relation_automaton(q.vertices, arrows_from, reverse)
 
     @cached_property

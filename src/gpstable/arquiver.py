@@ -179,8 +179,10 @@ def _ungraded_quiver(
     and middle terms by coordinates, each an id look-up in the class's
     grid of ids, and an arrow runs from each middle term into the vertex;
     the arrows come in target order and are sorted once.  The drops are
-    not read: every vertex is complete.
+    not read: every vertex is complete, and is built by ``tuple.__new__``,
+    without the constructor that ``NamedTuple`` generates.
     """
+    new = tuple.__new__
     count = sum([len(dec.members) for dec in decs])
     vertices: list = [None] * count
     tau: list = [None] * count
@@ -194,7 +196,7 @@ def _ungraded_quiver(
         for i, (row, vs) in enumerate(zip(dec.windows, grid), 1):
             for span, (p, v) in enumerate(zip(row, vs), 1):
                 (ti, tspan, _), middles = dec.mesh(i, span)
-                vertices[v] = TQVertex(p, None, (i, span))
+                vertices[v] = new(TQVertex, (p, None, (i, span), False))
                 tau[v] = (v, grid[ti - 1][tspan - 1])
                 for mi, mspan, _ in middles:
                     arrows.append((grid[mi - 1][mspan - 1], v))

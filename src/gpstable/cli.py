@@ -14,7 +14,6 @@ from pathlib import Path as FilePath
 from .algebra import InputError, InternalConsistencyError, parse_algebra, parse_path_string
 from .analysis import Analysis
 from .arquiver import ar_quiver, dump_json, emit, full_ungraded_ar_quiver
-from .orders import hasse_quiver
 from .stable import StableObject, classify, graded_stable_hom, ungraded_stable_hom
 
 
@@ -114,7 +113,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_hasse(args) -> int:
     an = _load(args.file)
-    h = hasse_quiver(an.perfect.paths, args.order)
+    h = an.hasse_prec if args.order == "prec" else an.hasse_leq
     _write(emit(h, "json" if args.json else "dot"), args.output)
     return 0
 

@@ -68,7 +68,7 @@ from .stable import (
     ungraded_stable_hom,
 )
 
-FULL_PAIR_SCAN_LIMIT = 70  # only perfbench/workloads.py reads it; ROADMAP I retires it
+FULL_PAIR_SCAN_LIMIT = 70  # only perfbench/workloads.py reads it; ROADMAP B retires it
 
 
 def bf_stable_hom(alg: MonomialAlgebra, p: Path, q: Path):
@@ -312,7 +312,7 @@ class CheckResult(NamedTuple):
 
 def verify_algebra(
     alg: MonomialAlgebra,
-    rng: random.Random | None = None,  # only perfbench/workloads.py passes it; ROADMAP I retires it
+    rng: random.Random | None = None,  # only perfbench/workloads.py passes it; ROADMAP B retires it
 ):
     """Run the whole oracle battery on one algebra.
 

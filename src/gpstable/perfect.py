@@ -28,10 +28,18 @@ N(n, n), O(|r|²) at worst, independent of the dimension of the algebra.
 A perfect path p = r[:k] is a proper prefix of a relation, so a state of
 the relation automaton; the map, its cycles and their order run on those
 integer states, ordered by the key (k, i) of relation i cut at k, and
-each perfect path is sliced from its relation once, at the end.  Its
-rank by that key is its position in ``PerfectPathSet.paths``, and the
-enumeration keeps, per position, the relation index i, the cut k and the
-successor's position (:class:`_Cuts`).  The classes read only those: the
+each perfect path is sliced from its relation once, at the end, as
+``tuple.__new__(Path, (arrows, vertices))``: the relation was validated at
+parse, so its slice needs neither ``Quiver.path``'s checks nor the
+Python-level ``__new__`` that ``NamedTuple`` generates, which takes about
+300 ns per five-arrow path against 200 ns (Python 3.11.7 on a shared
+2-core Xeon VM).  The class cycles (:func:`_word_path`), the reversed
+arrows and relations of the opposite automaton and the vertices of the
+ungraded AR quiver are built the same way: about 200 tuples per document
+of the ``classify-cycles`` benchmark.  A perfect path's rank by that key
+is its position in ``PerfectPathSet.paths``, and the enumeration keeps,
+per position, the relation index i, the cut k and the successor's
+position (:class:`_Cuts`).  The classes read only those: the
 successor cycles of one class are joined by the relations they cut (each
 relation is one row of the class's bracket grid), so a class is a
 component of a union-find over relation indices, and the primitive root
@@ -236,7 +244,8 @@ def _word_path(alg: MonomialAlgebra, word: tuple[str, ...]) -> Path:
     """The path of a non-empty arrow word known to compose (a cycle along
     a class), without ``Quiver.path``'s checks."""
     arrow = alg.quiver.arrow_by_id
-    return Path(word, (arrow[word[0]].source, *(arrow[a].target for a in word)))
+    vertices = (arrow[word[0]].source, *[arrow[a].target for a in word])
+    return tuple.__new__(Path, (word, vertices))
 
 
 def _cycles_of_partial_injection(sigma: dict, key: Callable) -> list[list]:
@@ -304,10 +313,10 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
         raise InternalConsistencyError("successor cycles are not disjoint")
     after = tuple([position[sigma[s]] for s in position])
     # one object per perfect path, shared by every structure built from
-    # them, sliced from its relation
+    # them, sliced from its relation, which the parser validated
     paths = _Located(
         [
-            Path(r.arrows[:k], r.vertices[: k + 1])
+            tuple.__new__(Path, (r.arrows[:k], r.vertices[: k + 1]))
             for r, k in zip(map(relations.__getitem__, relation), cut)
         ],
         range(len(codes)),
@@ -316,7 +325,7 @@ def enumerate_perfect_paths(alg: MonomialAlgebra) -> PerfectPathSet:
     return PerfectPathSet(
         paths=paths,
         sequences=tuple([tuple([paths[position[s]] for s in c]) for c in cycles]),
-        successor={p: paths[q] for p, q in zip(paths, after)},
+        successor=dict(zip(paths, map(paths.__getitem__, after))),
         cm_free=not paths,
     )
 

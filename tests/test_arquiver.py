@@ -10,6 +10,7 @@ from gpstable import fixtures
 from gpstable.algebra import InputError, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.arquiver import (
+    TQVertex,
     ar_quiver,
     emit,
     full_ungraded_ar_quiver,
@@ -348,7 +349,9 @@ class TestCoordinateBuilder:
 
     def test_ungraded_vertex_numbering(self, coordinate_family):
         # vertex n of the full quiver is perfect path n, that of one class
-        # its n-th member; every vertex is complete and tau permutes them
+        # its n-th member; every vertex is complete and tau permutes them.
+        # The vertices skip TQVertex's constructor, so they are checked to
+        # be exactly the TQVertex it would build
         for an in coordinate_family:
             full = full_ungraded_ar_quiver(an)
             assert len(full.vertices) == len(an.perfect.paths)
@@ -359,6 +362,9 @@ class TestCoordinateBuilder:
             for quiver in (full, *ones):
                 ids = range(len(quiver.vertices))
                 assert not any(v.incomplete for v in quiver.vertices)
+                for v in quiver.vertices:
+                    assert type(v) is TQVertex
+                    assert v == TQVertex(v.path, None, v.bracket)
                 assert [a for a, _ in quiver.tau] == list(ids)
                 assert sorted(b for _, b in quiver.tau) == list(ids)
 

@@ -3,7 +3,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from gpstable import fixtures
-from gpstable.algebra import InputError, parse_algebra, parse_path_string
+from gpstable.algebra import InputError, Path, parse_algebra, parse_path_string
 from gpstable.analysis import Analysis
 from gpstable.oracle import bf_verify_perfect
 from gpstable.perfect import (
@@ -251,7 +251,8 @@ class TestEnumeration:
 
     def test_paths_are_the_validated_paths(self):
         # perfect words and class cycles are built from the arrows' ends,
-        # with no Quiver.path check; they equal the checked paths
+        # with no Quiver.path check and no Path constructor; they are
+        # exactly Paths, equal to the checked paths
         root = FilePath(__file__).resolve().parent.parent / "fixtures"
         algs = [parse_algebra(f.read_text()) for f in sorted(root.glob("*.json"))]
         built = 0
@@ -259,6 +260,7 @@ class TestEnumeration:
             pset = enumerate_perfect_paths(alg)
             classes = underlying_cycle_classes(alg, pset)
             for p in (*pset.paths, *(c.cycle for c in classes)):
+                assert type(p) is Path, alg.relations
                 assert p == alg.quiver.path(p.arrows), alg.relations
                 built += 1
         assert built >= 4000
