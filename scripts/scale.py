@@ -6,12 +6,17 @@ Usage::
 
 The first stage, ``import``, is the package's cold import: a child
 ``sys.executable`` run with ``PYTHONDONTWRITEBYTECODE=1`` times
-``import gpstable, gpstable.oracle`` around itself, and the best of 3
-children is printed, as ``{"import": seconds}`` on a line of its own.
+``import gpstable, gpstable.oracle`` around itself and then reads its own
+high-water resident set (``ru_maxrss``, in KB on Linux), and the minimum
+of each over 3 children is printed, as
+``{"import": seconds, "import_maxrss_kb": kb}`` on a line of its own.
+Every benchmark workload imports, and so compiles, ``gpstable.oracle``,
+so its compiled size shows in every workload's ``peak_rss_mb``; the
+second key is that cost alone, and is not gated.
 It times the import from source only while ``src/`` holds no
 ``__pycache__``, so run the script itself with
 ``PYTHONDONTWRITEBYTECODE=1`` too (its own imports would write one);
-otherwise the cached bytecode is timed.
+otherwise the cached bytecode is timed and measured.
 Then, for N(60, 60), N(120, 120) and N(240, 240) (cyclic quiver on n
 vertices, paths of length n + 1 zero) it prints the parse time and then the
 parse-free stages of ``classify``, each cached on a fresh ``Analysis`` and
@@ -88,25 +93,28 @@ GRADED_WINDOW = 2
 GRADED_JSON_MAX_PATHS = 120 * 120
 WIDE_TAIL = (17, 2, 3, 3)
 IMPORT_TIMER = (
+    "import resource\n"
     "from time import perf_counter\n"
     "t0 = perf_counter()\n"
     "import gpstable, gpstable.oracle\n"
-    "print(perf_counter() - t0)\n"
+    "print(perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
 )
 STAGES = ("classes", "decompositions")
 OUTPUT_STAGES = ("hasse_prec", "hasse_leq")
 
 
-def import_time() -> float:
-    """Best of 3 cold imports, each in a fresh child interpreter."""
+def cold_import() -> tuple[float, int]:
+    """(seconds, ``ru_maxrss`` KB), each the minimum over 3 cold imports,
+    each in a fresh child interpreter."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    return min(
-        float(subprocess.run(
+    runs = [
+        subprocess.run(
             [sys.executable, "-c", IMPORT_TIMER],
             env=env, capture_output=True, text=True, check=True,
-        ).stdout)
+        ).stdout.split()
         for _ in range(3)
-    )
+    ]
+    return min(float(t) for t, _ in runs), min(int(kb) for _, kb in runs)
 
 
 def time_stages(obj: object, stages: tuple[str, ...], times: dict) -> None:
@@ -232,7 +240,8 @@ def time_analyze_summary(doc: dict) -> dict[str, float]:
 
 
 def main() -> None:
-    print(json.dumps({"import": round(import_time(), 4)}))
+    seconds, maxrss_kb = cold_import()
+    print(json.dumps({"import": round(seconds, 4), "import_maxrss_kb": maxrss_kb}))
     faults = []
     for n in NAKAYAMA:
         times, an = run_once(fixtures.nakayama_document(n, n))

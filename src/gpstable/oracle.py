@@ -4,10 +4,11 @@ Nothing here reuses bracket arithmetic.  Hom spaces are path-basis
 quotients, perfectness is checked by quantifying over the basis,
 factorizations by exhaustive cut search.  Every basis scan reads only the
 paths with a given left or right divisor, listed by the algebra's
-``divisor_index``.  The :func:`verify_algebra` battery runs all of it
-against the fast implementations and powers both the property-test suite
-and the ``verify`` CLI command; oracles may be exponential in path length
-and are meant for desk-scale inputs only.
+``divisor_index``.  The :func:`battery` runs all of it against the fast
+implementations and yields each row as soon as it is judged;
+:func:`verify_algebra` collects its rows and powers both the
+property-test suite and the ``verify`` CLI command.  Oracles may be
+exponential in path length and are meant for desk-scale inputs only.
 Perfectness has one test: the literal definition on every composable
 pair of non-trivial basis paths, each once, whose verdicts must equal the
 pipeline's pair map; no random numbers are drawn.  One automaton read per
@@ -310,14 +311,27 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
+    """One battery row; a passing row carries no detail."""
+    return CheckResult(name, bool(ok), "" if ok else detail)
+
+
 def verify_algebra(
     alg: MonomialAlgebra,
     rng: random.Random | None = None,  # only perfbench/workloads.py passes it; ROADMAP B retires it
 ):
-    """Run the whole oracle battery on one algebra.
+    """Run the whole oracle battery on one algebra: the rows of
+    :func:`battery`, as a list."""
+    return list(battery(alg))
 
-    Returns a list of :class:`CheckResult`; every closed form in the
-    package is compared with its brute-force counterpart.  Perfectness is
+
+def battery(alg: MonomialAlgebra):
+    """The whole oracle battery on one algebra, yielding each
+    :class:`CheckResult` as soon as it is judged.
+
+    Every closed form in the package is compared with its brute-force
+    counterpart.  A pipeline stage that raises yields one failed
+    ``build-<stage>`` row and ends the battery.  Perfectness is
     tested once, on every composable pair of non-trivial basis paths, and
     the verdicts are compared with the pipeline's pair map; the test reads
     each pair once through the relation automaton into the zero rows
@@ -350,10 +364,6 @@ def verify_algebra(
     The battery draws no random numbers.
     """
     an = Analysis(alg)
-    results: list[CheckResult] = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        results.append(CheckResult(name, bool(ok), "" if ok else detail))
 
     # --- basis structure ---------------------------------------------------
     # Every window of a path is a prefix of a suffix, so by induction on
@@ -365,14 +375,14 @@ def verify_algebra(
         (w[:-1], v[:-1]) in basis and (w[1:], v[1:]) in basis
         for w, v in alg.nontrivial_basis
     )
-    check("basis-subpath-closed", closed, "a subpath of a basis path is missing")
+    yield _result("basis-subpath-closed", closed, "a subpath of a basis path is missing")
     complete, arrows_from = True, alg.quiver.arrows_from
     for w, v in basis:
         for a in arrows_from[v[-1]]:
             ext = Path(w + (a.id,), v + (a.target,))
             if (ext in basis) == alg.is_zero(ext):
                 complete = False
-    check("basis-one-step-complete", complete, "extension closure mismatch")
+    yield _result("basis-one-step-complete", complete, "extension closure mismatch")
 
     # A pipeline stage that raises leaves the checks below nothing to
     # compare: report it as one failed row and let the suite go on.
@@ -388,8 +398,8 @@ def verify_algebra(
         try:
             built[stage] = build()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            check(f"build-{stage}", False, f"{type(exc).__name__}: {exc}")
-            return results
+            yield _result(f"build-{stage}", False, f"{type(exc).__name__}: {exc}")
+            return
     elementary, coelementary = built["coelementary"]
 
     pset = an.perfect
@@ -409,32 +419,32 @@ def verify_algebra(
     def show(words):
         return sorted(f"({'.'.join(p)}, {'.'.join(q)})" for p, q in words)[:3]
 
-    check(
+    yield _result(
         "perfect-pairs-match-bruteforce",
         bf_true == sigma,
         f"bf only: {show(bf_true - sigma)}; pair map only: {show(sigma - bf_true)}",
     )
     # Perfect paths are the periodic points of the pair assignment, a
     # strictly smaller set than the pairs themselves in general.
-    check(
+    yield _result(
         "perfect-paths-are-periodic-pairs",
         {(p.arrows, q.arrows) for p, q in pairs} <= bf_true,
         "an enumerated successor pair fails the literal definition",
     )
 
     relation_paths = set(alg.relations)
-    check(
+    yield _result(
         "perfect-product-is-relation",
         all((p * q) in relation_paths for p, q in pairs),
         "a perfect pair's product is not a minimal relation",
     )
-    check(
+    yield _result(
         "ses-dimension-identity",
         all(bf_ses_dims(alg, p, q) for p, q in pairs),
         "dim qL + dim pL != dim eL for some perfect pair",
     )
     succ_values = list(pset.successor.values())
-    check(
+    yield _result(
         "successor-injective",
         len(set(succ_values)) == len(succ_values),
         "successor map is not injective",
@@ -444,7 +454,7 @@ def verify_algebra(
     for h in (an.hasse_prec, an.hasse_leq):
         heads = [a for a, _ in h.arrows]
         tails = [b for _, b in h.arrows]
-        check(
+        yield _result(
             f"hasse-{h.order}-degrees",
             len(set(heads)) == len(heads) and len(set(tails)) == len(tails),
             "in/out degree exceeds 1",
@@ -463,7 +473,7 @@ def verify_algebra(
                 ((q, p) in prec_arrows) != ((w[k:], v[k:]) in coelementary_set)
             ):
                 arrow_ok = False
-    check(
+    yield _result(
         "hasse-arrow-complement-coelementary",
         arrow_ok,
         "covering relations do not match co-elementary complements",
@@ -477,7 +487,7 @@ def verify_algebra(
         greedy = tuple([dec.factor(t) for t in range(i, i + span)])
         if len(facs) != 1 or facs[0] != greedy:
             factor_ok = False
-    check(
+    yield _result(
         "unique-coelementary-factorization",
         factor_ok,
         "exhaustive cut search disagrees with the greedy factorization",
@@ -485,7 +495,7 @@ def verify_algebra(
     # Every brute-force table below is built once and read by each row
     # that needs it; the co-elementary paths are perfect paths.
     overlaps = bf_overlap_table(alg, pset.paths)
-    check(
+    yield _result(
         "no-overlap-between-coelementary",
         all(
             overlaps[r, s] is None
@@ -508,20 +518,20 @@ def verify_algebra(
             w = u.arrows
             if len(w) < bound and w[-len(qw) :] == qw and u not in pset.successor:
                 intersection_perfect_ok = False
-    check("overlap-implies-same-class", not cross, cross)
-    check(
+    yield _result("overlap-implies-same-class", not cross, cross)
+    yield _result(
         "overlap-intersection-paths-perfect",
         intersection_perfect_ok,
         "a stable basis path between overlapping perfect paths is not perfect",
     )
 
-    check(
+    yield _result(
         "perfect-count-identity",
         sum(d.m * d.size for d in an.decompositions) == len(pset.paths),
         "sum of m_c * |c| does not count the perfect paths",
     )
     for dec in an.decompositions:
-        check(
+        yield _result(
             "class-invariants",
             len(dec.elementary) == len(dec.coelementary) == dec.size
             and len(dec.members) == dec.m * dec.size,
@@ -538,13 +548,13 @@ def verify_algebra(
             only_grid = sorted(map(str, set(grid) - set(hasse)))[:3]
             only_hasse = sorted(map(str, set(hasse) - set(grid)))[:3]
             grid_diff = f"{name}: grid only {only_grid}, Hasse only {only_hasse}"
-    check("grid-elementary-matches-hasse", not grid_diff, grid_diff)
+    yield _result("grid-elementary-matches-hasse", not grid_diff, grid_diff)
 
     # --- no-overlap three-way equivalence ------------------------------------
     no_overlap = all(ov is None for ov in overlaps.values())
     both_sets = set(elementary) == set(pset.paths) == set(coelementary)
     isolated = not an.hasse_prec.arrows and not an.hasse_leq.arrows
-    check(
+    yield _result(
         "no-overlap-equivalences",
         no_overlap == both_sets == isolated,
         f"no_overlap={no_overlap} elementary=co=all={both_sets} "
@@ -582,8 +592,8 @@ def verify_algebra(
         ungraded[p, q] = dim = ungraded_stable_hom(an, p, q).dimension
         if not shift_sum and dim != total:
             shift_sum = f"Hom({p}, {q}) has dimension {dim}, its shifts sum to {total}"
-    check("graded-hom-closed-form-vs-oracle", not graded, graded)
-    check("ungraded-hom-shift-sum", not shift_sum, shift_sum)
+    yield _result("graded-hom-closed-form-vs-oracle", not graded, graded)
+    yield _result("ungraded-hom-shift-sum", not shift_sum, shift_sum)
 
     # An overlap of p with q is a non-zero Hom(q, p); an endomorphism ring
     # of dimension > 1 is a self-overlap.
@@ -595,7 +605,7 @@ def verify_algebra(
                 f"Hom({q}, {p}) has dimension {ungraded[q, p]}"
             )
             break
-    check("overlap-hom-criterion", not criterion, criterion)
+    yield _result("overlap-hom-criterion", not criterion, criterion)
 
     # --- suspension ------------------------------------------------------------
     susp_ok = True
@@ -605,7 +615,7 @@ def verify_algebra(
         obj = StableObject(p, 3)
         if suspend(an, suspend(an, obj, 1), -1) != obj:
             susp_ok = False
-    check("suspension-pair-rule", susp_ok, "one-step suspension rule broken")
+    yield _result("suspension-pair-rule", susp_ok, "one-step suspension rule broken")
     closed_ok = True
     for dec in an.decompositions:
         for i_prime in range(1, dec.m + 1):
@@ -615,7 +625,7 @@ def verify_algebra(
                     an, start, power
                 ):
                     closed_ok = False
-    check(
+    yield _result(
         "suspension-closed-form",
         closed_ok,
         "closed-form suspension disagrees with suspend",
@@ -632,7 +642,7 @@ def verify_algebra(
             ar_ok = False
         if alg.is_zero(tri.connecting_witness):
             ar_ok = False
-    check("ar-dimension-identity", ar_ok, "middle terms do not add up")
+    yield _result("ar-dimension-identity", ar_ok, "middle terms do not add up")
     # Serre duality: Hom(X, Sigma tau X) is one-dimensional, and the
     # basis quotient places it at the shift the translate's drop names.
     serre = ""  # names the first object whose Serre piece is off
@@ -645,8 +655,8 @@ def verify_algebra(
                 f"at shift {s.shift}"
             )
             break
-    check("ar-serre-duality", not serre, serre)
-    check(
+    yield _result("ar-serre-duality", not serre, serre)
+    yield _result(
         "tau-periodicity",
         all(tau_periodicity_check(an, dec) for dec in an.decompositions),
         "tau^{|c|} is not the shift (-l(c))",
@@ -674,7 +684,7 @@ def verify_algebra(
                         hit.update(s + k for k in ks)
         if any(z.shift in reach[z.path] for z in shifted):
             tilt_ok = False
-    check(
+    yield _result(
         "tilting-orthogonality",
         tilt_ok,
         "Hom(T, Sigma^i T) != 0 for some 0 < |i| <= m_c + 1",
@@ -690,7 +700,7 @@ def verify_algebra(
                         f"{dec.cycle_class.cycle} is {block.pattern[a][b]}, "
                         f"the basis quotient gives {want}"
                     )
-    check("end-pattern-triangular", not end_diff, end_diff)
+    yield _result("end-pattern-triangular", not end_diff, end_diff)
 
     # The brute-force pieces sit at shifts 0 <= k < l(q), the only shifts
     # where a stable Hom can be non-zero.
@@ -701,7 +711,7 @@ def verify_algebra(
         for b in dec.chain
         for k in bf_hom[a, b]
     )
-    check(
+    yield _result(
         "chain-shift-separation",
         shift_sep_ok,
         "chain objects see each other at a shift not divisible by l(c)",
@@ -728,13 +738,11 @@ def verify_algebra(
         for b, c in arrows:
             if (tau_map[c], b) not in arrows:
                 quiver_ok = False
-    check(
+    yield _result(
         "ar-quiver-shape",
         quiver_ok,
         "vertex count, tau orbits or mesh companions are off",
     )
-
-    return results
 
 
 def verify_suite(
