@@ -1,11 +1,12 @@
-"""Time each stage of a benchmark operation on its seeded documents.
+"""Time each stage of a benchmark operation on its seeded items.
 
 Usage::
 
     PYTHONPATH=src python scripts/stages.py --workload classify-cycles --seed 1
     PYTHONPATH=src python scripts/stages.py --workload oracle-battery --seed 1
+    PYTHONPATH=src python scripts/stages.py --workload stable-queries --seed 1
 
-The documents are the workload's for that seed, built by its ``setup`` in
+The items are the workload's for that seed, built by its ``setup`` in
 ``perfbench/workloads.py``, which is loaded read-only by
 ``tests/reference_scan.py``'s loader, which also loads ``calibrate`` and
 ``speed_factor`` from ``perfbench/run.py``.  Each operation is a
@@ -44,20 +45,33 @@ of the gap it falls in: a table gets its own line, its name followed by
 ``bf_overlap_table`` before ``no-overlap-between-coelementary`` and
 ``bf_stable_hom_table`` before ``graded-hom-closed-form-vs-oracle``).
 
-Each of ``ROUNDS`` rounds runs the operation on every document between
-two runs of the benchmark's calibration loop, and the round's times are
+``stable-queries`` (:func:`stable_operation`) is the workload's operation
+on one source path p, on the warm ``Analysis`` its ``setup`` builds, one
+query kind at a time in the order the operation asks them:
+
+- ``graded sweep``: ``graded_stable_hom`` from pL(0) to every target of
+  the shift window;
+- ``ungraded Hom``: ``ungraded_stable_hom`` from p to every perfect path;
+- ``suspend``: ``suspend`` of pL(0) to every power of the workload's
+  ``SUSPENSION_POWERS``;
+- ``AR triangle``: ``ar_triangle`` of pL(0);
+- ``tau orbit``: ``ar_translate`` from pL(0) until the orbit is back at p.
+
+Each of ``ROUNDS`` rounds runs the operation on every item between two
+runs of the benchmark's calibration loop, and the round's times are
 scaled by ``speed_factor`` of the two to the benchmark's nominal machine
 speed, as ``perfbench/run.py`` scales each operation.  Prints one line per
 stage, in the order first yielded, with its microseconds per operation
-(one document), then the whole operation: each the median over rounds of
-the round's mean per operation at nominal speed, to compare two commits
-on one machine.
+(one item: a document, or a source path), then the whole operation: each
+the median over rounds of the round's mean per operation at nominal
+speed, to compare two commits on one machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import statistics
 import sys
 import time
@@ -110,14 +124,44 @@ def battery_operation(text: str):
         yield row.name
 
 
-WORKLOADS = {"classify-cycles": classify_operation, "oracle-battery": battery_operation}
+def stable_operation(extra: dict, p):
+    """The ``stable-queries`` operation from the source ``p``, on the
+    ``setup`` state's ``extra`` (its warm Analysis, shift window and
+    paths), yielding each query kind's name as its queries end."""
+    an = extra["an"]
+    obj = gpstable.StableObject
+    x = obj(p, 0)
+    [gpstable.graded_stable_hom(an, x, obj(q, k)).dimension for q, k in extra["window"]]
+    yield "graded sweep"
+    [gpstable.ungraded_stable_hom(an, p, q).dimension for q in extra["paths"]]
+    yield "ungraded Hom"
+    [gpstable.suspend(an, x, s) for s in _perfbench_module("workloads").SUSPENSION_POWERS]
+    yield "suspend"
+    gpstable.ar_triangle(an, x)
+    yield "AR triangle"
+    orbit = [x, gpstable.ar_translate(an, x)]
+    while orbit[-1].path != p and len(orbit) <= len(extra["paths"]):
+        orbit.append(gpstable.ar_translate(an, orbit[-1]))
+    yield "tau orbit"
 
 
-def benchmark_documents(workload: str, seed: int) -> list[str]:
-    """The documents of ``workload`` for ``seed``, as JSON texts."""
+WORKLOADS = {
+    "classify-cycles": classify_operation,
+    "oracle-battery": battery_operation,
+    "stable-queries": stable_operation,
+}
+
+
+def benchmark_items(workload: str, seed: int) -> tuple:
+    """(operation, items) of ``workload`` for ``seed``: the documents as
+    JSON texts, or for ``stable-queries`` the source paths, with the
+    operation bound to the warm state they share."""
     _perfbench_module("inputs")
-    setup = _perfbench_module("workloads").WORKLOADS[workload].setup
-    return [item.text for item in setup(gpstable, seed).items]
+    state = _perfbench_module("workloads").WORKLOADS[workload].setup(gpstable, seed)
+    operation = WORKLOADS[workload]
+    if workload == "stable-queries":
+        return functools.partial(operation, state.extra), state.items
+    return operation, [item.text for item in state.items]
 
 
 def timed_table(name: str, built: list[tuple[str, float]]):
@@ -134,9 +178,9 @@ def timed_table(name: str, built: list[tuple[str, float]]):
     return timed
 
 
-def stage_times(operation, documents: list[str], rounds: int) -> dict[str, list[float]]:
+def stage_times(operation, items: list, rounds: int) -> dict[str, list[float]]:
     """{stage: seconds per round} over ``rounds`` passes of ``operation``
-    over ``documents``, each at nominal speed, in the order first yielded;
+    over ``items``, each at nominal speed, in the order first yielded;
     each table built takes its own entry just before the stage it falls in."""
     run = _perfbench_module("run")
     per_round: dict[str, list[float]] = {}
@@ -147,9 +191,9 @@ def stage_times(operation, documents: list[str], rounds: int) -> dict[str, list[
         for _ in range(rounds):
             spent: dict[str, float] = {}
             before = run.calibrate()
-            for text in documents:
+            for item in items:
                 last = time.perf_counter()
-                for stage in operation(text):
+                for stage in operation(item):
                     now = time.perf_counter()
                     gap = now - last
                     for table, t in built:
@@ -164,12 +208,12 @@ def stage_times(operation, documents: list[str], rounds: int) -> dict[str, list[
     return per_round
 
 
-def report(operation, documents: list[str], rounds: int) -> list[str]:
+def report(operation, items: list, rounds: int) -> list[str]:
     """One line per stage, then the whole operation, each with the median
     over rounds of its microseconds per operation."""
-    stages = stage_times(operation, documents, rounds)
+    stages = stage_times(operation, items, rounds)
     wholes = [sum(ts) for ts in zip(*stages.values())]
-    per_op = 1e6 / len(documents)
+    per_op = 1e6 / len(items)
     lines = [
         f"{per_op * statistics.median(ts):9.1f}  {stage}" for stage, ts in stages.items()
     ]
@@ -182,12 +226,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    documents = benchmark_documents(args.workload, args.seed)
+    operation, items = benchmark_items(args.workload, args.seed)
     print(
-        f"{args.workload} seed {args.seed}: {len(documents)} documents x {ROUNDS} rounds, "
+        f"{args.workload} seed {args.seed}: {len(items)} items x {ROUNDS} rounds, "
         "median us per operation at nominal speed"
     )
-    print("\n".join(report(WORKLOADS[args.workload], documents, ROUNDS)))
+    print("\n".join(report(operation, items, ROUNDS)))
     return 0
 
 

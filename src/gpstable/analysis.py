@@ -26,13 +26,20 @@ class Analysis:
 
     Every derived structure (perfect paths, cycle classes, Hasse quivers,
     decompositions, bracket coordinates) is computed once and shared; the
-    underlying data is immutable throughout.  The decompositions read each
+    underlying data is immutable.  The one other state is ``_hom_pair``,
+    the last pair of perfect paths a stable Hom asked about with its row
+    of non-zero graded pieces (see :func:`gpstable.stable._pair_row`): a
+    cache of derived values, replaced whole, so a reader always sees one
+    consistent pair.  The decompositions read each
     class's bracket grid off the relations its perfect pairs cut, and the
     (co-)elementary paths are the tops of the grid's rows and its factors.
     Only ``hasse_prec`` and ``hasse_leq`` build a Hasse quiver; they are an
     output view, and the oracle reads the (co-)elementary paths off them
     to check the grid.
     """
+
+    # no path is this object, None included, so the first Hom misses
+    _hom_pair: tuple[object, object, dict] = (object(), object(), {})
 
     def __init__(self, algebra: MonomialAlgebra):
         self.algebra = algebra
@@ -85,7 +92,7 @@ class Analysis:
     @cached_property
     def _by_identity(self) -> dict[int, tuple[CycleDecomposition, int, int]]:
         # ``coordinates`` keeps its keys alive, so a hit here is the key itself;
-        # graded_stable_hom reads it directly and calls ``locate`` only on a miss
+        # the stable closed forms read it directly and call ``locate`` only on a miss
         return {id(p): c for p, c in self.coordinates.items()}
 
     def locate(self, p: Path) -> tuple[CycleDecomposition, int, int]:

@@ -5,9 +5,10 @@ morphism dimensions, suspensions, Auslander-Reiten translates and the
 tilting/classification data are all evaluated in closed form on bracket
 coordinates.  Objects and Hom results are named tuples, values that
 compare and hash by their fields.  Graded and ungraded Hom share one
-solve on the coordinates.  The brute-force counterparts live in
-:mod:`gpstable.oracle` and must agree with everything here on small
-inputs.
+pair row: the non-zero graded pieces between two perfect paths, solved on
+the coordinates and remembered for the last pair asked.  The brute-force
+counterparts live in :mod:`gpstable.oracle` and must agree with
+everything here on small inputs.
 """
 
 from __future__ import annotations
@@ -79,51 +80,62 @@ def _solve(
     return _NO_HOM
 
 
+def _pair_row(an: Analysis, p: Path, q: Path) -> dict[int, HomDescription]:
+    """{shift k: the non-zero Hom(pL, qL(k))}, remembered on ``an``.
+
+    Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
+    ``0 <= k < l(q)`` can contribute, and of those only the ones that
+    :func:`_solve` can solve for, one per period l(c) and so one per
+    translate of ``p``'s window; a cross-class pair has the empty row.
+    Both paths are looked up by identity, the source first; a path built
+    elsewhere falls back to :meth:`Analysis.locate`, which also rejects
+    non-perfect paths.  The row is stored as ``an._hom_pair = (p, q,
+    row)``, replaced whole, so the next call on the same two path objects
+    reads it without locating either again.
+    """
+    held_p, held_q, row = an._hom_pair
+    if held_p is p and held_q is q:
+        return row
+    by_identity = an._by_identity
+    dec, i, span_p = by_identity.get(id(p)) or an.locate(p)
+    dec_q, i2, span_q = by_identity.get(id(q)) or an.locate(q)
+    row = {}
+    if dec is dec_q:
+        # 1 <= i, i2 <= |c|, so offset(i) is prefix_lengths[i - 1]
+        lengths = dec.prefix_lengths
+        first = (lengths[i - 1] - lengths[i2 - 1]) % dec.arrow_length
+        for k in range(first, q.length, dec.arrow_length):
+            if (h := _solve(dec, i, span_p, i2, span_q, k)).dimension:
+                row[k] = h
+    an._hom_pair = (p, q, row)
+    return row
+
+
 def graded_stable_hom(
     an: Analysis, src: StableObject, dst: StableObject
 ) -> HomDescription:
     """Closed-form dimension of the degree-preserving stable Hom space.
 
     Cross-class Hom spaces vanish.  Within a class only the relative shift
-    matters, and :func:`_solve` finds the one translate of the source
-    window that can fit the target's.  Both objects are looked up by
-    identity; a path built elsewhere falls back to
-    :meth:`Analysis.locate`, which also rejects non-perfect paths.
+    matters: it is looked up in the pair's row (:func:`_pair_row`), which a
+    sweep over the target's shifts builds once.
     """
-    by_identity = an._by_identity
-    dec, i, span_p = by_identity.get(id(src.path)) or an.locate(src.path)
-    dec_q, i2, span_q = by_identity.get(id(dst.path)) or an.locate(dst.path)
-    if dec is not dec_q:
-        return _NO_HOM
-    return _solve(dec, i, span_p, i2, span_q, dst.shift - src.shift)
+    # the remembered pair is tested here too, which saves a call per shift
+    held_p, held_q, row = an._hom_pair
+    if held_p is not src.path or held_q is not dst.path:
+        row = _pair_row(an, src.path, dst.path)
+    return row.get(dst.shift - src.shift, _NO_HOM)
 
 
 def ungraded_stable_hom(an: Analysis, p: Path, q: Path) -> HomDescription:
-    """Stable Hom between ``pL`` and ``qL``: the sum of the graded pieces.
-
-    Witnesses are proper left divisors of ``q`` times ``p``, so only shifts
-    ``0 <= k < l(q)`` can contribute, and of those only the ones that
-    :func:`_solve` can solve for, one per period l(c) and so one per
-    translate of ``p``'s window.  Each path is located once, by identity
-    as in :func:`graded_stable_hom`, and no :class:`StableObject` is built
-    per shift.
-    """
-    by_identity = an._by_identity
-    dec, i, span_p = by_identity.get(id(p)) or an.locate(p)
-    dec_q, i2, span_q = by_identity.get(id(q)) or an.locate(q)
-    if dec is not dec_q:
+    """Stable Hom between ``pL`` and ``qL``: the sum of the graded pieces,
+    the entries of the pair's row (:func:`_pair_row`) by increasing shift."""
+    row = _pair_row(an, p, q)
+    if not row:
         return _NO_UNGRADED_HOM
-    # 1 <= i, i2 <= |c|, so offset(i) is prefix_lengths[i - 1]
-    lengths = dec.prefix_lengths
-    first = (lengths[i - 1] - lengths[i2 - 1]) % dec.arrow_length
-    pieces = tuple([
-        (k, h.witness)
-        for k in range(first, q.length, dec.arrow_length)
-        if (h := _solve(dec, i, span_p, i2, span_q, k)).dimension
-    ])
-    if not pieces:
-        return _NO_UNGRADED_HOM
-    return HomDescription(len(pieces), by_shift=pieces)
+    return HomDescription(
+        len(row), by_shift=tuple([(k, h.witness) for k, h in row.items()])
+    )
 
 
 def suspend(an: Analysis, obj: StableObject, power: int) -> StableObject:
@@ -133,7 +145,7 @@ def suspend(an: Analysis, obj: StableObject, power: int) -> StableObject:
     ``(p, q)``: for ``q = [i, i+span-1]`` that is ``p = [i+span-m-1, i-1]``,
     since ``pq`` is a relation window of m+1 factors.  Two steps move the
     window m+1 factors back and keep its span.  The path is located by
-    identity as in :func:`graded_stable_hom`.
+    identity as in :func:`_pair_row`.
     """
     dec, i, span = an._by_identity.get(id(obj.path)) or an.locate(obj.path)
     half, odd = divmod(power, 2)

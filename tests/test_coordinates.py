@@ -7,12 +7,19 @@ a path built elsewhere, and solves for its one translate with a floor
 ``reference_stable`` on every algebra of the shared family that has perfect
 paths, both with the path objects the analysis hands out and with equal
 paths parsed afresh, graded Hom also at shifts several periods away and
-with ``locate`` calls counted.  The laziness tests make the basis
+with ``locate`` calls counted.  Graded and ungraded Hom share the one pair
+row an ``Analysis`` remembers, so a sweep over shifts solves each period
+once; it is checked in random order over two analyses of one algebra and
+from four threads at once.  The laziness tests make the basis
 enumeration, or the Hasse quiver construction, raise and run the whole
 closed-form pipeline anyway.
 """
 
 import json
+import math
+import random
+import sys
+import threading
 from functools import lru_cache
 from pathlib import Path as FilePath
 
@@ -162,8 +169,9 @@ class TestErrors:
 
 
 class TestGradedSolve:
-    """graded_stable_hom solves for the one translate with a floor ``divmod``
-    and reads both objects' coordinates by identity."""
+    """graded_stable_hom solves for the one translate with a floor ``divmod``,
+    reads both objects' coordinates by identity, and remembers the last
+    pair's row of non-zero pieces."""
 
     def test_far_shifts_match_reference(self):
         # several periods l(c) away on both sides, negative shifts included
@@ -227,6 +235,149 @@ class TestGradedSolve:
                     graded_stable_hom(an, src, dst)
                 assert str(exc.value) == f"{x} is not a perfect path of this algebra"
         assert locate_calls
+
+    def test_interleaved_sweep_matches_reference(self):
+        # pairs in a seeded random order, each asked for a run of shifts over
+        # two analyses of one algebra, with either one's path objects or
+        # equal ones parsed afresh, and now and then a non-perfect path
+        rng = random.Random(39)
+        algebras = [an.algebra for an in analyses_with_perfect_paths()[:60]]
+        algebras.append(parse_algebra(planted_multi_class_document()))
+        errors = 0
+        for alg in algebras:
+            ans = (Analysis(alg), Analysis(alg))
+            paths = ans[0].perfect.paths
+            bad = StableObject(alg.relations[0])
+            message = f"{bad.path} is not a perfect path of this algebra"
+
+            def pick(i):
+                return rng.choice(
+                    (paths[i], ans[1].perfect.paths[i], fresh(ans[0], paths[i]))
+                )
+
+            for _ in range(150):
+                a, b = rng.randrange(len(paths)), rng.randrange(len(paths))
+                p, q, x, y = paths[a], paths[b], pick(a), pick(b)
+                for _ in range(rng.randint(1, 4)):
+                    an = rng.choice(ans)
+                    if rng.random() < 0.2:
+                        got = ungraded_stable_hom(an, x, y)
+                        assert got == ref.ungraded_stable_hom(ans[0], p, q), (p, q)
+                    else:
+                        k = rng.randrange(-3, q.length + 3)
+                        got = graded_stable_hom(an, StableObject(x), StableObject(y, k))
+                        want = ref.graded_stable_hom(
+                            ans[0], StableObject(p), StableObject(q, k)
+                        )
+                        assert got == want, (p, q, k)
+                if rng.random() < 0.05:
+                    ends = [StableObject(x), bad]
+                    rng.shuffle(ends)
+                    with pytest.raises(InputError) as exc:
+                        graded_stable_hom(rng.choice(ans), *ends)
+                    assert str(exc.value) == message
+                    errors += 1
+        assert errors >= 100
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        import gpstable.stable as stable
+
+        calls = []
+        real = stable._solve
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stable, "_solve", counted)
+        return calls
+
+    def test_held_pair_solves_once_per_period(self, locate_calls, solve_calls):
+        # a fresh analysis, so no pair row is remembered from another test
+        algebras = [an.algebra for an in analyses_with_perfect_paths()[:40]]
+        algebras.append(parse_algebra(planted_multi_class_document()))
+        cross = 0
+        for an in map(Analysis, algebras):
+            coordinates = an.coordinates
+            for p in an.perfect.paths:
+                x = StableObject(p)
+                for q in an.perfect.paths:
+                    solve_calls.clear()
+                    for k in range(-20, q.length + 21):
+                        graded_stable_hom(an, x, StableObject(q, k))
+                    ungraded_stable_hom(an, p, q)
+                    dec = coordinates[p][0]
+                    if dec is coordinates[q][0]:
+                        assert len(solve_calls) <= math.ceil(q.length / dec.arrow_length)
+                    else:
+                        assert solve_calls == []
+                        cross += 1
+        assert locate_calls == []
+        assert cross >= 100
+
+    def test_row_is_remembered_only_when_whole(self, monkeypatch):
+        # while a row is being solved, a reader of the slot still finds the
+        # pair before it, so no reader can see a part of the row
+        import gpstable.stable as stable
+
+        an = Analysis(parse_algebra(planted_multi_class_document()))
+        seen = []
+        real = stable._solve
+
+        def peek(*args):
+            seen.append(an._hom_pair)
+            return real(*args)
+
+        monkeypatch.setattr(stable, "_solve", peek)
+        for p in an.perfect.paths:
+            for q in an.perfect.paths:
+                seen.clear()
+                before = an._hom_pair
+                ungraded_stable_hom(an, p, q)
+                assert all(slot is before for slot in seen)
+                assert an._hom_pair[:2] == (p, q)
+
+    def test_threads_share_one_analysis(self):
+        # four sources, one per thread, each swept over every target and
+        # shift on one Analysis; its cached stages are built first, so the
+        # threads share only the remembered pair
+        import gpstable.stable as stable
+
+        an = Analysis(parse_algebra(planted_multi_class_document()))
+        an.locate(an.perfect.paths[0])
+        paths = an.perfect.paths
+        # one source in each of the three classes, and a second in the first
+        sources = [dec.members[0] for dec in an.decompositions]
+        sources.append(an.decompositions[0].members[1])
+
+        def sweep(module, p):
+            out = []
+            for q in paths:
+                for k in range(-3, q.length + 3):
+                    out.append(module.graded_stable_hom(an, StableObject(p), StableObject(q, k)))
+                out.append(module.ungraded_stable_hom(an, p, q))
+            return out
+
+        want = {p: sweep(ref, p) * 20 for p in sources}
+        got = {}
+        start = threading.Barrier(len(sources))
+
+        def run(p):
+            start.wait()
+            got[p] = [h for _ in range(20) for h in sweep(stable, p)]
+
+        threads = [threading.Thread(target=run, args=(p,)) for p in sources]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 # --- no path hashing in the AR quiver -------------------------------------------

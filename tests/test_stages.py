@@ -1,6 +1,7 @@
 """``scripts/stages.py`` charges a time to every stage of the
-``classify-cycles`` operation and to every row of the oracle battery and
-each brute-force table it builds."""
+``classify-cycles`` operation, to every row of the oracle battery and
+each brute-force table it builds, and to every query kind of the
+``stable-queries`` operation."""
 
 import importlib.util
 from pathlib import Path
@@ -59,15 +60,31 @@ def test_names_every_battery_row_on_one_document(script):
     assert whole.endswith("  whole operation")
 
 
+def test_names_every_stable_query_stage(script):
+    operation, items = script.benchmark_items("stable-queries", 1)
+    *lines, whole = script.report(operation, items[:2], 1)
+    # in the order the workload's operation asks them
+    assert names(lines) == [
+        "graded sweep",
+        "ungraded Hom",
+        "suspend",
+        "AR triangle",
+        "tau orbit",
+    ]
+    assert whole.endswith("  whole operation")
+
+
 @pytest.mark.parametrize(
     "workload, count",
     [
         ("classify-cycles", 16),  # the benchmark's eight shapes, each also relabeled
         ("oracle-battery", 8),  # its eight shapes, each once
+        # one source per perfect path, |c|·m_c per planted cycle: 6·6 + 5·7 + 4·8
+        ("stable-queries", 103),
     ],
 )
 def test_reads_the_workload_documents(script, workload, count):
-    assert len(script.benchmark_documents(workload, 1)) == count
+    assert len(script.benchmark_items(workload, 1)[1]) == count
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=[f.name for f in FIXTURES])
